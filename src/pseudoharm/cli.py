@@ -190,7 +190,7 @@ def cmd_spectrum(args) -> RunRecord:
                     raise PseudoharmError("--method transcendental requires --delta")
                 spec = PotentialSpec(args.alpha, args.delta)
                 sol = regspec.solve_excited(spec, parity, n)
-            elif args.method == "asymptotic":
+            else:  # asymptotic
                 if args.delta is None:
                     raise PseudoharmError("--method asymptotic requires --delta")
                 spec = PotentialSpec(args.alpha, args.delta)
@@ -200,10 +200,6 @@ def cmd_spectrum(args) -> RunRecord:
                 sol = EigenSolution(label=label, nu=nu_of_alpha(args.alpha),
                                     kappa=kappa, energy=kappa + 0.5,
                                     method="asymptotic")
-            else:
-                raise PseudoharmError(
-                    f"spectrum does not support --method {args.method!r}; "
-                    "use the matmech command for matrix runs")
             return sol
 
         for sol in _parallel_map(solve, tasks):
@@ -360,7 +356,7 @@ def cmd_matmech(args) -> RunRecord:
         parameters={"alpha": args.alpha, "delta": args.delta,
                     "epsilon": eps, "rho": args.rho, "nmax": args.nmax,
                     "k": args.k},
-        settings={"eigensolver": "householder+implicit-shift-ql",
+        settings={"eigensolver": "block-davidson+fft-toeplitz-hankel",
                   "residual_tol": 1e-10},
         units=args.units,
         columns=["alpha", "epsilon", "block", "rank", f"energy_{args.units}"],
@@ -391,8 +387,9 @@ def _build_parser():
     sp.add_argument("--n", type=_parse_n_range, default=None,
                     help="display indices, e.g. 0..3 or 0,2,5")
     sp.add_argument("--method", choices=("closed", "transcendental",
-                                         "asymptotic", "matrix"),
-                    default="closed")
+                                         "asymptotic"),
+                    default="closed",
+                    help="matrix-mechanics runs use the matmech command")
     sp.add_argument("--ground", action="store_true",
                     help="solve the runaway even ground state (alpha < 0)")
     sp.add_argument("--rho", type=float, default=None)

@@ -1,225 +1,111 @@
-"""Dense symmetric eigensolver: Householder tridiagonalization followed by
-implicit-shift QL iteration, with inverse iteration plus reflector
-back-transform for the requested eigenvectors.
+"""Lowest eigenpairs of a symmetric operator by block Davidson iteration.
 
-Kept in-repo deliberately: numpy supplies array arithmetic only (matrix-
-vector products and rank-2 updates); the algorithm itself lives here.
+The operator is anything with ``shape``, ``diagonal()`` and ``op @ X`` for
+column blocks X: a dense ndarray or a ``matmech.BlockOperator``.  Each
+iteration takes the Rayleigh-Ritz pairs of the search space, and extends
+the space by the residuals of the unconverged pairs, preconditioned by
+(diag - theta)^-1 (Davidson 1975, J. Comput. Phys. 17:87).  The space
+starts from the unit vectors at the smallest diagonal entries, so a run is
+deterministic; it restarts from the lowest Ritz vectors when it reaches
+its size cap, and becomes the whole space, an exact solve, once it would
+reach the operator's dimension.
+
+Every returned pair has residual ||A x - lambda x|| at most residual_tol
+times a lower bound on ||A||_2 <= ||A||_1: the largest of max |a_ii| and
+the norms ||A v|| over the unit search vectors v.
 """
-
-import math
 
 import numpy as np
 
 from .errors import NonConvergenceError
 
-_QL_MAX_SWEEPS = 50
+_MAX_ITERATIONS = 300
+_GUARD_VECTORS = 2          # block size is k plus these
+_MAX_SUBSPACE = 40          # restart cap, raised to 6 blocks for large k
+_PRECONDITION_FLOOR = 1e-8  # smallest |diag - theta| relative to the scale
+_DROP = 1e-8                # corrections with less new norm are discarded
 
 
-def householder_tridiagonalize(a):
-    """Reduce symmetric a to tridiagonal (d, e) by Householder reflections.
+def _orthonormalize(basis, vectors):
+    """Columns of vectors made orthonormal to basis and to each other.
 
-    Returns (d, e, reflectors) where reflectors is the list of Householder
-    vectors (v, start) with H = I - 2 v v^T acting on rows/cols start..n-1.
-    The input matrix is not modified.
+    Two passes of classical Gram-Schmidt against the basis, then modified
+    Gram-Schmidt within the block; columns that keep under _DROP of their
+    norm are dropped.
     """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("householder_tridiagonalize: matrix must be square")
-    d = np.empty(n)
-    e = np.zeros(max(n - 1, 0))
-    reflectors = []
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        alpha = -math.copysign(np.linalg.norm(x), x[0] if x[0] != 0.0 else 1.0)
-        if alpha == 0.0:
-            e[k] = 0.0
+    kept = []
+    for j in range(vectors.shape[1]):
+        v = vectors[:, j]
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
             continue
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            e[k] = alpha
-            continue
-        v /= vnorm
-        # apply H A H to the trailing block: w = A v, tau = v.w, rank-2 update
-        sub = a[k + 1:, k + 1:]
-        w = sub @ v
-        w *= 2.0
-        tau = 0.5 * (v @ w)
-        w -= 2.0 * tau * v
-        sub -= np.outer(v, w)
-        sub -= np.outer(w, v)
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        e[k] = alpha
-        reflectors.append((v, k + 1))
-    if n >= 2:
-        e[n - 2] = a[n - 1, n - 2]
-    d[:] = np.diagonal(a)
-    return d, e, reflectors
+        v = v / norm0
+        for _ in range(2):
+            v = v - basis @ (basis.T @ v)
+            for w in kept:
+                v = v - (w @ v) * w
+        norm = np.linalg.norm(v)
+        if norm > _DROP:
+            kept.append(v / norm)
+    if not kept:
+        return np.empty((basis.shape[0], 0))
+    return np.column_stack(kept)
 
 
-def ql_eigenvalues(d, e):
-    """All eigenvalues of the symmetric tridiagonal (d, e), ascending.
+def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
+    """Lowest k eigenpairs of the symmetric operator op.
 
-    Implicit-shift QL sweeps; raises NonConvergenceError with the stuck
-    index if any eigenvalue needs more than the sweep budget.
+    Returns (values, vectors) with values ascending and vectors as
+    orthonormal columns; vectors is None when want_vectors is False.  Raises
+    NonConvergenceError, with the residuals reached, when the iteration
+    budget runs out or the search space stops growing.
     """
-    d = np.array(d, dtype=float, copy=True).tolist()
-    n = len(d)
-    e = list(np.asarray(e, dtype=float)) + [0.0]
-    if len(e) < n:
-        raise ValueError("ql_eigenvalues: subdiagonal length must be n-1")
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _QL_MAX_SWEEPS:
-                raise NonConvergenceError(
-                    "ql_eigenvalues: sweep budget exhausted", index=l)
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                bb = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * bb
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - bb
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    d.sort()
-    return np.array(d)
-
-
-def tridiag_eigenvector(d, e, lam, seed=1):
-    """Eigenvector of tridiagonal (d, e) for eigenvalue lam by inverse
-    iteration with partial pivoting."""
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = d.size
-    if n == 1:
-        return np.ones(1)
-    scale = np.max(np.abs(d)) + np.max(np.abs(e)) if n > 1 else abs(d[0])
-    shift = lam + 1e-14 * max(scale, 1.0)  # keep the solve nonsingular
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(4):
-        v = _tridiag_solve(d - shift, e, v)
-        nv = np.linalg.norm(v)
-        if not np.isfinite(nv) or nv == 0.0:
-            raise NonConvergenceError("tridiag_eigenvector: inverse iteration "
-                                      "broke down", eigenvalue=lam)
-        v /= nv
-    return v
-
-
-def _tridiag_solve(diag, e, rhs):
-    """Solve (tridiagonal) x = rhs with partial pivoting (Gaussian, 2-band)."""
-    n = diag.size
-    # rows: lower e[i-1], diag[i], upper e[i]; fill-in one extra superdiag
-    a = diag.astype(float).copy()
-    b = np.concatenate([e.astype(float), [0.0]])      # superdiagonal
-    c2 = np.zeros(n)                                   # second superdiagonal
-    low = np.concatenate([e.astype(float), [0.0]])     # subdiagonal (row i+1)
-    x = np.asarray(rhs, dtype=float).copy()
-    for i in range(n - 1):
-        if abs(low[i]) > abs(a[i]):
-            # swap row i and i+1
-            a[i], low[i] = low[i], a[i]
-            tmp = b[i]
-            b[i] = a[i + 1]
-            a[i + 1] = tmp
-            c2[i] = b[i + 1]
-            b[i + 1] = 0.0
-            x[i], x[i + 1] = x[i + 1], x[i]
-        if a[i] == 0.0:
-            a[i] = 1e-300
-        m = low[i] / a[i]
-        a[i + 1] -= m * b[i]
-        b[i + 1] -= m * c2[i]
-        x[i + 1] -= m * x[i]
-    if a[n - 1] == 0.0:
-        a[n - 1] = 1e-300
-    x[n - 1] /= a[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - b[n - 2] * x[n - 1]) / a[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - b[i] * x[i + 1] - c2[i] * x[i + 2]) / a[i]
-    return x
-
-
-def back_transform(reflectors, v):
-    """Map a tridiagonal-basis vector back through the stored reflectors."""
-    w = np.array(v, dtype=float, copy=True)
-    for vec, start in reversed(reflectors):
-        seg = w[start:]
-        seg -= 2.0 * vec * (vec @ seg)
-    return w
-
-
-def eigh_lowest(a, k, want_vectors=True, residual_tol=1e-10):
-    """Lowest k eigenpairs of dense symmetric a.
-
-    Returns (values, vectors) with values ascending and vectors as columns;
-    vectors is None when want_vectors is False.  Each returned pair is
-    residual-checked against residual_tol * ||a||_1.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    n = op.shape[0]
     k = min(k, n)
-    d, e, refl = householder_tridiagonalize(a)
-    vals = ql_eigenvalues(d, e)[:k]
-    if not want_vectors:
-        return vals, None
-    norm_a = np.max(np.abs(a).sum(axis=1))
-    vecs = np.empty((n, k))
-    prev = []
-    for j in range(k):
-        v = tridiag_eigenvector(d, e, vals[j], seed=j + 1)
-        # orthogonalize within near-degenerate clusters
-        for jj, vv in prev:
-            if abs(vals[j] - vals[jj]) <= 1e-8 * max(1.0, abs(vals[j])):
-                v -= (vv @ v) * vv
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise NonConvergenceError("eigh_lowest: degenerate cluster "
-                                      "exhausted", index=j)
-        v /= nv
-        prev.append((j, v))
-        full = back_transform(refl, v)
-        full /= np.linalg.norm(full)
-        resid = np.linalg.norm(a @ full - vals[j] * full)
-        if resid > residual_tol * max(norm_a, 1e-300):
-            raise NonConvergenceError(
-                "eigh_lowest: residual check failed",
-                index=j, residual=resid, bound=residual_tol * norm_a)
-        vecs[:, j] = full
-    return vals, vecs
+    diag = np.asarray(op.diagonal(), dtype=float)
+    block = min(n, k + _GUARD_VECTORS)
+    max_dim = max(_MAX_SUBSPACE, 6 * block)
+    if max_dim >= n:
+        basis = np.eye(n)
+    else:
+        basis = np.zeros((n, block))
+        start = np.argsort(diag, kind="stable")[:block]
+        basis[start, np.arange(block)] = 1.0
+    images = op @ basis
+    scale = max(np.max(np.abs(diag)),
+                np.max(np.linalg.norm(images, axis=0)))
+    bound = residual_tol * scale
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        proj = basis.T @ images
+        theta, coeff = np.linalg.eigh(0.5 * (proj + proj.T))
+        x = basis @ coeff[:, :block]
+        ax = images @ coeff[:, :block]
+        resid = ax - x * theta[:block]
+        res = np.linalg.norm(resid[:, :k], axis=0)
+        if np.all(res <= bound):
+            return theta[:k], (x[:, :k] if want_vectors else None)
+        if basis.shape[1] == n:
+            break                   # exact space: rounding left above bound
+        active = np.linalg.norm(resid, axis=0) > bound
+        denom = diag[:, None] - theta[:block][active]
+        floor = _PRECONDITION_FLOOR * scale
+        denom = np.where(np.abs(denom) < floor,
+                         np.where(denom < 0.0, -floor, floor), denom)
+        corrections = resid[:, active] / denom
+        if basis.shape[1] + corrections.shape[1] > max_dim:
+            basis, images = x, ax
+        new = _orthonormalize(basis, corrections)
+        if basis.shape[1] + new.shape[1] >= n:
+            basis = np.eye(n)
+            images = op @ basis
+        elif new.shape[1] == 0:
+            break                   # no direction left to add
+        else:
+            new_images = op @ new
+            scale = max(scale, np.max(np.linalg.norm(new_images, axis=0)))
+            bound = residual_tol * scale
+            basis = np.hstack([basis, new])
+            images = np.hstack([images, new_images])
+    raise NonConvergenceError(
+        "eigh_lowest: residuals above bound", iterations=iteration, n=n, k=k,
+        residuals=[float(r) for r in res], bound=float(bound))

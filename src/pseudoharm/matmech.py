@@ -4,12 +4,17 @@ The potential is centred in a hard box of width a (basis sqrt(2/a)
 sin(n pi x / a)); the box size enters through rho = (oscillator quantum) /
 (box ground energy), and the strip |x - a/2| < eps a/2 carries the constant
 cutoff value.  Matrix elements connect only equal-parity indices
-(n +/- m even), so the Hamiltonian splits into two dense symmetric blocks:
-odd basis indices give even-parity states and vice versa.
+(n +/- m even), so the Hamiltonian splits into two symmetric blocks: odd
+basis indices give even-parity states and vice versa.
 
 All elements are closed-form in the tabulated functions g, h, k, l of
-j = n -/+ m and the sine integral; assembly is vectorized by building the
-j-tables once (this also caches every distinct Si argument).
+j = n -/+ m and the sine integral.  Folded into one coupling table F over
+j/2, a block's off-diagonal part is F[|i-j|] - F[i+j+s] (s = 1 for the even
+block, s = 2 for the odd block): a Toeplitz matrix minus a Hankel matrix.
+No matrix is stored.  Each block is a ``BlockOperator`` that holds F, the
+diagonal and the two FFT symbols of a circulant embedding, in O(n_max)
+memory, and applies the block to vectors in O(n_max log n_max) operations;
+``eigensolver.eigh_lowest`` needs nothing else.
 """
 
 import math
@@ -19,14 +24,59 @@ import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError
 from .eigensolver import eigh_lowest
-from .specfun import sine_integral
-
-_BLOCKS = ("even", "odd")  # wave-function parity about the box centre
+from .specfun.sine_integral import sine_integral_array
 
 
 def epsilon_from_delta(delta: float, rho: float) -> float:
     """Box-relative cutoff: eps = (2/pi) sqrt(2/rho) delta."""
     return 2.0 / math.pi * math.sqrt(2.0 / rho) * delta
+
+
+class BlockOperator:
+    """One parity block of H / E1: diagonal plus F[|i-j|] - F[i+j+s] off it.
+
+    ``op @ x`` takes a vector or a column block.  Both Toeplitz and Hankel
+    parts are embedded in circulants of length 2n and applied with one real
+    FFT pair: the Hankel product is the circular cross-correlation of
+    F[s:s+2n-1] with x, whose transform is conj(rfft(x)) times the symbol.
+    """
+
+    def __init__(self, table, shift, diagonal):
+        n = diagonal.size
+        length = 2 * n
+        toeplitz = np.zeros(length)
+        toeplitz[:n] = table[:n]
+        toeplitz[length - n + 1:] = table[1:n][::-1]
+        hankel = np.zeros(length)
+        hankel[:2 * n - 1] = table[shift:shift + 2 * n - 1]
+        self.table = table
+        self.shape = (n, n)
+        self._length = length
+        self._toeplitz_symbol = np.fft.rfft(toeplitz).real
+        self._hankel_symbol = np.fft.rfft(hankel)
+        self._diagonal = diagonal
+        # the Toeplitz-minus-Hankel part carries F[0] - F[2i+s] on the
+        # diagonal; the rest of each diagonal entry is applied pointwise
+        self._pointwise = (diagonal - table[0]
+                           + table[shift + 2 * np.arange(n)])
+
+    def diagonal(self):
+        return self._diagonal.copy()
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.shape[0]:
+            raise ValueError(f"BlockOperator: cannot apply {self.shape} "
+                             f"to shape {x.shape}")
+        toe, han = self._toeplitz_symbol, self._hankel_symbol
+        pointwise = self._pointwise
+        if x.ndim == 2:
+            toe, han = toe[:, None], han[:, None]
+            pointwise = pointwise[:, None]
+        spec = np.fft.rfft(x, n=self._length, axis=0)
+        coupled = np.fft.irfft(toe * spec - han * np.conj(spec),
+                               n=self._length, axis=0)[:self.shape[0]]
+        return pointwise * x + coupled
 
 
 @dataclass
@@ -37,12 +87,8 @@ class MatrixModel:
     rho: float
     epsilon: float
     n_max: int
-    blocks: dict = field(repr=False)           # parity -> dense symmetric matrix
+    blocks: dict = field(repr=False)           # parity -> BlockOperator
     indices: dict = field(repr=False)          # parity -> basis indices (1-based)
-
-    @property
-    def hbar_omega_in_e1(self) -> float:
-        return self.rho
 
 
 @dataclass(frozen=True)
@@ -76,17 +122,6 @@ def _sinc(x):
     return out
 
 
-def _si_values(args):
-    flat = np.asarray(args, dtype=float).ravel()
-    vals = np.empty(flat.size)
-    cache = {}
-    for i, v in enumerate(flat):
-        if v not in cache:
-            cache[v] = sine_integral(v)
-        vals[i] = cache[v]
-    return vals.reshape(np.shape(args))
-
-
 def _coupling_tables(alpha, rho, epsilon, n_max):
     """g, h, k tables over even j = |n -/+ m| in [0, 2 n_max].
 
@@ -114,8 +149,8 @@ def _coupling_tables(alpha, rho, epsilon, n_max):
     # l_eps(j) = (4/eps) sin^2(p eps/4) - 2 [1 - cos(p/2)] + p [Si(p/2) - Si(p eps/2)]
     ell = np.zeros(n_max + 1)
     one_minus_cos_half = np.where(cos_half_p > 0.0, 0.0, 2.0)
-    si_big = _si_values(0.5 * p)
-    si_small = _si_values(np.abs(pe2nz)) if pe2nz.size else np.empty(0)
+    si = sine_integral_array(np.concatenate([0.5 * p, np.abs(pe2nz)]))
+    si_big, si_small = si[:n_max + 1], si[n_max + 1:]
     ell[nzp] = (4.0 / epsilon * np.sin(0.25 * p[nzp] * epsilon) ** 2
                 - 2.0 * one_minus_cos_half[nzp]
                 + pnz * (si_big[nzp] - si_small))
@@ -123,36 +158,24 @@ def _coupling_tables(alpha, rho, epsilon, n_max):
     return g, h, k
 
 
-def element(n: int, m: int, alpha: float, rho: float, epsilon: float) -> float:
-    """Single Hamiltonian element H_nm / E1; pure in (n, m, parameters)."""
-    if (n + m) % 2 == 1:
-        return 0.0
-    g, h, k = _coupling_tables(alpha, rho, epsilon, max(n, m))
-    veps = v_epsilon(alpha, rho, epsilon)
-    dm = abs(n - m) // 2
-    sm = (n + m) // 2
-    val = 0.0
-    if n == m:
-        val += float(n) ** 2
-        val += epsilon * veps * (1.0 - (-1.0) ** n
-                                 * math.sin(math.pi * n * epsilon)
-                                 / (math.pi * n * epsilon))
-        val += 2.0 * ((1.0 - epsilon ** 3) / 24.0 - h[sm]) \
-            * math.pi ** 2 * rho ** 2 / 4.0
-        val += 2.0 * alpha / math.pi ** 2 * (k[0] - k[sm])
-    else:
-        val += epsilon * veps * (g[dm] - g[sm])
-        val += 2.0 * (h[dm] - h[sm]) * math.pi ** 2 * rho ** 2 / 4.0
-        val += 2.0 * alpha / math.pi ** 2 * (k[dm] - k[sm])
-    return val
+def _diagonal(idx, alpha, rho, epsilon, veps, h, k):
+    """Diagonal elements H_nn / E1 for basis indices idx."""
+    nn = idx.astype(float)
+    return (nn ** 2
+            + epsilon * veps * (1.0 - (-1.0) ** idx
+                                * _sinc(math.pi * epsilon * nn))
+            + 2.0 * math.pi ** 2 * rho ** 2 / 4.0
+            * ((1.0 - epsilon ** 3) / 24.0 - h[idx])
+            + 2.0 * alpha / math.pi ** 2 * (k[0] - k[idx]))
 
 
-def assemble(alpha: float, rho: float, epsilon: float, n_max: int,
-             split_blocks: bool = True) -> MatrixModel:
-    """Build the parity blocks (or one full matrix) of H / E1.
+def assemble(alpha: float, rho: float, epsilon: float,
+             n_max: int) -> MatrixModel:
+    """Build the two parity-block operators of H / E1.
 
-    Element computation is a pure function of (n, m, parameters); the
-    vectorized fill just evaluates it over index grids.
+    The coupling table F = eps v_eps g + (pi^2 rho^2 / 2) h
+    + (2 alpha / pi^2) k gives every off-diagonal element as
+    F[|n-m|/2] - F[(n+m)/2].
     """
     if n_max < 4:
         raise DomainError(f"assemble: n_max must be >= 4, got {n_max}")
@@ -162,37 +185,16 @@ def assemble(alpha: float, rho: float, epsilon: float, n_max: int,
         raise DomainError(f"assemble: rho must be positive, got {rho}")
     veps = v_epsilon(alpha, rho, epsilon)
     g, h, k = _coupling_tables(alpha, rho, epsilon, n_max)
-    pr2 = math.pi ** 2 * rho ** 2 / 4.0
-    api2 = alpha / math.pi ** 2
-
-    def build(idx):
-        half_d = np.abs(idx[:, None] - idx[None, :]) // 2
-        half_s = (idx[:, None] + idx[None, :]) // 2
-        mat = epsilon * veps * (g[half_d] - g[half_s]) \
-            + 2.0 * pr2 * (h[half_d] - h[half_s]) \
-            + 2.0 * api2 * (k[half_d] - k[half_s])
-        # elements with odd n+m vanish identically (even potential)
-        odd_sum = (idx[:, None] + idx[None, :]) % 2 == 1
-        mat[odd_sum] = 0.0
-        dia = np.arange(idx.size)
-        nn = idx.astype(float)
-        mat[dia, dia] = (
-            nn ** 2
-            + epsilon * veps * (1.0 - (-1.0) ** idx
-                                * _sinc(math.pi * epsilon * nn))
-            + 2.0 * pr2 * ((1.0 - epsilon ** 3) / 24.0 - h[idx])
-            + 2.0 * api2 * (k[0] - k[idx]))
-        return mat
-
-    if split_blocks:
-        idx_even_par = np.arange(1, n_max + 1, 2)   # odd n: even parity
-        idx_odd_par = np.arange(2, n_max + 1, 2)    # even n: odd parity
-        blocks = {"even": build(idx_even_par), "odd": build(idx_odd_par)}
-        indices = {"even": idx_even_par, "odd": idx_odd_par}
-    else:
-        idx = np.arange(1, n_max + 1)
-        blocks = {"full": build(idx)}
-        indices = {"full": idx}
+    table = (epsilon * veps * g
+             + 2.0 * math.pi ** 2 * rho ** 2 / 4.0 * h
+             + 2.0 * alpha / math.pi ** 2 * k)
+    blocks, indices = {}, {}
+    # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity, i+j+2
+    for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
+        idx = np.arange(first, n_max + 1, 2)
+        blocks[block] = BlockOperator(
+            table, shift, _diagonal(idx, alpha, rho, epsilon, veps, h, k))
+        indices[block] = idx
     return MatrixModel(alpha=alpha, rho=rho, epsilon=epsilon, n_max=n_max,
                        blocks=blocks, indices=indices)
 

@@ -15,7 +15,7 @@ from .hyper import (
     u_ratio_shift_z,
 )
 from .laguerre import laguerre
-from .sine_integral import sine_integral
+from .sine_integral import sine_integral, sine_integral_array
 
 __all__ = [
     "A_SWITCH",
@@ -28,6 +28,7 @@ __all__ = [
     "lgamma",
     "rgamma",
     "sine_integral",
+    "sine_integral_array",
     "sinpi",
     "tricomi_u",
     "tricomi_u_recurrence_shift",

@@ -1,20 +1,12 @@
+import math
 import os
 import sys
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("PSEUDOHARM_LONG_TESTS"):
-        return
-    skip_long = pytest.mark.skip(
-        reason="long run; set PSEUDOHARM_LONG_TESTS=1 to enable")
-    for item in items:
-        if "long" in item.keywords:
-            item.add_marker(skip_long)
+from pseudoharm import matmech  # noqa: E402
 
 
 def simpson(f, a, b, n=4001):
@@ -35,3 +27,59 @@ def one_sided_derivative(f, x0, h, side):
     f2 = f(x0 + 2 * s * h)
     f3 = f(x0 + 3 * s * h)
     return s * (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
+
+
+# --- dense sine-basis Hamiltonian oracles ----------------------------------
+# The program applies each parity block as an FFT operator and never forms
+# it; these build the same elements the direct way, for comparison.
+
+def element(n, m, alpha, rho, epsilon):
+    """Single Hamiltonian element H_nm / E1; pure in (n, m, parameters)."""
+    if (n + m) % 2 == 1:
+        return 0.0
+    g, h, k = matmech._coupling_tables(alpha, rho, epsilon, max(n, m))
+    veps = matmech.v_epsilon(alpha, rho, epsilon)
+    dm = abs(n - m) // 2
+    sm = (n + m) // 2
+    val = 0.0
+    if n == m:
+        val += float(n) ** 2
+        val += epsilon * veps * (1.0 - (-1.0) ** n
+                                 * math.sin(math.pi * n * epsilon)
+                                 / (math.pi * n * epsilon))
+        val += 2.0 * ((1.0 - epsilon ** 3) / 24.0 - h[sm]) \
+            * math.pi ** 2 * rho ** 2 / 4.0
+        val += 2.0 * alpha / math.pi ** 2 * (k[0] - k[sm])
+    else:
+        val += epsilon * veps * (g[dm] - g[sm])
+        val += 2.0 * (h[dm] - h[sm]) * math.pi ** 2 * rho ** 2 / 4.0
+        val += 2.0 * alpha / math.pi ** 2 * (k[dm] - k[sm])
+    return val
+
+
+def dense_block(alpha, rho, epsilon, n_max, block):
+    """Dense H / E1 over the basis indices of one parity block ("even":
+    odd n, "odd": even n), or over all indices 1..n_max ("full")."""
+    first, step = {"even": (1, 2), "odd": (2, 2), "full": (1, 1)}[block]
+    idx = np.arange(first, n_max + 1, step)
+    veps = matmech.v_epsilon(alpha, rho, epsilon)
+    g, h, k = matmech._coupling_tables(alpha, rho, epsilon, n_max)
+    pr2 = math.pi ** 2 * rho ** 2 / 4.0
+    api2 = alpha / math.pi ** 2
+    half_d = np.abs(idx[:, None] - idx[None, :]) // 2
+    half_s = (idx[:, None] + idx[None, :]) // 2
+    mat = epsilon * veps * (g[half_d] - g[half_s]) \
+        + 2.0 * pr2 * (h[half_d] - h[half_s]) \
+        + 2.0 * api2 * (k[half_d] - k[half_s])
+    # elements with odd n+m vanish identically (even potential)
+    mat[(idx[:, None] + idx[None, :]) % 2 == 1] = 0.0
+    dia = np.arange(idx.size)
+    nn = idx.astype(float)
+    mat[dia, dia] = (
+        nn ** 2
+        + epsilon * veps * (1.0 - (-1.0) ** idx
+                            * np.sin(math.pi * epsilon * nn)
+                            / (math.pi * epsilon * nn))
+        + 2.0 * pr2 * ((1.0 - epsilon ** 3) / 24.0 - h[idx])
+        + 2.0 * api2 * (k[0] - k[idx]))
+    return mat

@@ -88,7 +88,6 @@ def test_criterion_3_matrix_mechanics_cross_check():
                          f"desk {desk_time:.0f}s")
 
 
-@pytest.mark.long
 def test_criterion_3_long_reference_value():
     rho = 5.0
     eps = matmech.epsilon_from_delta(0.002, rho)

@@ -51,6 +51,13 @@ class TestSpectrum:
         energies = [float(l.split(",")[5]) for l in lines[1:]]
         assert energies == [1.5, 3.5, 5.5, 7.5]
 
+    def test_matrix_method_rejected(self, capsys):
+        # matrix-mechanics runs go through the matmech subcommand
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--alpha", "0", "--n", "0", "--method", "matrix"])
+        assert info.value.code == 2
+        assert "invalid choice: 'matrix'" in capsys.readouterr().err
+
     def test_ground_state_reference(self):
         r = run_cli(["spectrum", "--alpha", "-0.05", "--delta", "0.002",
                      "--parity", "even", "--ground"])

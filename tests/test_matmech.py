@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import simpson
+from conftest import dense_block, element, simpson
 from pseudoharm import matmech, refdata, regspec
 from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.errors import DomainError
@@ -20,8 +20,9 @@ class TestElements:
             idx = model.indices[block]
             for i, n in enumerate(idx):
                 kin = float(n) ** 2
-                pot = matmech.element(int(n), int(n), 0.0, 50.0, eps) - kin
-                assert model.blocks[block][i, i] - pot == pytest.approx(kin, rel=1e-13)
+                pot = element(int(n), int(n), 0.0, 50.0, eps) - kin
+                assert model.blocks[block].diagonal()[i] - pot == \
+                    pytest.approx(kin, rel=1e-13)
 
     def test_l_table_vanishes_at_zero_index(self):
         # l_eps(0) = 0 means k_eps(0) = (2/eps)(1-eps)
@@ -29,23 +30,61 @@ class TestElements:
         assert k[0] == pytest.approx((2.0 / 0.01) * (1.0 - 0.01), rel=1e-14)
 
     def test_element_matches_assembled_matrix(self):
+        # the scalar element oracle against the vectorized dense oracle
         model = matmech.assemble(-0.07, 25.0, 0.02, 30)
         for block in ("even", "odd"):
             idx = model.indices[block]
+            mat = dense_block(-0.07, 25.0, 0.02, 30, block)
             for i in (0, 2, 5):
                 for j in (1, 3, 9):
-                    want = matmech.element(int(idx[i]), int(idx[j]),
-                                           -0.07, 25.0, 0.02)
-                    assert model.blocks[block][i, j] == pytest.approx(
-                        want, rel=1e-12, abs=1e-15)
+                    want = element(int(idx[i]), int(idx[j]),
+                                   -0.07, 25.0, 0.02)
+                    assert mat[i, j] == pytest.approx(want, rel=1e-12,
+                                                      abs=1e-15)
+
+    @pytest.mark.parametrize("alpha,rho,eps,n_max", [
+        (-0.3, 5.0, 0.005, 301),        # alpha < -1/4: experimental regime
+        (0.0, 50.0, 1e-3, 800),
+        (0.6, 25.0, 0.02, 160),
+        (-0.05, 5.0, matmech.epsilon_from_delta(0.002, 5.0), 2000),
+        (0.1, 25.0, 0.3, 41),
+    ])
+    def test_operator_matches_dense_block(self, alpha, rho, eps, n_max):
+        model = matmech.assemble(alpha, rho, eps, n_max)
+        rng = np.random.default_rng(n_max)
+        for block in ("even", "odd"):
+            mat = dense_block(alpha, rho, eps, n_max, block)
+            op = model.blocks[block]
+            assert op.shape == mat.shape
+            assert np.array_equal(op.diagonal(), np.diagonal(mat))
+            xs = rng.standard_normal((mat.shape[0], 3))
+            want = mat @ xs
+            for got in (op @ xs, np.column_stack([op @ x for x in xs.T])):
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err < 1e-14, (block, err)
+
+    @pytest.mark.parametrize("alpha,rho,eps,n_max", [
+        (-0.3, 5.0, 0.005, 301),
+        (0.0, 50.0, 1e-3, 800),
+        (0.6, 25.0, 0.02, 160),
+        (-0.1, 25.0, matmech.epsilon_from_delta(0.01, 25.0), 1600),
+    ])
+    def test_eigh_lowest_matches_dense_eigh(self, alpha, rho, eps, n_max):
+        model = matmech.assemble(alpha, rho, eps, n_max)
+        for block in ("even", "odd"):
+            ref = np.linalg.eigh(dense_block(alpha, rho, eps, n_max, block))[0]
+            for k in (1, 4):
+                vals, _ = eigh_lowest(model.blocks[block], k)
+                assert np.max(np.abs(vals - ref[:k]) / np.abs(ref[:k])) \
+                    < 1e-10, (block, k)
 
     def test_odd_index_sum_elements_vanish(self):
-        assert matmech.element(3, 4, 0.2, 25.0, 0.01) == 0.0
-        assert matmech.element(2, 7, -0.1, 25.0, 0.01) == 0.0
+        assert element(3, 4, 0.2, 25.0, 0.01) == 0.0
+        assert element(2, 7, -0.1, 25.0, 0.01) == 0.0
 
     def test_symmetry_exact(self):
-        model = matmech.assemble(0.1, 25.0, 1e-2, 40)
-        for mat in model.blocks.values():
+        for block in ("even", "odd", "full"):
+            mat = dense_block(0.1, 25.0, 1e-2, 40, block)
             assert np.array_equal(mat, mat.T)
 
     def test_triangles_agree_via_pure_element(self):
@@ -54,7 +93,7 @@ class TestElements:
         full = np.empty((n_max, n_max))
         for n in range(1, n_max + 1):
             for m in range(1, n_max + 1):
-                full[n - 1, m - 1] = matmech.element(n, m, -0.05, 25.0, 0.02)
+                full[n - 1, m - 1] = element(n, m, -0.05, 25.0, 0.02)
         assert np.max(np.abs(full - full.T)) == 0.0
 
     def test_harmonic_diagonal_vs_quadrature(self):
@@ -93,12 +132,16 @@ class TestElements:
 
 class TestSpectra:
     def test_parity_blocks_match_full_matrix(self):
-        split = matmech.assemble(0.1, 25.0, 1e-2, 40)
-        full = matmech.assemble(0.1, 25.0, 1e-2, 40, split_blocks=False)
+        # the full matrix from the pure element function against the
+        # spectra of the two parity blocks
+        n_max = 40
+        full = np.array([[element(n, m, 0.1, 25.0, 1e-2)
+                          for m in range(1, n_max + 1)]
+                         for n in range(1, n_max + 1)])
         ev_split = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(split.blocks["even"]),
-             np.linalg.eigvalsh(split.blocks["odd"])]))
-        ev_full = np.linalg.eigvalsh(full.blocks["full"])
+            [np.linalg.eigvalsh(dense_block(0.1, 25.0, 1e-2, n_max, block))
+             for block in ("even", "odd")]))
+        ev_full = np.linalg.eigvalsh(full)
         assert np.max(np.abs(ev_split - ev_full)
                       / np.maximum(np.abs(ev_full), 1.0)) < 1e-12
 
@@ -152,7 +195,6 @@ class TestSpectra:
                 for g, r in zip(got, ref):
                     assert g == pytest.approx(r, rel=2e-6), (alpha, rho)
 
-    @pytest.mark.long
     def test_compact_box_reference_value(self):
         # rho = 5, n_max = 10000 reference ground energy
         eps = matmech.epsilon_from_delta(0.002, refdata.COMPACT_BOX_RHO)

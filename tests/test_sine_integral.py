@@ -6,7 +6,7 @@ import pytest
 
 from conftest import simpson
 from pseudoharm.errors import DomainError
-from pseudoharm.specfun import sine_integral
+from pseudoharm.specfun import sine_integral, sine_integral_array
 
 mp.mp.dps = 30
 
@@ -46,3 +46,26 @@ def test_monotone_on_first_arch():
 def test_rejects_negative():
     with pytest.raises(DomainError):
         sine_integral(-0.5)
+
+
+def test_array_kernel_sweep_across_seams():
+    # the series/continued-fraction seam at 4, the old quadrature/asymptotic
+    # seam at 40, and the continued fraction out to 1e6
+    zs = np.concatenate([
+        np.linspace(0.0, 8.0, 801),
+        np.linspace(3.99, 4.01, 41),
+        np.nextafter(4.0, [0.0, 8.0]),
+        np.linspace(38.0, 42.0, 201),
+        np.geomspace(8.0, 1e6, 400),
+    ])
+    got = sine_integral_array(zs)
+    want = np.array([float(mp.si(z)) for z in zs])
+    assert np.max(np.abs(got - want)) < 2e-13
+    assert [sine_integral(float(z)) for z in zs] == list(got)
+
+
+def test_array_kernel_keeps_shape_and_rejects_negative():
+    zs = np.array([[0.5, 5.0], [50.0, 0.0]])
+    assert sine_integral_array(zs).shape == (2, 2)
+    with pytest.raises(DomainError):
+        sine_integral_array([1.0, -1e-9])
