@@ -11,6 +11,8 @@ coefficient (c1) vanishes identically.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NonConvergenceError
 from .rootfind import bisect
 from .specfun import bessel_k, gamma, lgamma
@@ -185,8 +187,6 @@ def limiting_ground_wavefunction(kappa: float, x):
     if not kappa < 0.0 or abs(kappa) < 10.0:
         raise DomainError(
             f"limiting_ground_wavefunction: requires kappa <= -10, got {kappa}")
-    import numpy as np
-
     s = math.sqrt(2.0 * abs(kappa))
     xa = np.asarray(x, dtype=float)
     val = s ** 0.5 * np.exp(-s * np.abs(xa))

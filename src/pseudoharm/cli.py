@@ -9,17 +9,18 @@ the RunRecord / metadata sidecar, never in the CSV payload.
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import asymptotics, matmech, refdata, regspec
+from .eigensolver import eigh_lowest
 from .errors import PseudoharmError
-from .unreg import PotentialSpec, label_from_display, make_label, nu_of_alpha, unreg_energy, unreg_psi
+from .quadrature import integrate, integrate_to_infinity
+from .unreg import (EigenSolution, PotentialSpec, label_from_display,
+                    make_label, nu_of_alpha, unreg_energy, unreg_psi)
 
 ARTIFACT_VERSION = "1.0.0"
 
@@ -109,20 +110,10 @@ def _write_output(record: RunRecord, out, fmt: str):
         fh.write(_emit_json(meta) + "\n")
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PSEUDOHARM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    # Serial: the solves hold the GIL, so threads measured no faster.  The
+    # name stays because the benchmark tracer hooks it to attribute spans.
+    return [fn(it) for it in items]
 
 
 # --- argument helpers -------------------------------------------------------
@@ -196,7 +187,6 @@ def cmd_spectrum(args) -> RunRecord:
                 spec = PotentialSpec(args.alpha, args.delta)
                 label = make_label(args.alpha, parity, n)
                 kappa = asymptotics.kappa_estimate(spec, parity, label.n_display)
-                from .unreg import EigenSolution
                 sol = EigenSolution(label=label, nu=nu_of_alpha(args.alpha),
                                     kappa=kappa, energy=kappa + 0.5,
                                     method="asymptotic")
@@ -254,8 +244,6 @@ def cmd_wavefunction(args) -> RunRecord:
 
 
 def _norm_report(wf, spec):
-    from .quadrature import integrate, integrate_to_infinity
-
     inner = integrate(lambda x: wf(x) ** 2, 0.0, spec.delta, rel_tol=1e-12)
     outer = integrate_to_infinity(
         lambda x: wf(x) ** 2, spec.delta, rel_tol=1e-10,
@@ -276,7 +264,6 @@ def cmd_table1(args) -> RunRecord:
         cf = asymptotics.ground_state_energy_estimate(alpha, args.delta,
                                                       "closed_form")
         model = matmech.assemble(alpha, args.rho, eps, args.nmax)
-        from .eigensolver import eigh_lowest
         vals, _ = eigh_lowest(model.blocks["even"], 1, want_vectors=False)
         mat = vals[0] / args.rho
         return alpha, mat, tric, sc, cf

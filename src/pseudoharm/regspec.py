@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .asymptotics import c0_self_consistent, epsilon_n
 from .errors import BracketError, DomainError, PoleError
 from .quadrature import integrate_to_infinity
@@ -117,41 +119,13 @@ def _require_regularized(spec: PotentialSpec, who: str):
         raise DomainError(f"{who}: requires a regularized spec (delta set)")
 
 
-def trig_pole_positions(spec: PotentialSpec, parity: str,
-                        kappa_lo: float, kappa_hi: float):
-    """kappa values in [kappa_lo, kappa_hi] where the interior term diverges.
-
-    Oscillatory-regime poles sit at u = m*pi (odd parity) or (m+1/2)*pi
-    (even parity); they map to kappa through the definition of (q delta)^2.
-    """
-    d2 = spec.delta * spec.delta
-
-    def kappa_of_u2(u2):
-        return (u2 + d2 * d2 + spec.alpha) / (2.0 * d2) - 0.5
-
-    poles = []
-    m = 1 if parity == "odd" else 0
-    while True:
-        u_pole = m * math.pi if parity == "odd" else (m + 0.5) * math.pi
-        if parity == "odd" and m == 0:
-            m += 1
-            continue
-        kp = kappa_of_u2(u_pole * u_pole)
-        if kp > kappa_hi:
-            break
-        if kp >= kappa_lo:
-            poles.append(kp)
-        m += 1
-    return poles
-
-
 def eig_condition_residual(spec: PotentialSpec, parity: str,
                            kappa: float) -> float:
     """Interior-minus-exterior log-derivative mismatch at the matching point.
 
     Zero crossings are eigenvalues.  Raises PoleError when the interior
-    term is evaluated at a trigonometric pole (those kappa are excluded
-    from scan brackets by the solvers).
+    term is evaluated at a trigonometric pole (bracket scans use the
+    pole-free _entire_residual instead).
     """
     _require_regularized(spec, "eig_condition_residual")
     if parity not in ("even", "odd"):
@@ -287,7 +261,6 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
         raise BracketError(
             "solve_ground_even: root left the expected tan branch",
             kappa=kappa, s2=s2)
-    label = make_label(spec.alpha, "even", 0)
     # ground state: display index 0 regardless of the excited relabelling
     label = BranchLabel(parity="even", n=0, n_display=0)
     return EigenSolution(label=label, nu=nu, kappa=kappa,
@@ -314,8 +287,6 @@ class PiecewiseWaveFunction:
     _outer_rel: Callable[[float], float] = None
 
     def __call__(self, x):
-        import numpy as np
-
         if np.ndim(x) == 0:
             return self._value(float(x))
         return np.array([self._value(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))

@@ -8,28 +8,20 @@ import math
 from .errors import BracketError, NonConvergenceError
 
 
-def scan_sign_changes(f, lo: float, hi: float, step: float,
-                      exclude_points=(), exclude_radius: float = 0.0):
+def scan_sign_changes(f, lo: float, hi: float, step: float):
     """Brackets [x0, x1] with f(x0)*f(x1) < 0 on a uniform scan of [lo, hi].
 
-    Scan cells containing an excluded point (within exclude_radius) are
-    skipped, so poles with known positions never masquerade as roots.
+    f must be continuous on [lo, hi]: a pole between two scan points would
+    show as a sign change.
     """
     brackets = []
     n = max(1, int(math.ceil((hi - lo) / step)))
     x0 = lo
-    f0 = None
+    f0 = f(x0)
     for i in range(n + 1):
         x1 = min(lo + (i + 1) * step, hi)
         if x1 <= x0:
             break
-        skip = any(x0 - exclude_radius <= p <= x1 + exclude_radius
-                   for p in exclude_points)
-        if f0 is None:
-            f0 = f(x0)
-        if skip:
-            x0, f0 = x1, None
-            continue
         f1 = f(x1)
         if f0 == 0.0:
             brackets.append((x0, x0))

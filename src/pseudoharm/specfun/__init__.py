@@ -5,12 +5,11 @@ unlimited concurrent invocation.
 """
 
 from .bessel import bessel_i, bessel_k
-from .gammafn import cospi, gamma, lgamma, rgamma, sinpi
+from .gammafn import gamma, lgamma, rgamma, sinpi
 from .hyper import (
     A_SWITCH,
     kummer_m,
     tricomi_u,
-    tricomi_u_recurrence_shift,
     u_ratio_shift_a,
     u_ratio_shift_z,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "A_SWITCH",
     "bessel_i",
     "bessel_k",
-    "cospi",
     "gamma",
     "kummer_m",
     "laguerre",
@@ -31,7 +29,6 @@ __all__ = [
     "sine_integral_array",
     "sinpi",
     "tricomi_u",
-    "tricomi_u_recurrence_shift",
     "u_ratio_shift_a",
     "u_ratio_shift_z",
 ]

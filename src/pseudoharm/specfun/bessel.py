@@ -4,7 +4,8 @@ K routes: half-integer orders use the closed forms exactly; near-integer
 orders fall back to the integer-order logarithmic series (documented floor
 ~1e-6 * |dK/d(order)| inside the 1e-6 band); otherwise the I(+/-order)
 difference series below the seam and the exponential asymptotic series with
-order reduced into [0.5, 1.5] above it.
+order reduced into [0.5, 1.5] above it.  The same routes give e^z K, which
+stays finite where K underflows.
 """
 
 import math
@@ -50,9 +51,11 @@ def bessel_i(lam: float, z: float) -> float:
     raise DomainError(f"bessel_i: series not converging for lam={lam} z={z}")
 
 
-def _k_half_integer(lam, z):
+def _k_half_integer(lam, z, scaled):
     # K_{1/2}(z) = sqrt(pi/(2 z)) e^-z; upward recurrence in the order
-    base = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
+    base = math.sqrt(math.pi / (2.0 * z))
+    if not scaled:
+        base *= math.exp(-z)
     n_steps = int(round(lam - 0.5))
     k_prev = base  # K_{-1/2} = K_{1/2}
     k_cur = base
@@ -112,7 +115,7 @@ def _k_integer_series(n, z):
     return fin + logterm + sign * 0.5 * s
 
 
-def _k_asymptotic(lam, z):
+def _k_asymptotic(lam, z, scaled):
     """Exponential expansion, min-term truncated; intended for z >= seam."""
     mu4 = 4.0 * lam * lam
     total = 1.0
@@ -127,18 +130,21 @@ def _k_asymptotic(lam, z):
         if abs(term) <= 1e-17 * abs(total):
             break
         k += 1
-    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * total
+    pre = math.sqrt(math.pi / (2.0 * z))
+    if not scaled:
+        pre *= math.exp(-z)
+    return pre * total
 
 
-def _k_asymptotic_reduced(lam, z):
+def _k_asymptotic_reduced(lam, z, scaled):
     # reduce the order into [0.5, 1.5] where the expansion converges deepest,
     # then recur upward (stable for K)
     m = math.floor(lam + 0.5)  # lam = m + mu, mu in [-0.5, 0.5)
     mu = lam - m
     if m == 0:
-        return _k_asymptotic(lam, z)
-    k_lo = _k_asymptotic(abs(mu), z)
-    k_hi = _k_asymptotic(mu + 1.0, z)
+        return _k_asymptotic(lam, z, scaled)
+    k_lo = _k_asymptotic(abs(mu), z, scaled)
+    k_hi = _k_asymptotic(mu + 1.0, z, scaled)
     order = mu + 1.0
     for _ in range(m - 1):
         k_lo, k_hi = k_hi, k_lo + (2.0 * order / z) * k_hi
@@ -148,24 +154,38 @@ def _k_asymptotic_reduced(lam, z):
 
 def bessel_k(lam: float, z: float) -> float:
     """Modified Bessel function of the second kind K_lam(z), z > 0."""
+    return _k_routed(lam, z, False)
+
+
+def _bessel_k_scaled(lam: float, z: float) -> float:
+    """e^z K_lam(z), z > 0; finite where K_lam(z) itself underflows."""
+    return _k_routed(lam, z, True)
+
+
+def _k_routed(lam, z, scaled):
     if not z > 0.0:
         raise DomainError(f"bessel_k: requires z > 0, got z={z}")
     lam = abs(lam)  # K is even in the order
     two = 2.0 * lam
     if abs(two - round(two)) < 1e-12 and int(round(two)) % 2 == 1:
-        return _k_half_integer(lam, z)
+        return _k_half_integer(lam, z, scaled)
+    if z > _Z_SEAM:
+        return _k_asymptotic_reduced(lam, z, scaled)
+    k = _k_series(lam, z)
+    return k * math.exp(z) if scaled else k
+
+
+def _k_series(lam, z):
+    """K_lam(z) below the seam, lam >= 0 not a half-integer."""
     m = int(round(lam))
-    near_integer = abs(lam - m) < _ORDER_INT_TOL
-    if z <= _Z_SEAM:
-        if near_integer:
-            if m <= 1:
-                return _k_integer_series(m, z)
-            k_lo = _k_integer_series(0, z)
-            k_hi = _k_integer_series(1, z)
-            order = 1.0
-            for _ in range(m - 1):
-                k_lo, k_hi = k_hi, k_lo + (2.0 * order / z) * k_hi
-                order += 1.0
-            return k_hi
+    if abs(lam - m) >= _ORDER_INT_TOL:
         return _k_series_noninteger(lam, z)
-    return _k_asymptotic_reduced(lam, z)
+    if m <= 1:
+        return _k_integer_series(m, z)
+    k_lo = _k_integer_series(0, z)
+    k_hi = _k_integer_series(1, z)
+    order = 1.0
+    for _ in range(m - 1):
+        k_lo, k_hi = k_hi, k_lo + (2.0 * order / z) * k_hi
+        order += 1.0
+    return k_hi

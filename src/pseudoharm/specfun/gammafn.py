@@ -78,11 +78,6 @@ def sinpi(x: float) -> float:
     return sign * math.sin(math.pi * r)
 
 
-def cospi(x: float) -> float:
-    """cos(pi*x) with exact reduction; returns 0.0 exactly at half-integers."""
-    return sinpi(x + 0.5) if abs(x) < 2**51 else sinpi(x - math.floor(x) + 0.5)
-
-
 def _is_nonpositive_integer(x, tol=0.0):
     return x <= 0.5 and abs(x - round(x)) <= tol
 

@@ -17,7 +17,7 @@ import math
 from ..errors import DomainError, EvaluationOverflowError, NonConvergenceError
 from ..quadrature import integrate
 from .laguerre import laguerre
-from .bessel import bessel_k
+from .bessel import _bessel_k_scaled, bessel_k
 from .gammafn import lgamma, rgamma, sinpi
 
 # Route switch points.  Tested constants, not tuning knobs: the overlap
@@ -160,13 +160,17 @@ def _q3(b, z):
     return c0 + z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * (c6 + z * (c7 + z * (c8 + z * (c9 + z * c10)))))))))
 
 
-def _bessel_combo(a, b, z):
-    """K_{b-1}(w) P + sqrt(z/a) K_b(w) Q with w = 2 sqrt(a z); positive."""
+def _bessel_combo(a, b, z, scaled=False):
+    """K_{b-1}(w) P + sqrt(z/a) K_b(w) Q with w = 2 sqrt(a z); positive.
+
+    scaled=True uses e^w K, so the combo is e^w times its unscaled value.
+    """
     inv = 1.0 / a
     P = 1.0 + inv * (_p1(b, z) + inv * (_p2(b, z) + inv * _p3(b, z)))
     Q = _q0(b, z) + inv * (_q1(b, z) + inv * (_q2(b, z) + inv * _q3(b, z)))
     w = 2.0 * math.sqrt(a * z)
-    return bessel_k(b - 1.0, w) * P + math.sqrt(z / a) * bessel_k(b, w) * Q
+    k = _bessel_k_scaled if scaled else bessel_k
+    return k(b - 1.0, w) * P + math.sqrt(z / a) * k(b, w) * Q
 
 
 def _u_connection_parts(a, b, z):
@@ -182,14 +186,10 @@ def _u_connection_core(a, b, z):
     return math.pi / s * (t1 - t2)
 
 
-def _u_connection(a, b, z, allow_nudge=True):
+def _u_connection(a, b, z):
     bn = round(b)
     if abs(b - bn) >= B_INTEGER_TOL:
         return _u_connection_core(a, b, z)
-    if not allow_nudge:
-        raise DomainError(
-            f"tricomi_u: b={b} within {B_INTEGER_TOL} of an integer and "
-            "nudging disabled")
     # U is entire in b: two-point evaluation straddling the integer kills the
     # O(h) error.  Documented accuracy floor: 1e-7 relative.
     h = 2e-6
@@ -289,27 +289,15 @@ def _u_large_a(a, b, z):
 _AMP_SWITCH = 3e3
 
 
-def tricomi_u(a: float, b: float, z: float, method: str = "auto",
-              nudge_integer_b: bool = True) -> float:
+def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi function U(a, b, z) for z > 0.
 
-    method: "auto" routes on (a, z) and on the observed cancellation in the
-    connection formula; "series" forces the connection formula, "bessel" the
-    large-a Bessel branch, "largez" the 1/z expansion, "quadrature" the
-    Laplace-integral route (a > 0 only).
+    Routes on (a, z) and on the observed cancellation in the connection
+    formula: Laguerre polynomial, connection formula, Laplace integral,
+    large-a Bessel branch or 1/z expansion.
     """
     if not z > 0.0:
         raise DomainError(f"tricomi_u: requires z > 0, got z={z}")
-    if method == "series":
-        return _u_connection(a, b, z, allow_nudge=nudge_integer_b)
-    if method == "bessel":
-        return _u_large_a(a, b, z)
-    if method == "largez":
-        return _u_large_z(a, b, z)
-    if method == "quadrature":
-        return _u_quadrature(a, b, z)
-    if method != "auto":
-        raise ValueError(f"tricomi_u: unknown method {method!r}")
     if a <= 0.0 and abs(a - round(a)) < 1e-12 and a >= -200.0:
         # exact truncation: U(-n, b, z) = (-1)^n n! L_n^(b-1)(z); the degree
         # recurrence is the stable evaluation of the polynomial case
@@ -332,34 +320,7 @@ def tricomi_u(a: float, b: float, z: float, method: str = "auto",
         return math.pi / s * diff
     if z > Z_LARGE:
         return _u_large_z(a, b, z)
-    return _u_connection(a, b, z, allow_nudge=nudge_integer_b)
-
-
-_SHIFT_DIRECTIONS = ("a-1", "a+1", "b-1", "b+1", "derivative")
-
-
-def tricomi_u_recurrence_shift(a: float, b: float, z: float,
-                               direction: str) -> float:
-    """U at parameters shifted from (a, b) using the contiguous recurrences.
-
-    Directions: "a-1", "a+1", "b-1", "b+1" return U at the shifted parameter
-    pair; "derivative" returns dU/dz = -a U(a+1, b+1, z).
-    """
-    if direction == "a-1":
-        return z * tricomi_u(a, b + 1.0, z) - (b - a) * tricomi_u(a, b, z)
-    if direction == "a+1":
-        if a == 0.0:
-            raise DomainError("tricomi_u_recurrence_shift: a=0 cannot shift up")
-        return (tricomi_u(a, b, z) - tricomi_u(a, b - 1.0, z)) / a
-    if direction == "b+1":
-        return ((b - a) * tricomi_u(a, b, z) + tricomi_u(a - 1.0, b, z)) / z
-    if direction == "b-1":
-        return tricomi_u(a, b, z) - a * tricomi_u(a + 1.0, b, z)
-    if direction == "derivative":
-        return -a * tricomi_u(a + 1.0, b + 1.0, z)
-    raise ValueError(
-        f"tricomi_u_recurrence_shift: direction must be one of "
-        f"{_SHIFT_DIRECTIONS}, got {direction!r}")
+    return _u_connection(a, b, z)
 
 
 def u_ratio_shift_a(a: float, b: float, z: float) -> float:
@@ -382,9 +343,12 @@ def u_ratio_shift_z(a: float, b: float, z_num: float, z_den: float) -> float:
     if not (z_num > 0.0 and z_den > 0.0):
         raise DomainError("u_ratio_shift_z: requires positive arguments")
     if a > A_SWITCH:
+        # in log form from e^w-scaled K, so a far tail whose K underflows
+        # gives exp(logr) = 0.0 rather than the log of zero
+        w_shift = 2.0 * (math.sqrt(a * z_num) - math.sqrt(a * z_den))
         logr = 0.5 * (1.0 - b) * (math.log(z_num) - math.log(z_den)) \
-            + 0.5 * (z_num - z_den) \
-            + math.log(_bessel_combo(a, b, z_num)
-                       / _bessel_combo(a, b, z_den))
+            + 0.5 * (z_num - z_den) - w_shift \
+            + math.log(_bessel_combo(a, b, z_num, scaled=True)
+                       / _bessel_combo(a, b, z_den, scaled=True))
         return math.exp(logr)
     return tricomi_u(a, b, z_num) / tricomi_u(a, b, z_den)

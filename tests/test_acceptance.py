@@ -67,7 +67,6 @@ def test_criterion_2_ground_state_table_c0_estimates():
     assert report(2, ok, f"sc {worst_sc:.2e}, cf {worst_cf:.2e}, {elapsed:.2f}s")
 
 
-@pytest.mark.slow
 def test_criterion_3_matrix_mechanics_cross_check():
     ref = TABLE1_TRICOMI[-0.05]
     rho = 5.0

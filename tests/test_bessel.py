@@ -7,6 +7,7 @@ import pytest
 from conftest import simpson
 from pseudoharm.errors import DomainError
 from pseudoharm.specfun import bessel_i, bessel_k
+from pseudoharm.specfun.bessel import _bessel_k_scaled
 
 mp.mp.dps = 40
 
@@ -66,6 +67,18 @@ def test_positivity_and_monotone_decay():
         vals = np.array([bessel_k(lam, float(z)) for z in zs])
         assert np.all(vals > 0.0), lam
         assert np.all(np.diff(vals) < 0.0), lam
+
+
+def test_scaled_k_on_every_route():
+    # e^z K through the half-integer, integer-series, non-integer-series and
+    # asymptotic routes; past z ~ 745, where K underflows, it stays finite
+    for lam in (0.5, 2.5, 0.0, 2.0, 0.3873, 1.3873):
+        for z in (0.3, 8.4, 9.0, 40.0):
+            expect = bessel_k(lam, z) * math.exp(z)
+            assert _bessel_k_scaled(lam, z) == pytest.approx(expect, rel=1e-14)
+        assert bessel_k(lam, 1000.0) == 0.0
+        ref = float(mp.besselk(lam, 1000) * mp.exp(1000))
+        assert _bessel_k_scaled(lam, 1000.0) == pytest.approx(ref, rel=1e-14)
 
 
 def test_rejects_nonpositive_argument():

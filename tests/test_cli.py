@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -127,11 +129,19 @@ class TestDeterminismAndFiles:
         assert rec["artifact-version"] == "1.0.0"
         assert rec["rows"][0][5] == 1.5
 
-    def test_thread_cap_env(self):
-        r = run_cli(["spectrum", "--alpha", "0.1", "--delta", "1e-3",
-                     "--n", "0..2", "--parity", "both",
-                     "--method", "transcendental"], PSEUDOHARM_THREADS="1")
-        assert r.returncode == 0
+    def test_commands_run_serially(self, monkeypatch, capsys):
+        def no_threads(self):
+            raise AssertionError("the CLI must not start threads")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        for argv in (["spectrum", "--alpha", "0.1", "--delta", "1e-3",
+                      "--n", "0..2", "--parity", "both",
+                      "--method", "transcendental"],
+                     ["groundstate-scan", "--alpha-list=-0.25,-0.05",
+                      "--delta-list", "0.002,0.004"],
+                     ["table1", "--nmax", "200"]):
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().out.count("\n") == 7 + 5 + 6
 
 
 class TestOtherCommands:
@@ -154,6 +164,19 @@ class TestOtherCommands:
         kappa = -2.0 * 5.3594505441e-3 / 1e-6  # c0(-0.1) scaled
         peak = (2.0 * abs(kappa)) ** 0.25
         assert rec["rows"][0][1] == pytest.approx(peak, rel=0.15)
+        assert rec["normalization"]["norm"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_wavefunction_ground_default_range(self, capsys):
+        # |E| ~ 1e4: the exterior K underflows at the edges of [-6, 6]
+        argv = ["wavefunction", "--alpha=-0.1", "--delta", "0.001",
+                "--ground", "--format", "json"]
+        assert main(argv) == 0
+        rec = json.loads(capsys.readouterr().out)
+        psi = [row[1] for row in rec["rows"]]
+        assert len(psi) == 601
+        assert all(math.isfinite(p) for p in psi)
+        assert max(abs(p - q) for p, q in zip(psi, psi[::-1])) \
+            <= 1e-9 * max(psi)
         assert rec["normalization"]["norm"] == pytest.approx(1.0, abs=1e-8)
 
     def test_groundstate_scan(self):

@@ -7,8 +7,7 @@ import pytest
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError)
 from pseudoharm.specfun import (kummer_m, laguerre, tricomi_u,
-                                tricomi_u_recurrence_shift, u_ratio_shift_a,
-                                u_ratio_shift_z)
+                                u_ratio_shift_a, u_ratio_shift_z)
 from pseudoharm.specfun.hyper import _u_connection, _u_large_a
 
 mp.mp.dps = 50
@@ -52,8 +51,8 @@ class TestTricomiValues:
         # series and Bessel branches on an overlap point, plus an
         # independent arbitrary-precision reference
         a, b, z = 50.0, 1.5, 1e-4
-        u_series = tricomi_u(a, b, z, method="series")
-        u_bessel = tricomi_u(a, b, z, method="bessel")
+        u_series = _u_connection(a, b, z)
+        u_bessel = _u_large_a(a, b, z)
         assert u_bessel == pytest.approx(u_series, rel=1e-8)
         ref = float(mp.hyperu(a, b, z))
         assert u_bessel == pytest.approx(ref, rel=1e-8)
@@ -82,10 +81,6 @@ class TestTricomiValues:
             val = _u_connection(a, b, z)
             ref = float(mp.hyperu(a, b, z))
             assert val == pytest.approx(ref, rel=1e-7)
-
-    def test_integer_b_nudge_can_be_disabled(self):
-        with pytest.raises(DomainError):
-            tricomi_u(-1.3, 2.0, 0.5, method="series", nudge_integer_b=False)
 
     def test_unrepresentable_value_reports_threshold(self):
         with pytest.raises(EvaluationOverflowError) as exc:
@@ -121,24 +116,12 @@ class TestTricomiProperties:
             assert abs(r2) <= 1e-10 * max(scale2, 1e-280), (a, b, z)
             checked += 1
 
-    def test_recurrence_shift_directions(self):
-        a, b, z = 0.3, 1.7, 0.5
-        assert tricomi_u_recurrence_shift(a, b, z, "a-1") == pytest.approx(
-            tricomi_u(a - 1.0, b, z), rel=1e-10)
-        assert tricomi_u_recurrence_shift(a, b, z, "a+1") == pytest.approx(
-            tricomi_u(a + 1.0, b, z), rel=1e-10)
-        assert tricomi_u_recurrence_shift(a, b, z, "b-1") == pytest.approx(
-            tricomi_u(a, b - 1.0, z), rel=1e-10)
-        assert tricomi_u_recurrence_shift(a, b, z, "b+1") == pytest.approx(
-            tricomi_u(a, b + 1.0, z), rel=1e-10)
-        with pytest.raises(ValueError):
-            tricomi_u_recurrence_shift(a, b, z, "sideways")
-
     def test_derivative_vs_finite_difference(self):
+        # dU/dz = -a U(a+1, b+1, z)
         a, b, z = 0.3, 1.7, 0.5
         h = 1e-5
         fd = (tricomi_u(a, b, z + h) - tricomi_u(a, b, z - h)) / (2.0 * h)
-        deriv = tricomi_u_recurrence_shift(a, b, z, "derivative")
+        deriv = -a * tricomi_u(a + 1.0, b + 1.0, z)
         assert deriv == pytest.approx(fd, rel=1e-6)
 
     def test_derivative_vs_finite_difference_random(self):
@@ -151,7 +134,7 @@ class TestTricomiProperties:
             z = float(rng.uniform(0.2, 5.0))
             h = 1e-5 * max(1.0, z)
             fd = (tricomi_u(a, b, z + h) - tricomi_u(a, b, z - h)) / (2.0 * h)
-            deriv = tricomi_u_recurrence_shift(a, b, z, "derivative")
+            deriv = -a * tricomi_u(a + 1.0, b + 1.0, z)
             assert deriv == pytest.approx(fd, rel=2e-6, abs=1e-12)
 
     def test_branch_overlap_window(self):
@@ -218,3 +201,13 @@ class TestRatioHelpers:
                                (40.0, 1.2, 1e-3, 1e-5)]:
             ref = float(mp.hyperu(a, b, z1) / mp.hyperu(a, b, z2))
             assert u_ratio_shift_z(a, b, z1, z2) == pytest.approx(ref, rel=1e-9)
+
+    def test_z_ratio_far_tail_underflows_to_zero(self):
+        # runaway ground state at alpha = -0.1, delta = 1e-3: K_b(2 sqrt(a z))
+        # underflows from z ~ 26 on, where the ratio must go to 0.0
+        a, b, z0 = 5360.143152184891, 1.3872983346207417, 1e-6
+        for z1 in (0.25, 1.0, 4.0):
+            ref = float(mp.hyperu(a, b, z1) / mp.hyperu(a, b, z0))
+            assert u_ratio_shift_z(a, b, z1, z0) == pytest.approx(ref, rel=1e-12)
+        for z1 in (28.0, 36.0):
+            assert u_ratio_shift_z(a, b, z1, z0) == 0.0

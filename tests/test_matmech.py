@@ -164,7 +164,6 @@ class TestSpectra:
             vals.append(v[0])
         assert vals[0] > vals[1] > vals[2]
 
-    @pytest.mark.slow
     def test_cross_method_convergence_to_transcendental(self):
         ref = regspec.solve_ground_even(PotentialSpec(-0.05, 0.002)).energy
         eps = matmech.epsilon_from_delta(0.002, 5.0)
@@ -176,7 +175,6 @@ class TestSpectra:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] / abs(ref) < 1e-4
 
-    @pytest.mark.slow
     def test_box_size_independence_for_excited_states(self):
         # energies of confined excited states cannot depend on the
         # fabricated box once the basis resolves the fine scale
@@ -239,7 +237,6 @@ class TestReconstruction:
         with pytest.raises(DomainError):
             matmech.reconstruct_wavefunction(pair, model, [-0.1])
 
-    @pytest.mark.slow
     def test_fidelity_against_transcendental_ground_state(self):
         spec = PotentialSpec(-0.1, 0.01)
         sol = regspec.solve_ground_even(spec)

@@ -14,17 +14,6 @@ def test_scan_finds_simple_roots():
     assert roots[2] == pytest.approx(5 * math.pi / 2, abs=1e-12)
 
 
-def test_scan_excludes_pole_cells():
-    # tan has roots at k*pi and poles at (k+1/2)*pi; excluding the poles
-    # keeps only the genuine roots
-    brackets = scan_sign_changes(
-        math.tan, 0.1, 6.5, 0.2,
-        exclude_points=(math.pi / 2, 3 * math.pi / 2), exclude_radius=0.0)
-    roots = [bisect_then_secant(math.tan, lo, hi) for lo, hi in brackets]
-    for r in roots:
-        assert min(abs(r - math.pi), abs(r - 2 * math.pi)) < 1e-10
-
-
 def test_bisect_then_secant_accuracy():
     r = bisect_then_secant(lambda x: x * x * x - 2.0, 0.0, 2.0,
                            bisect_tol=1e-8, polish_tol=1e-14)
