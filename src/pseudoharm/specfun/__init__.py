@@ -12,6 +12,7 @@ from .hyper import (
     tricomi_u,
     u_ratio_shift_a,
     u_ratio_shift_z,
+    u_ratio_z_evaluator,
 )
 from .laguerre import laguerre
 from .sine_integral import sine_integral, sine_integral_array
@@ -31,4 +32,5 @@ __all__ = [
     "tricomi_u",
     "u_ratio_shift_a",
     "u_ratio_shift_z",
+    "u_ratio_z_evaluator",
 ]

@@ -7,17 +7,23 @@ Three evaluation regimes for U:
     carried through three correction orders so the series/Bessel branches
     overlap to better than 1e-7 for first parameter >= 30.
 
+Each route is built for fixed (a, b) as a function of z, with its
+z-independent factors computed once; tricomi_u builds one for a single z,
+u_ratio_z_evaluator keeps one for a whole exterior wave function.
+
 The Bessel-branch coefficient polynomials were generated from the defining
 recurrences of the expansion and verified against 40-digit reference values;
 they are tested constants (see tests).
 """
 
 import math
+from functools import partial
+from typing import Callable
 
 from ..errors import DomainError, EvaluationOverflowError, NonConvergenceError
 from ..quadrature import integrate
 from .laguerre import laguerre
-from .bessel import _bessel_k_scaled, bessel_k
+from .bessel import _bessel_k_scaled_of_order, bessel_k
 from .gammafn import lgamma, rgamma, sinpi
 
 # Route switch points.  Tested constants, not tuning knobs: the overlap
@@ -25,6 +31,9 @@ from .gammafn import lgamma, rgamma, sinpi
 A_SWITCH = 30.0      # first parameter above which the Bessel branch is used
 Z_LARGE = 20.0       # argument above which the Poincare expansion is used
 B_INTEGER_TOL = 1e-6  # connection formula is singular at integer b
+# cancellation amplification in the connection formula above which the
+# convergent Laplace-integral route takes over (available for a > 0)
+_AMP_SWITCH = 3e3
 
 _LN2 = math.log(2.0)
 _MAX_SERIES_TERMS = 10**6
@@ -160,44 +169,82 @@ def _q3(b, z):
     return c0 + z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * (c6 + z * (c7 + z * (c8 + z * (c9 + z * c10)))))))))
 
 
-def _bessel_combo(a, b, z, scaled=False):
+def _k_pair(b):
+    """K_{b-1} and K_b as functions of the argument."""
+    return partial(bessel_k, b - 1.0), partial(bessel_k, b)
+
+
+def _bessel_combo(a, b, z, k_lo, k_hi):
     """K_{b-1}(w) P + sqrt(z/a) K_b(w) Q with w = 2 sqrt(a z); positive.
 
-    scaled=True uses e^w K, so the combo is e^w times its unscaled value.
+    k_lo and k_hi evaluate K_{b-1} and K_b at w (see _k_pair); with e^w K
+    the combo is e^w times its unscaled value.
     """
     inv = 1.0 / a
     P = 1.0 + inv * (_p1(b, z) + inv * (_p2(b, z) + inv * _p3(b, z)))
     Q = _q0(b, z) + inv * (_q1(b, z) + inv * (_q2(b, z) + inv * _q3(b, z)))
     w = 2.0 * math.sqrt(a * z)
-    k = _bessel_k_scaled if scaled else bessel_k
-    return k(b - 1.0, w) * P + math.sqrt(z / a) * k(b, w) * Q
+    return k_lo(w) * P + math.sqrt(z / a) * k_hi(w) * Q
 
 
-def _u_connection_parts(a, b, z):
-    """Terms t1, t2 and sin(pi b) with U = pi/sin(pi b) * (t1 - t2)."""
-    t1 = kummer_m(a, b, z) * rgamma(1.0 + a - b) * rgamma(b)
-    t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) \
-        * rgamma(a) * rgamma(2.0 - b)
-    return t1, t2, sinpi(b)
+def _connection_u(a, b, z_large=math.inf, laplace_fallback=False):
+    """z -> U(a, b, z) by the connection formula, DLMF 13.2.42:
+
+        U = pi/sin(pi b) * (t1 - t2),
+        t1 = M(a, b, z) / (Gamma(1+a-b) Gamma(b)),
+        t2 = z^(1-b) M(1+a-b, 2-b, z) / (Gamma(a) Gamma(2-b)).
+
+    The four 1/Gamma factors and pi/sin(pi b) depend only on (a, b), so
+    they are computed here once.  Above z_large the 1/z expansion takes
+    over.  With laplace_fallback, a cancellation in t1 - t2 that amplifies
+    rounding by more than _AMP_SWITCH sends z to the Laplace integral
+    instead.  b must lie at least B_INTEGER_TOL from the integers.
+    """
+    r1, r2 = rgamma(1.0 + a - b), rgamma(b)
+    r3, r4 = rgamma(a), rgamma(2.0 - b)
+    pi_over_s = math.pi / sinpi(b)
+
+    def u(z):
+        if z > z_large:
+            return _u_large_z(a, b, z)
+        t1 = kummer_m(a, b, z) * r1 * r2
+        t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) * r3 * r4
+        diff = t1 - t2
+        if laplace_fallback:
+            amplification = (abs(t1) + abs(t2)) / abs(diff) \
+                if diff != 0.0 else math.inf
+            if amplification > _AMP_SWITCH:
+                return _u_quadrature(a, b, z)
+        return pi_over_s * diff
+
+    return u
 
 
-def _u_connection_core(a, b, z):
-    t1, t2, s = _u_connection_parts(a, b, z)
-    return math.pi / s * (t1 - t2)
+def _straddled_connection_u(a, b, z_large=math.inf):
+    """The connection formula for b within B_INTEGER_TOL of an integer."""
+    # U is entire in b: two-point evaluation straddling the integer kills the
+    # O(h) error.  Documented accuracy floor: 1e-7 relative.
+    bn = round(b)
+    h = 2e-6
+    lo, hi = _connection_u(a, bn - h), _connection_u(a, bn + h)
+    exact = abs(b - bn) < 1e-12
+    offset = b - (bn - h)
+
+    def u(z):
+        if z > z_large:
+            return _u_large_z(a, b, z)
+        if exact:
+            return 0.5 * (lo(z) + hi(z))
+        u_lo = lo(z)
+        return u_lo + offset * (hi(z) - u_lo) / (2.0 * h)
+
+    return u
 
 
 def _u_connection(a, b, z):
-    bn = round(b)
-    if abs(b - bn) >= B_INTEGER_TOL:
-        return _u_connection_core(a, b, z)
-    # U is entire in b: two-point evaluation straddling the integer kills the
-    # O(h) error.  Documented accuracy floor: 1e-7 relative.
-    h = 2e-6
-    lo = _u_connection_core(a, bn - h, z)
-    hi = _u_connection_core(a, bn + h, z)
-    if abs(b - bn) < 1e-12:
-        return 0.5 * (lo + hi)
-    return lo + (b - (bn - h)) * (hi - lo) / (2.0 * h)
+    if abs(b - round(b)) < B_INTEGER_TOL:
+        return _straddled_connection_u(a, b)(z)
+    return _connection_u(a, b)(z)
 
 
 def _u_large_z(a, b, z):
@@ -268,25 +315,64 @@ def _u_quadrature(a, b, z):
     return math.exp(_log_gu(a, b, z) - lgamma(a))
 
 
+def _laguerre_u(n, b):
+    """z -> U(-n, b, z) = (-1)^n n! L_n^(b-1)(z), exact truncation; the
+    degree recurrence is the stable evaluation of the polynomial case."""
+    signed_factorial = (-1.0 if n % 2 else 1.0) * math.factorial(n)
+    lam = b - 1.0
+    return lambda z: signed_factorial * laguerre(n, lam, z)
+
+
+def _large_a_u(a, b):
+    """z -> U(a, b, z) by the uniform large-a Bessel expansion."""
+    half_1mb, log_a, lgamma_a = 0.5 * (1.0 - b), math.log(a), lgamma(a)
+    k_lo, k_hi = _k_pair(b)
+
+    def u(z):
+        combo = _bessel_combo(a, b, z, k_lo, k_hi)
+        logu = _LN2 + half_1mb * (math.log(z) - log_a) + 0.5 * z \
+            - lgamma_a + math.log(combo)
+        if logu > 709.0:
+            raise EvaluationOverflowError(
+                f"tricomi_u: value exceeds double range (log={logu:.1f}, "
+                "threshold 709)", threshold=709.0)
+        if logu < -745.0:
+            raise EvaluationOverflowError(
+                f"tricomi_u: value underflows double range (log={logu:.1f}, "
+                "threshold -745); use the ratio helpers instead",
+                threshold=-745.0)
+        return math.exp(logu)
+
+    return u
+
+
 def _u_large_a(a, b, z):
-    combo = _bessel_combo(a, b, z)
-    logu = _LN2 + 0.5 * (1.0 - b) * (math.log(z) - math.log(a)) + 0.5 * z \
-        - lgamma(a) + math.log(combo)
-    if logu > 709.0:
-        raise EvaluationOverflowError(
-            f"tricomi_u: value exceeds double range (log={logu:.1f}, "
-            "threshold 709)", threshold=709.0)
-    if logu < -745.0:
-        raise EvaluationOverflowError(
-            f"tricomi_u: value underflows double range (log={logu:.1f}, "
-            "threshold -745); use the ratio helpers instead",
-            threshold=-745.0)
-    return math.exp(logu)
+    return _large_a_u(a, b)(z)
 
 
-# cancellation amplification in the connection formula above which the
-# convergent Laplace-integral route takes over (available for a > 0)
-_AMP_SWITCH = 3e3
+def _tricomi_u_of_z(a, b):
+    """z -> U(a, b, z), z > 0, for fixed (a, b).
+
+    The route choices that depend only on (a, b), and every factor the
+    chosen route shares across z, are made here once; what remains per call
+    depends on z.  Routes: Laguerre polynomial, large-a Bessel branch,
+    connection formula (with the Laplace integral where its observed
+    cancellation is too large, or at integer b for a > 0.1), 1/z expansion.
+    """
+    if a <= 0.0 and abs(a - round(a)) < 1e-12 and a >= -200.0:
+        return _laguerre_u(int(round(-a)), b)
+    if a > A_SWITCH:
+        return _large_a_u(a, b)
+    integer_b = abs(b - round(b)) < B_INTEGER_TOL
+    if a > 0.1:
+        # integer b is a removable singularity of the connection formula but
+        # not of the Laplace integral, so prefer the integral outright there
+        if integer_b:
+            return partial(_u_quadrature, a, b)
+        return _connection_u(a, b, math.inf, True)
+    if integer_b:
+        return _straddled_connection_u(a, b, Z_LARGE)
+    return _connection_u(a, b, Z_LARGE, False)
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:
@@ -298,29 +384,7 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     """
     if not z > 0.0:
         raise DomainError(f"tricomi_u: requires z > 0, got z={z}")
-    if a <= 0.0 and abs(a - round(a)) < 1e-12 and a >= -200.0:
-        # exact truncation: U(-n, b, z) = (-1)^n n! L_n^(b-1)(z); the degree
-        # recurrence is the stable evaluation of the polynomial case
-        n = int(round(-a))
-        return (-1.0 if n % 2 else 1.0) * math.factorial(n) \
-            * laguerre(n, b - 1.0, z)
-    if a > A_SWITCH:
-        return _u_large_a(a, b, z)
-    if a > 0.1:
-        # integer b is a removable singularity of the connection formula but
-        # not of the Laplace integral, so prefer the integral outright there
-        if abs(b - round(b)) < B_INTEGER_TOL:
-            return _u_quadrature(a, b, z)
-        t1, t2, s = _u_connection_parts(a, b, z)
-        diff = t1 - t2
-        amplification = (abs(t1) + abs(t2)) / abs(diff) if diff != 0.0 \
-            else math.inf
-        if amplification > _AMP_SWITCH:
-            return _u_quadrature(a, b, z)
-        return math.pi / s * diff
-    if z > Z_LARGE:
-        return _u_large_z(a, b, z)
-    return _u_connection(a, b, z)
+    return _tricomi_u_of_z(a, b)(z)
 
 
 def u_ratio_shift_a(a: float, b: float, z: float) -> float:
@@ -334,21 +398,59 @@ def u_ratio_shift_a(a: float, b: float, z: float) -> float:
     if a > A_SWITCH + 1.0:
         scale = (a - 1.0) * math.exp(0.5 * (b - 1.0)
                                      * math.log1p(-1.0 / a))
-        return scale * _bessel_combo(a - 1.0, b, z) / _bessel_combo(a, b, z)
+        k_lo, k_hi = _k_pair(b)
+        return scale * _bessel_combo(a - 1.0, b, z, k_lo, k_hi) \
+            / _bessel_combo(a, b, z, k_lo, k_hi)
     return tricomi_u(a - 1.0, b, z) / tricomi_u(a, b, z)
+
+
+def u_ratio_z_evaluator(a: float, b: float,
+                        z_den: float) -> Callable[[float], float]:
+    """The function z -> U(a, b, z) / U(a, b, z_den), stable for any large a.
+
+    Built once per (a, b, z_den), e.g. once per exterior wave function:
+    the denominator (above the Bessel switch, its e^w-scaled combo and log
+    terms), the connection-formula factors and the route choices that
+    depend only on (a, b) are computed here, not at every z.  Each value
+    equals u_ratio_shift_z(a, b, z, z_den) exactly.
+    """
+    if not z_den > 0.0:
+        raise DomainError("u_ratio_z_evaluator: requires z_den > 0")
+
+    def check(z):
+        if not z > 0.0:
+            raise DomainError("u_ratio_z_evaluator: requires z > 0")
+
+    if a > A_SWITCH:
+        # in log form from e^w-scaled K, so a far tail whose K underflows
+        # gives exp(logr) = 0.0 rather than the log of zero
+        half_1mb, log_z_den = 0.5 * (1.0 - b), math.log(z_den)
+        sqrt_az_den = math.sqrt(a * z_den)
+        k_lo = _bessel_k_scaled_of_order(b - 1.0)
+        k_hi = _bessel_k_scaled_of_order(b)
+        combo_den = _bessel_combo(a, b, z_den, k_lo, k_hi)
+
+        def ratio(z):
+            check(z)
+            w_shift = 2.0 * (math.sqrt(a * z) - sqrt_az_den)
+            logr = half_1mb * (math.log(z) - log_z_den) \
+                + 0.5 * (z - z_den) - w_shift \
+                + math.log(_bessel_combo(a, b, z, k_lo, k_hi) / combo_den)
+            return math.exp(logr)
+
+        return ratio
+    u = _tricomi_u_of_z(a, b)
+    u_den = u(z_den)
+
+    def ratio(z):
+        check(z)
+        return u(z) / u_den
+
+    return ratio
 
 
 def u_ratio_shift_z(a: float, b: float, z_num: float, z_den: float) -> float:
     """U(a, b, z_num) / U(a, b, z_den), stable for arbitrarily large a."""
     if not (z_num > 0.0 and z_den > 0.0):
         raise DomainError("u_ratio_shift_z: requires positive arguments")
-    if a > A_SWITCH:
-        # in log form from e^w-scaled K, so a far tail whose K underflows
-        # gives exp(logr) = 0.0 rather than the log of zero
-        w_shift = 2.0 * (math.sqrt(a * z_num) - math.sqrt(a * z_den))
-        logr = 0.5 * (1.0 - b) * (math.log(z_num) - math.log(z_den)) \
-            + 0.5 * (z_num - z_den) - w_shift \
-            + math.log(_bessel_combo(a, b, z_num, scaled=True)
-                       / _bessel_combo(a, b, z_den, scaled=True))
-        return math.exp(logr)
-    return tricomi_u(a, b, z_num) / tricomi_u(a, b, z_den)
+    return u_ratio_z_evaluator(a, b, z_den)(z_num)

@@ -7,7 +7,8 @@ import pytest
 from conftest import simpson
 from pseudoharm.errors import DomainError
 from pseudoharm.specfun import bessel_i, bessel_k
-from pseudoharm.specfun.bessel import _bessel_k_scaled
+from pseudoharm.specfun.bessel import (_bessel_k_scaled,
+                                       _bessel_k_scaled_of_order)
 
 mp.mp.dps = 40
 
@@ -44,8 +45,11 @@ def test_against_quadrature_oracle():
     (0.5528, 0.29, 1e-13),
 ])
 def test_against_reference(lam, z, tol):
-    # the seam between the series and asymptotic routes (z ~ 8.5) carries a
-    # documented ~1e-8 floor for the unluckiest orders
+    # just below the seam between the series and asymptotic routes
+    # (z = 8.5) the series route loses digits: up to 1e-7 for orders at least
+    # 0.05 from an integer, and about 4e-9 / distance closer in (3.6e-5 at
+    # order 5e-6, z = 8.4); see _Z_SEAM.  The points here sit where it is
+    # small (7.6e-9 at order 0.3, z = 8.4).
     assert bessel_k(lam, z) == pytest.approx(float(mp.besselk(lam, z)), rel=tol)
 
 
@@ -79,6 +83,17 @@ def test_scaled_k_on_every_route():
         assert bessel_k(lam, 1000.0) == 0.0
         ref = float(mp.besselk(lam, 1000) * mp.exp(1000))
         assert _bessel_k_scaled(lam, 1000.0) == pytest.approx(ref, rel=1e-14)
+
+
+def test_fixed_order_scaled_k_is_the_per_call_value():
+    # the order constants computed once give the same bits on every route:
+    # half-integer, integer band, non-integer series, asymptotic, underflow
+    for lam in (0.5, -2.5, 0.0, 1.0000004, 2.0, 5e-6, -0.3873, 1.3873, 2.05):
+        k = _bessel_k_scaled_of_order(lam)
+        for z in (1e-6, 0.3, 1.3, 8.4, 8.5, 8.6, 40.0, 1000.0):
+            assert k(z) == _bessel_k_scaled(lam, z), (lam, z)
+    with pytest.raises(DomainError):
+        _bessel_k_scaled_of_order(0.3)(0.0)
 
 
 def test_rejects_nonpositive_argument():

@@ -6,9 +6,12 @@ import pytest
 
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError)
-from pseudoharm.specfun import (kummer_m, laguerre, tricomi_u,
-                                u_ratio_shift_a, u_ratio_shift_z)
-from pseudoharm.specfun.hyper import _u_connection, _u_large_a
+from pseudoharm.specfun import (bessel_k, kummer_m, laguerre, lgamma, rgamma,
+                                sinpi, tricomi_u, u_ratio_shift_a,
+                                u_ratio_shift_z, u_ratio_z_evaluator)
+from pseudoharm.specfun.bessel import _bessel_k_scaled
+from pseudoharm.specfun.hyper import (_bessel_combo, _log_gu, _u_connection,
+                                      _u_large_a, _u_large_z)
 
 mp.mp.dps = 50
 
@@ -211,3 +214,146 @@ class TestRatioHelpers:
             assert u_ratio_shift_z(a, b, z1, z0) == pytest.approx(ref, rel=1e-12)
         for z1 in (28.0, 36.0):
             assert u_ratio_shift_z(a, b, z1, z0) == 0.0
+
+
+# --- per-point references for the exterior evaluator ----------------------
+# Each writes one route of U out term by term, in the order of the
+# per-point scalar code (M*r1*r2, pi/sin(pi b) * (t1 - t2), ...), so an
+# evaluator that hoists a factor but changes a rounding shows as a bit.
+
+def _ref_laguerre(a, b, z):
+    n = int(round(-a))
+    return (-1.0 if n % 2 else 1.0) * math.factorial(n) \
+        * laguerre(n, b - 1.0, z)
+
+
+def _ref_terms(a, b, z):
+    t1 = kummer_m(a, b, z) * rgamma(1.0 + a - b) * rgamma(b)
+    t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) \
+        * rgamma(a) * rgamma(2.0 - b)
+    return t1, t2
+
+
+def _ref_connection(a, b, z):
+    t1, t2 = _ref_terms(a, b, z)
+    return math.pi / sinpi(b) * (t1 - t2)
+
+
+def _ref_straddle(a, b, z):
+    bn, h = round(b), 2e-6
+    lo = _ref_connection(a, bn - h, z)
+    hi = _ref_connection(a, bn + h, z)
+    if abs(b - bn) < 1e-12:
+        return 0.5 * (lo + hi)
+    return lo + (b - (bn - h)) * (hi - lo) / (2.0 * h)
+
+
+def _ref_laplace(a, b, z):
+    return math.exp(_log_gu(a, b, z) - lgamma(a))
+
+
+def _ref_checked_connection(a, b, z):
+    t1, t2 = _ref_terms(a, b, z)
+    if (abs(t1) + abs(t2)) / abs(t1 - t2) > 3e3:
+        return _ref_laplace(a, b, z)
+    return math.pi / sinpi(b) * (t1 - t2)
+
+
+def _ref_small_a(a, b, z):
+    if z > 20.0:
+        return _u_large_z(a, b, z)
+    return _ref_connection(a, b, z)
+
+
+def _ref_bessel_ratio(a, b, z, z0):
+    # the log form of U(a,b,z)/U(a,b,z0) from per-call e^w-scaled K
+    def combo(zz):
+        return _bessel_combo(a, b, zz,
+                             lambda w: _bessel_k_scaled(b - 1.0, w),
+                             lambda w: _bessel_k_scaled(b, w))
+
+    w_shift = 2.0 * (math.sqrt(a * z) - math.sqrt(a * z0))
+    logr = 0.5 * (1.0 - b) * (math.log(z) - math.log(z0)) \
+        + 0.5 * (z - z0) - w_shift + math.log(combo(z) / combo(z0))
+    return math.exp(logr)
+
+
+class TestRatioEvaluator:
+    # (route, a, b, z0, sample arguments, per-point reference for U)
+    ROUTES = [
+        ("laguerre", -3.0, 1.4472, 1e-6, (1e-6, 0.3, 4.0, 25.0),
+         _ref_laguerre),
+        ("connection", -1.3, 1.4472, 1e-6, (3e-6, 0.3, 4.0, 19.9),
+         _ref_small_a),
+        ("connection, a > 0.1", 1.7, 1.4472, 1e-4, (2e-4, 0.3, 5.0),
+         _ref_checked_connection),
+        ("near-integer b", -0.7, 2.0000005, 1e-4, (3e-4, 0.5, 6.0),
+         lambda a, b, z: _ref_straddle(a, b, z)),
+        ("integer b", -0.4, 1.0, 2e-3, (4e-3, 1.5),
+         lambda a, b, z: _ref_straddle(a, b, z)),
+        ("1/z", -1.3, 1.4472, 1e-6, (20.5, 27.0, 38.0), _ref_small_a),
+        ("1/z, near-integer b", -0.7, 1.9999995, 0.5, (24.0, 36.0),
+         lambda a, b, z: _u_large_z(a, b, z) if z > 20.0
+         else _ref_straddle(a, b, z)),
+        ("laplace fallback", 0.5, 1.3, 0.5, (10.0, 15.0),
+         _ref_checked_connection),
+        ("laplace, integer b", 1.7, 2.0, 1e-3, (0.3, 4.0), _ref_laplace),
+    ]
+
+    @pytest.mark.parametrize("route,a,b,z0,zs,ref", ROUTES,
+                             ids=[r[0] for r in ROUTES])
+    def test_equals_per_point_ratio(self, route, a, b, z0, zs, ref):
+        ratio = u_ratio_z_evaluator(a, b, z0)
+        u0 = ref(a, b, z0)
+        assert tricomi_u(a, b, z0) == u0
+        for z in zs:
+            u = ref(a, b, z)
+            assert tricomi_u(a, b, z) == u, (route, z)
+            assert ratio(z) == u / u0, (route, z)
+            assert u_ratio_shift_z(a, b, z, z0) == ratio(z), (route, z)
+
+    def test_laplace_fallback_is_taken(self):
+        # the "laplace fallback" points above really leave the formula
+        for z in (10.0, 15.0):
+            t1, t2 = _ref_terms(0.5, 1.3, z)
+            assert (abs(t1) + abs(t2)) / abs(t1 - t2) > 3e3
+
+    @pytest.mark.parametrize("a,b,z0", [
+        (5360.143152184891, 1.3872983346207417, 1e-6),   # alpha -0.1
+        (4029.03, 1.2236067977499790, 4e-6),               # alpha -0.2
+        (5648.15, 1.0, 4e-6),                              # alpha -1/4
+        (2.2591e6, 1.000005, 1e-8),                        # b - 1 = 5e-6
+        (45.0, 1.7, 1e-3),
+    ])
+    def test_bessel_branch_equals_log_form(self, a, b, z0):
+        ratio = u_ratio_z_evaluator(a, b, z0)
+        for z in (z0, 3.0 * z0, 1e-3, 0.05, 0.25, 1.0, 4.0, 28.0, 36.0):
+            want = _ref_bessel_ratio(a, b, z, z0)
+            assert ratio(z) == want, z
+            assert u_ratio_shift_z(a, b, z, z0) == want, z
+
+    def test_bessel_branch_far_tail_is_zero(self):
+        a, b, z0 = 5360.143152184891, 1.3872983346207417, 1e-6
+        ratio = u_ratio_z_evaluator(a, b, z0)
+        assert ratio(28.0) == 0.0 and ratio(36.0) == 0.0
+        assert ratio(4.0) > 0.0
+
+    def test_large_a_tricomi_equals_per_point_form(self):
+        a, b = 45.0, 1.7
+        for z in (1e-4, 1e-3, 0.2):
+            combo = _bessel_combo(a, b, z, lambda w: bessel_k(b - 1.0, w),
+                                  lambda w: bessel_k(b, w))
+            logu = math.log(2.0) \
+                + 0.5 * (1.0 - b) * (math.log(z) - math.log(a)) \
+                + 0.5 * z - lgamma(a) + math.log(combo)
+            assert tricomi_u(a, b, z) == math.exp(logu)
+            assert _u_large_a(a, b, z) == math.exp(logu)
+
+    def test_rejects_nonpositive_arguments(self):
+        with pytest.raises(DomainError):
+            u_ratio_z_evaluator(-1.3, 1.4472, 0.0)
+        ratio = u_ratio_z_evaluator(-1.3, 1.4472, 1e-6)
+        with pytest.raises(DomainError):
+            ratio(0.0)
+        with pytest.raises(DomainError):
+            u_ratio_shift_z(-1.3, 1.4472, -1.0, 1e-6)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import one_sided_derivative
 from pseudoharm import regspec
+from pseudoharm.specfun import bessel, hyper, u_ratio_shift_z
 from pseudoharm.errors import BracketError, DomainError, PoleError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
 from pseudoharm.rootfind import scan_sign_changes
@@ -254,6 +255,76 @@ class TestWaveFunction:
         left = one_sided_derivative(wf, d, h, -1) / wf(d)
         right = one_sided_derivative(wf, d, h, +1) / wf(d)
         assert right == pytest.approx(left, rel=1e-7)
+
+    @staticmethod
+    def _closed_expression(spec, sol, wf, x):
+        # the piecewise closure written out for one point, with the exterior
+        # ratio from the per-point u_ratio_shift_z
+        d = spec.delta
+        sign = math.copysign(1.0, x) if sol.label.parity == "odd" else 1.0
+        ax = abs(x)
+        if ax <= d:
+            state = regspec.matching_state(spec, sol.kappa)
+            t = state.q_or_k / d * ax
+            odd = sol.label.parity == "odd"
+            if state.regime == "oscillatory":
+                wave = math.sin(t) if odd else math.cos(t)
+            else:
+                wave = math.sinh(t) if odd else math.cosh(t)
+            return sign * wf.inner_coeff * wave
+        a, b, z0 = regspec._hyper_args(spec, sol.kappa)
+        y2 = ax * ax
+        rel = (ax / d) ** sol.nu * math.exp(-0.5 * (y2 - d * d)) \
+            * u_ratio_shift_z(a, b, y2, z0)
+        return sign * wf.outer_coeff * rel
+
+    @pytest.mark.parametrize("alpha,delta,parity,n", [
+        (0.1, 1e-3, "odd", 1), (-0.1, 0.01, "even", 1),
+        (0.75, 0.01, "even", 0), (-0.1, 1e-3, "even", None)])
+    def test_samples_equal_per_point_closed_expression(self, alpha, delta,
+                                                       parity, n):
+        spec = PotentialSpec(alpha, delta)
+        if n is None:
+            sol = regspec.solve_ground_even(spec)
+        else:
+            sol = regspec.solve_excited(spec, parity, n)
+        wf = regspec.build_wavefunction(spec, sol)
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 601),
+                             [delta, -delta, 0.5 * delta, 4.6, -5.9]])
+        psi = wf(xs)
+        for x, p in zip(xs, psi):
+            x = float(x)
+            assert p == self._closed_expression(spec, sol, wf, x), x
+            assert wf(x) == p
+
+    def test_gamma_work_is_per_state_not_per_point(self, monkeypatch):
+        # the 1/Gamma factors of the exterior (connection formula, Bessel
+        # order constants) are computed when the wave function is built;
+        # sampling it, or integrating its norm, costs no further rgamma call
+        calls = []
+
+        def counting(fn):
+            def wrapped(x):
+                calls.append(x)
+                return fn(x)
+            return wrapped
+
+        states = [(PotentialSpec(0.1, 1e-3), "odd", 1),   # connection, 1/z
+                  (PotentialSpec(0.75, 0.01), "even", 0),  # integer b
+                  (PotentialSpec(-0.1, 1e-3), "even", None)]  # Bessel branch
+        sols = [regspec.solve_ground_even(spec) if n is None
+                else regspec.solve_excited(spec, parity, n)
+                for spec, parity, n in states]
+        for mod in (hyper, bessel):
+            monkeypatch.setattr(mod, "rgamma", counting(mod.rgamma))
+        for (spec, _, _), sol in zip(states, sols):
+            counts = []
+            for n_points in (61, 601):
+                calls.clear()
+                wf = regspec.build_wavefunction(spec, sol)
+                wf(np.linspace(-6.0, 6.0, n_points))
+                counts.append(len(calls))
+            assert counts[0] == counts[1] <= 8, (spec, counts)
 
     def test_odd_antisymmetric_even_symmetric(self):
         spec, sol, wf = self._build(-0.1, 0.01, "odd", 1)
