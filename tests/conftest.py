@@ -29,9 +29,10 @@ def one_sided_derivative(f, x0, h, side):
     return s * (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
 
 
-# --- dense sine-basis Hamiltonian oracles ----------------------------------
+# --- dense sine-basis oracles ----------------------------------------------
 # The program applies each parity block as an FFT operator and never forms
-# it; these build the same elements the direct way, for comparison.
+# it, and sums wave functions by blocked angle addition; these build the
+# same elements and sums the direct way, for comparison.
 
 def element(n, m, alpha, rho, epsilon):
     """Single Hamiltonian element H_nm / E1; pure in (n, m, parameters)."""
@@ -83,3 +84,18 @@ def dense_block(alpha, rho, epsilon, n_max, block):
         + 2.0 * pr2 * ((1.0 - epsilon ** 3) / 24.0 - h[idx])
         + 2.0 * api2 * (k[0] - k[idx]))
     return mat
+
+
+def dense_wavefunction(pair, model, x_grid):
+    """Real-space samples from the full len(x) x n sine table: the direct
+    sum the program evaluates by blocked angle addition, with the same box
+    and sign convention."""
+    a_box = math.pi * math.sqrt(model.rho / 2.0)
+    x = np.asarray(x_grid, dtype=float)
+    idx = model.indices[pair.block]
+    phases = np.outer(x / a_box * math.pi, idx)
+    psi = math.sqrt(2.0 / a_box) * (np.sin(phases) @ pair.coefficients)
+    right = np.where((x > 0.5 * a_box) & (np.abs(psi) > 1e-8))[0]
+    if right.size and psi[right[0]] < 0.0:
+        psi = -psi
+    return psi

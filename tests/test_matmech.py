@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import dense_block, element, simpson
+from conftest import dense_block, dense_wavefunction, element, simpson
 from pseudoharm import matmech, refdata, regspec
 from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.errors import DomainError
@@ -253,3 +256,105 @@ class TestReconstruction:
         norm_t = np.sum(psi_t ** 2) * dx
         fidelity = overlap / math.sqrt(norm_m * norm_t)
         assert fidelity > 0.999
+
+    def test_non_finite_grid_rejected(self):
+        model, pair = self._ground(n_max=200)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                matmech.reconstruct_wavefunction(pair, model, [bad, 1.0])
+
+    def test_two_dimensional_grid_rejected(self):
+        model, pair = self._ground(n_max=200)
+        for grid in ([[0.5, 1.0]], [[0.5, 1.0], [2.0, 3.0]]):
+            with pytest.raises(DomainError):
+                matmech.reconstruct_wavefunction(pair, model, grid)
+
+    def test_empty_and_scalar_grids(self):
+        model, pair = self._ground(n_max=200)
+        empty = matmech.reconstruct_wavefunction(pair, model, [])
+        assert empty.shape == (0,)
+        scalar = matmech.reconstruct_wavefunction(pair, model, 1.0)
+        assert scalar.shape == (1,)
+        assert scalar == matmech.reconstruct_wavefunction(pair, model, [1.0])
+
+    def test_pair_without_vectors_rejected(self):
+        model, _ = self._ground(n_max=200)
+        pair = matmech.eigensolve(model, 1, want_vectors=False)[0]
+        with pytest.raises(DomainError, match="n_max_used=200"):
+            matmech.reconstruct_wavefunction(pair, model, [1.0])
+
+    def test_pair_from_other_basis_rejected(self):
+        eps = matmech.epsilon_from_delta(0.01, 5.0)
+        small = matmech.assemble(-0.1, 5.0, eps, 5)
+        model = matmech.assemble(-0.1, 5.0, eps, 6)
+        # n_max 5 and 6 share the even block (1, 3, 5): only n_max tells
+        for pair in matmech.eigensolve(small, 2):
+            with pytest.raises(DomainError, match="model.n_max=6"):
+                matmech.reconstruct_wavefunction(pair, model, [1.0])
+        pair = matmech.eigensolve(model, 1)[0]
+        short = dataclasses.replace(pair, coefficients=pair.coefficients[:-1])
+        with pytest.raises(DomainError, match="block size=3"):
+            matmech.reconstruct_wavefunction(short, model, [1.0])
+
+
+# isqrt(n) does not divide the block size n, so the last coefficient row is
+# zero-padded, at n_max 11 (odd block, n = 5), 21 (n = 11 and 10) and 1600
+# (n = 800); it divides at the other sizes
+@pytest.mark.parametrize("n_max", [4, 5, 6, 7, 11, 17, 21, 200, 1600])
+def test_wavefunction_matches_dense_oracle(n_max):
+    rho = 25.0
+    model = matmech.assemble(-0.1, rho, matmech.epsilon_from_delta(0.01, rho),
+                             n_max)
+    a_box = math.pi * math.sqrt(rho / 2.0)
+    uniform = np.linspace(0.0, a_box, 801)
+    grids = (uniform,
+             np.random.default_rng(n_max).uniform(0.0, a_box, 97),
+             np.array([0.0, a_box]),
+             np.array([]))
+    pairs = matmech.eigensolve(model, 3)
+    assert {p.block for p in pairs} == {"even", "odd"}
+    for pair in pairs:
+        scale = np.max(np.abs(dense_wavefunction(pair, model, uniform)))
+        for xs in grids:
+            psi = matmech.reconstruct_wavefunction(pair, model, xs)
+            want = dense_wavefunction(pair, model, xs)
+            assert psi.shape == want.shape
+            assert np.all(np.abs(psi - want) <= 1e-13 * scale)
+
+
+def test_wavefunction_matches_30_digit_sum():
+    rho = 25.0
+    model = matmech.assemble(0.1, rho, matmech.epsilon_from_delta(0.01, rho),
+                             1600)
+    a_box = math.pi * math.sqrt(rho / 2.0)
+    xs = np.concatenate([np.random.default_rng(5).uniform(0.0, a_box, 4),
+                         [0.37 * a_box, 0.5 * a_box, 0.93 * a_box]])
+    with mp.workdps(30):
+        for pair in matmech.eigensolve(model, 2):
+            scale = np.max(np.abs(matmech.reconstruct_wavefunction(
+                pair, model, np.linspace(0.0, a_box, 801))))
+            psi = matmech.reconstruct_wavefunction(pair, model, xs)
+            idx = model.indices[pair.block]
+            norm = mp.sqrt(2 / mp.mpf(a_box))
+            want = np.array([float(norm * mp.fsum(
+                mp.mpf(c) * mp.sin(int(m) * mp.mpf(x / a_box * math.pi))
+                for c, m in zip(pair.coefficients, idx))) for x in xs])
+            sign = math.copysign(1.0, float(np.dot(psi, want)))
+            assert np.max(np.abs(psi - sign * want)) <= 1e-14 * scale
+
+
+def test_wavefunction_peak_allocation():
+    # the direct len(x) x n sine table alone is 801 x 800 doubles (5.1 MB)
+    rho = 25.0
+    model = matmech.assemble(0.1, rho, matmech.epsilon_from_delta(0.01, rho),
+                             1600)
+    pair = matmech.eigensolve(model, 1)[0]
+    xs = np.linspace(0.0, math.pi * math.sqrt(rho / 2.0), 801)
+    matmech.reconstruct_wavefunction(pair, model, xs)
+    tracemalloc.start()
+    try:
+        matmech.reconstruct_wavefunction(pair, model, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
