@@ -93,12 +93,18 @@ class MatrixModel:
 
 @dataclass(frozen=True)
 class MatrixEigenpair:
-    """One Ritz eigenpair: energy in box-quantum units, unit coefficients."""
+    """One Ritz eigenpair: energy in box-quantum units, unit coefficients.
+
+    n_max_used, alpha, rho and epsilon identify the model it came from.
+    """
 
     energy: float
     coefficients: np.ndarray
     block: str
     n_max_used: int
+    alpha: float
+    rho: float
+    epsilon: float
 
     def energy_hw(self, rho: float) -> float:
         return self.energy / rho
@@ -211,7 +217,8 @@ def eigensolve(model: MatrixModel, k: int, want_vectors: bool = True):
             pairs.append(MatrixEigenpair(
                 energy=float(vals[j]),
                 coefficients=vecs[:, j].copy() if want_vectors else None,
-                block=block, n_max_used=model.n_max))
+                block=block, n_max_used=model.n_max, alpha=model.alpha,
+                rho=model.rho, epsilon=model.epsilon))
     pairs.sort(key=lambda p: p.energy)
     return pairs
 
@@ -255,8 +262,15 @@ def reconstruct_wavefunction(pair: MatrixEigenpair, model: MatrixModel,
 
     Raises DomainError when the grid is not 1-D, holds a non-finite value
     or leaves [0, a], or when the pair has no coefficients or does not
-    belong to the model's basis (other n_max, other coefficient length).
+    belong to the model (other n_max, other coefficient length, other
+    alpha, rho or epsilon).
     """
+    pair_params = (pair.alpha, pair.rho, pair.epsilon)
+    model_params = (model.alpha, model.rho, model.epsilon)
+    if pair_params != model_params:
+        raise DomainError(
+            "reconstruct_wavefunction: pair comes from another model "
+            f"((alpha, rho, epsilon)={pair_params}, model has {model_params})")
     idx = model.indices[pair.block]
     coefficients = pair.coefficients
     shape = None if coefficients is None else np.shape(coefficients)

@@ -29,7 +29,7 @@ import numpy as np
 from .asymptotics import c0_self_consistent, epsilon_n
 from .errors import BracketError, DomainError, PoleError
 from .quadrature import integrate_to_infinity
-from .rootfind import bisect_then_secant, scan_sign_changes
+from .rootfind import brent, scan_outward
 from .specfun import tricomi_u, u_ratio_shift_a, u_ratio_z_evaluator
 from .unreg import (BranchLabel, EigenSolution, PotentialSpec, make_label,
                     nu_of_alpha)
@@ -173,9 +173,12 @@ def _entire_residual(spec: PotentialSpec, parity: str) -> Callable[[float], floa
 def solve_excited(spec: PotentialSpec, parity: str, n: int) -> EigenSolution:
     """Root-solve the bound state with radial index n (kappa near 2n + nu).
 
-    Seeds from the small-delta correction kappa = 2n + nu + 2 eps_n and
-    scans a window of the entire residual for a sign change; bisection to
-    1e-8 then secant polish to 1e-12 absolute in kappa.
+    Seeds from the small-delta correction kappa = 2n + nu + 2 eps_n, which
+    lies within one 0.05 scan step of the root in all but a few far cases.
+    The grid of the window seed +- 0.55 (then seed +- 1.4) is scanned
+    outward from the seed for the nearest sign change of the entire
+    residual, and Brent's method closes that bracket to 1e-12 absolute in
+    kappa: about 6 residual evaluations a solve.
     """
     _require_regularized(spec, "solve_excited")
     if spec.alpha < -0.25:
@@ -199,35 +202,30 @@ def solve_excited(spec: PotentialSpec, parity: str, n: int) -> EigenSolution:
 
 
 def _scan_for_root(g, seed, windows, step, context):
-    last_exc = None
     for half_width in windows:
         lo, hi = seed - half_width, seed + half_width
-        brackets = scan_sign_changes(g, lo, hi, step)
-        if brackets:
-            # nearest bracket to the seed wins
-            b_lo, b_hi = min(brackets,
-                             key=lambda br: abs(0.5 * (br[0] + br[1]) - seed))
-            if b_lo == b_hi:
-                return b_lo
-            return bisect_then_secant(g, b_lo, b_hi,
-                                      bisect_tol=1e-8, polish_tol=1e-12)
-        last_exc = BracketError(
-            f"no sign change of the eigenvalue condition in "
-            f"[{lo:.6g}, {hi:.6g}] (step {step})", seed=seed, **context)
-    raise last_exc
+        bracket = scan_outward(g, seed, lo, hi, step)
+        if bracket is not None:
+            b_lo, b_hi, g_lo, g_hi = bracket
+            return brent(g, b_lo, b_hi, xtol=1e-12, f_lo=g_lo, f_hi=g_hi)
+    raise BracketError(
+        f"no sign change of the eigenvalue condition in "
+        f"[{lo:.6g}, {hi:.6g}] (step {step})", seed=seed, **context)
 
 
 def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     """The runaway even-parity ground state for -1/4 <= alpha < 0.
 
-    Seeded by kappa = -2 c0/delta^2 - 1/2.  Bisection stops at 1e-9 |seed|
-    and the secant polish at 1e-12 |seed|: stopping tolerances, not the
+    Seeded by kappa = -2 c0/delta^2 - 1/2.  Brent's method roots the raw
+    condition on seed +- 0.5, the window doubling until it brackets a sign
+    change, and stops at 1e-12 |seed|: a stopping tolerance, not the
     accuracy.  The root amplifies the relative error of the exterior ratio
     u_ratio_shift_a by 1e3 to 1e4.  Against a 30-digit mpmath solve of the
-    same condition, kappa agrees to 1.5e-11 relative at the Table 1
-    couplings (delta = 0.002).  On a 36-point grid over -1/4 <= alpha < 0
-    and delta in [1e-4, 0.05] it agrees to 4.4e-7, worst at alpha =
-    -1/4 + 2.5e-11, delta = 0.002, where the ratio errs by 1.3e-11.
+    same condition, kappa agrees to 7.9e-12 relative at the Table 1
+    couplings (delta = 0.002).  On the 36-point grid alpha in {-1/4,
+    -1/4 + 2.5e-11, -0.2499, -0.2, -0.15, -0.1, -0.05, -0.01, -0.001},
+    delta in {1e-4, 2e-3, 1e-2, 5e-2} it agrees to 1.6e-7, worst at alpha =
+    -0.001, delta = 1e-4, where the ratio errs by 8e-13 (a = 98.5).
 
     The returned state is checked to lie on the oscillatory tan branch
     below the first interior pole, with kappa < 0.
@@ -251,9 +249,7 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     scale = max(1.0, abs(seed))
     while half <= 16.0:
         try:
-            kappa = bisect_then_secant(f, seed - half, seed + half,
-                                       bisect_tol=1e-9 * scale,
-                                       polish_tol=1e-12 * scale)
+            kappa = brent(f, seed - half, seed + half, xtol=1e-12 * scale)
             break
         except BracketError:
             half *= 2.0

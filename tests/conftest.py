@@ -19,6 +19,28 @@ def simpson(f, a, b, n=4001):
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
+def scan_sign_changes(f, lo, hi, step):
+    """Every bracket of a full uniform scan of [lo, hi] (grid lo, lo + step,
+    ... clipped at hi): cells (x0, x1) with f(x0) f(x1) < 0, and (x, x) for
+    each grid point where f is exactly zero.  The oracle for
+    rootfind.scan_outward, which visits the same cells lazily from a seed."""
+    n = max(1, int(math.ceil((hi - lo) / step)))
+    xs = [lo]
+    for i in range(1, n + 2):
+        x = min(lo + i * step, hi)
+        if x <= xs[-1]:
+            break
+        xs.append(x)
+    fs = [f(x) for x in xs]
+    brackets = []
+    for i, (x, fx) in enumerate(zip(xs, fs)):
+        if fx == 0.0:
+            brackets.append((x, x))
+        elif i + 1 < len(xs) and fx * fs[i + 1] < 0.0:
+            brackets.append((x, xs[i + 1]))
+    return brackets
+
+
 def one_sided_derivative(f, x0, h, side):
     """Third-order one-sided first derivative at x0 (side=+1 right, -1 left)."""
     s = float(side)

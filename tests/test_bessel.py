@@ -58,11 +58,32 @@ def test_order_symmetry():
 
 
 def test_near_integer_order_floor():
-    # within 1e-6 of an integer order the integer-limit route applies, with
-    # an accuracy floor of about |order - integer| * |dK/d(order)|
+    # within 1e-6 of an integer order and z >= 2 the integer-limit route
+    # applies, with an accuracy floor of about |order - integer| *
+    # |dK/d(order)|; below z = 2 Temme's series takes this point
     val = bessel_k(1.0000004, 1.2)
     ref = float(mp.besselk(1.0000004, 1.2))
     assert val == pytest.approx(ref, rel=2e-6)
+
+
+@pytest.mark.parametrize("lam", [4e-7, 5e-6, -5e-6, 1e-4, 0.01, 0.049,
+                                 1.0000004, 1.0 + 5e-6, 1.0 - 5e-6, 0.99,
+                                 1.01, 2.03, 3.0 - 1e-3])
+def test_near_integer_orders_below_two(lam):
+    # Temme's series: no 1/sin(pi mu) cancellation as the order approaches
+    # an integer (the difference series erred by 2.5e-11 at order 5e-6,
+    # z = 0.5); measured worst 5.0e-15 over these orders and arguments
+    for z in (1e-6, 0.01, 0.3, 0.5, 1.0, 1.9, 1.999):
+        assert bessel_k(lam, z) == pytest.approx(
+            float(mp.besselk(lam, z)), rel=2e-14), z
+
+
+def test_temme_gamma_coefficients():
+    # the frozen Taylor coefficients of 1/Gamma(1 + x) at odd powers
+    from pseudoharm.specfun.bessel import _RGAMMA_ODD_TAYLOR
+    taylor = mp.taylor(lambda x: mp.rgamma(1 + x), 0, 13)
+    assert _RGAMMA_ODD_TAYLOR == tuple(float(taylor[k])
+                                       for k in range(1, 14, 2))
 
 
 def test_positivity_and_monotone_decay():

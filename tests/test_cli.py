@@ -10,12 +10,12 @@ import pytest
 from pseudoharm.cli import RunRecord, _emit_json, _parse_n_range, main
 
 
-def run_cli(args, **env):
+def run_cli(args, module="pseudoharm.cli", **env):
     e = dict(os.environ)
     e.update(env)
     e["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     return subprocess.run(
-        [sys.executable, "-m", "pseudoharm.cli"] + args,
+        [sys.executable, "-m", module] + args,
         capture_output=True, text=True, env=e)
 
 
@@ -52,6 +52,19 @@ class TestSpectrum:
         assert lines[0] == "alpha,delta,parity,n_display,kappa,energy_hw,method"
         energies = [float(l.split(",")[5]) for l in lines[1:]]
         assert energies == [1.5, 3.5, 5.5, 7.5]
+
+    def test_package_runs_as_module(self):
+        r = run_cli(["spectrum", "--alpha", "0", "--n", "0..1",
+                     "--parity", "odd", "--method", "closed"],
+                    module="pseudoharm")
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.strip().split("\n")
+        assert lines[0] == "alpha,delta,parity,n_display,kappa,energy_hw,method"
+        assert len(lines) == 3
+        r = run_cli(["spectrum", "--alpha", "-0.3", "--n", "0",
+                     "--method", "closed"], module="pseudoharm")
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"]["type"] == "DomainError"
 
     def test_matrix_method_rejected(self, capsys):
         # matrix-mechanics runs go through the matmech subcommand

@@ -296,6 +296,18 @@ class TestReconstruction:
         with pytest.raises(DomainError, match="block size=3"):
             matmech.reconstruct_wavefunction(short, model, [1.0])
 
+    def test_pair_from_other_model_rejected(self):
+        # same n_max and block sizes: only the model parameters tell
+        model, pair = self._ground(n_max=200)
+        eps25 = matmech.epsilon_from_delta(0.01, 25.0)
+        for other in (matmech.assemble(-0.1, 25.0, eps25, 200),
+                      matmech.assemble(-0.1, 25.0, model.epsilon, 200),
+                      matmech.assemble(-0.2, 5.0, model.epsilon, 200)):
+            with pytest.raises(DomainError, match="another model"):
+                matmech.reconstruct_wavefunction(pair, other, [1.0])
+        assert (pair.alpha, pair.rho, pair.epsilon) \
+            == (model.alpha, model.rho, model.epsilon)
+
 
 # isqrt(n) does not divide the block size n, so the last coefficient row is
 # zero-padded, at n_max 11 (odd block, n = 5), 21 (n = 11 and 10) and 1600

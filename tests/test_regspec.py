@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_sided_derivative
+from conftest import one_sided_derivative, scan_sign_changes
 from pseudoharm import regspec
 from pseudoharm.specfun import bessel, hyper, u_ratio_shift_z
 from pseudoharm.errors import BracketError, DomainError, PoleError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
-from pseudoharm.rootfind import scan_sign_changes
+from pseudoharm.rootfind import brent
 from pseudoharm.unreg import PotentialSpec, make_label, nu_of_alpha, unreg_psi
 
 TABLE1_TRICOMI = {
@@ -138,11 +138,186 @@ class TestSolveExcited:
             regspec.solve_excited(PotentialSpec(0.1, 0.01), "odd", 51)
 
 
+# The 160-solve grid: kappa of even n = 0..3 then odd n = 0..3 for each
+# (alpha, delta), as the full-window scan with bisection and secant polish
+# found them.  The outward scan with Brent agrees to 2.5e-13.
+GRID_KAPPAS = {
+    (-0.2, 0.01): (
+        0.878664578702516, 2.921180102468094, 4.949430977753579,
+        6.971448940478187, 0.744331130673966, 2.7491387166181243,
+        4.752125030737038, 6.754359953440102),
+    (-0.2, 0.002): (
+        0.7893252970912518, 2.805666506223489, 4.8161169387558935,
+        6.824083990475011, 0.7334870797453771, 2.7357363732288538,
+        4.737122722622512, 6.7381551350322395),
+    (-0.2, 0.001): (
+        0.7702201873836568, 2.7814937788631866, 4.788620113780143,
+        6.794013242255651, 0.7308155161202705, 2.7324487920828187,
+        4.733453472201163, 6.734200715924962),
+    (-0.2, 0.0001): (
+        0.7393210016471923, 2.7429353016643128, 4.745172477914792,
+        6.746843026821041, 0.726157266115667, 2.726730255843119,
+        4.727081491711052, 6.727342148636158),
+    (-0.1, 0.01): (
+        1.0104550057708677, 3.058842634197825, 5.0928748170836835,
+        7.1200770066034815, 0.8895858560165556, 2.8904726703601886,
+        4.891088323451616, 6.891578530067052),
+    (-0.1, 0.002): (
+        0.9206208895702861, 2.93368596209187, 4.942846911370555,
+        6.95019199140434, 0.8879550296649464, 2.888209442509281,
+        4.888385961550561, 6.888526455991624),
+    (-0.1, 0.001): (
+        0.9065655595703018, 2.914086507336014, 4.919339377553188,
+        6.9235400173754575, 0.8876821201527585, 2.8878307857653756,
+        4.88793392329581, 6.888016005810773),
+    (-0.1, 0.0001): (
+        0.8904941468860336, 2.8917336679050303, 4.892594542245899,
+        6.893280225816085, 0.8873628074420002, 2.887387778399333,
+        4.887405099930193, 6.887418884077997),
+    (0.1, 0.01): (
+        1.0614292472108446, 3.043106556743209, 5.028354043458032,
+        7.0155047127062975, 1.09131146010728, 3.0911360031404036,
+        5.09099636538328, 7.0908757330341),
+    (0.1, 0.002): (
+        1.0871224409333013, 3.0844572885478554, 5.082331572362471,
+        7.0804919558992525, 1.0915638194562154, 3.0915376936922225,
+        5.091516902303526, 7.091498940995376),
+    (0.1, 0.001): (
+        1.089633226541231, 3.0884627018158226, 5.087530249146704,
+        7.086724079990749, 1.0915885321699914, 3.0915770274696537,
+        5.091567871898762, 7.091559962624763),
+    (0.1, 0.0001): (
+        1.0914784975728586, 3.091401886003849, 5.091340914088354,
+        7.091288239460766, 1.0916067029973682, 3.0916059485113254,
+        5.091605348087928, 7.091604829400299),
+    (0.3, 0.01): (
+        1.23832303297187, 3.2358576498908143, 5.233697462117933,
+        7.231712682550901, 1.2414326130983897, 3.241293703196868,
+        5.241172708247778, 7.24106211106111),
+    (0.3, 0.002): (
+        1.241317806163849, 3.2410936255368137, 5.240898288302435,
+        7.240719679578184, 1.2416026462673921, 3.2415898880615246,
+        5.241578777748764, 7.241568624062131),
+    (0.3, 0.001): (
+        1.2415118344976201, 3.24143170576114, 5.241361913495676,
+        7.241298119840387, 1.2416136957232158, 3.2416091324754452,
+        5.241605158708061, 7.241601527151669),
+    (0.3, 0.0001): (
+        1.2416162989960406, 3.241613666432489, 5.24161137395306,
+        7.2416092789036535, 1.2416196464804508, 3.2416194965032434,
+        5.241619365901547, 7.241619246548106),
+    (0.6, 0.01): (
+        1.4215663508256764, 3.421207638201183, 5.420862149261438,
+        7.42052494126322, 1.4218989497541517, 3.4218477715894746,
+        5.421798579693947, 7.421750657973438),
+    (0.6, 0.002): (
+        1.4219345119113809, 3.421916130993858, 5.4218984648788835,
+        7.421881256072647, 1.4219515922765742, 3.421948961475393,
+        5.421946433294867, 7.421943970848619),
+    (0.6, 0.001): (
+        1.421948893142305, 3.421943773676602, 5.421938853782725,
+        7.421934061692201, 1.421953650859354, 3.421952918021433,
+        5.42195221377741, 7.421951527851248),
+    (0.6, 0.0001): (
+        1.4219543661908651, 3.421954292860008, 5.421954222390674,
+        7.421954153754569, 1.4219544343428998, 3.4219544238451673,
+        5.421954413757083, 7.4219544039314425),
+}
+
+
+def _grid_solves():
+    for (alpha, delta), kappas in GRID_KAPPAS.items():
+        spec = PotentialSpec(alpha, delta)
+        for i, kappa in enumerate(kappas):
+            yield spec, ("even", "odd")[i // 4], i % 4, kappa
+
+
+class TestTranscendentalGrid:
+    def test_kappas_match_the_full_scan(self):
+        worst = max(abs(regspec.solve_excited(spec, parity, n).kappa - want)
+                    for spec, parity, n, want in _grid_solves())
+        assert worst < 1e-12
+
+    def test_outward_scan_picks_the_full_scan_bracket(self, monkeypatch):
+        # the nearest of all brackets on the same grid, for every solve,
+        # far seeds (the root more than one step away) included
+        seen = []
+        scan = regspec.scan_outward
+
+        def checked(g, seed, lo, hi, step):
+            got = scan(g, seed, lo, hi, step)
+            brackets = scan_sign_changes(g, lo, hi, step)
+            want = min(brackets, default=None,
+                       key=lambda br: abs(0.5 * (br[0] + br[1]) - seed))
+            assert (None if got is None else got[:2]) == want, (seed, got)
+            seen.append(seed)
+            return got
+
+        monkeypatch.setattr(regspec, "scan_outward", checked)
+        far = 0
+        for spec, parity, n, kappa in _grid_solves():
+            del seen[:]
+            regspec.solve_excited(spec, parity, n)
+            far += abs(kappa - seen[0]) > 0.05
+        assert far == 3
+
+    def test_residual_evaluation_budget(self, monkeypatch):
+        count = [0]
+        residual = regspec._entire_residual
+
+        def counted(spec, parity):
+            g = residual(spec, parity)
+
+            def h(kappa):
+                count[0] += 1
+                return g(kappa)
+            return h
+
+        monkeypatch.setattr(regspec, "_entire_residual", counted)
+        solves = list(_grid_solves())
+        for spec, parity, n, _ in solves:
+            regspec.solve_excited(spec, parity, n)
+        assert len(solves) == 160
+        assert count[0] / len(solves) <= 10.0
+
+    def test_second_window(self):
+        # a root 1.0 from the seed lies outside the first window only
+        kappa = regspec._scan_for_root(lambda k: k - 4.0, seed=3.0,
+                                       windows=(0.55, 1.4), step=0.05,
+                                       context={})
+        assert kappa == pytest.approx(4.0, abs=1e-12)
+
+
 class TestSolveGround:
     @pytest.mark.parametrize("alpha,ref", sorted(TABLE1_TRICOMI.items()))
     def test_reference_table(self, alpha, ref):
         sol = regspec.solve_ground_even(PotentialSpec(alpha, 0.002))
         assert sol.energy == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", sorted(TABLE1_TRICOMI)
+                             + [-0.25 + 2.5e-11, -0.2499])
+    def test_against_30_digit_solve(self, alpha):
+        # the same matching condition solved by mpmath at 30 digits; the
+        # root amplifies the exterior ratio's relative error by 1e3 to 1e4
+        import mpmath as mp
+
+        spec = PotentialSpec(alpha, 0.002)
+        kappa = regspec.solve_ground_even(spec).kappa
+        with mp.workdps(30):
+            a_mp, d2 = mp.mpf(alpha), mp.mpf(spec.delta) ** 2
+            nu = mp.mpf(0.5) + mp.sqrt(mp.mpf(0.25) + a_mp)
+            b = nu + mp.mpf(0.5)
+
+            def residual(k):
+                u = mp.sqrt((2 * k + 1) * d2 - (d2 * d2 + a_mp))
+                ratio = mp.hyperu((nu - k) / 2 - 1, b, d2) \
+                    / mp.hyperu((nu - k) / 2, b, d2)
+                return -u * mp.tan(u) - (d2 - k - 1 - 2 * ratio)
+
+            ref = mp.findroot(residual, (mp.mpf(kappa) * (1 - 1e-9),
+                                         mp.mpf(kappa) * (1 + 1e-9)),
+                              solver="secant")
+            assert abs((kappa - ref) / ref) < 1.5e-11
 
     def test_oscillatory_tan_branch(self):
         spec = PotentialSpec(-0.1, 1e-3)
@@ -181,8 +356,7 @@ class TestInterlacing:
         def local_roots(alpha, parity, lo, hi):
             spec = PotentialSpec(alpha, delta)
             g = regspec._entire_residual(spec, parity)
-            from pseudoharm.rootfind import bisect_then_secant
-            return np.array([bisect_then_secant(g, b_lo, b_hi) + 0.5
+            return np.array([brent(g, b_lo, b_hi) + 0.5
                              for b_lo, b_hi in
                              scan_sign_changes(g, lo, hi, 0.04)])
 
