@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .rootfind import brent
-from .specfun import bessel_k, gamma, lgamma
+from .specfun import bessel_k_pair, gamma, lgamma
 from .unreg import PotentialSpec, label_from_display, nu_of_alpha
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -102,10 +102,11 @@ def kappa_estimate(spec: PotentialSpec, parity: str, n: int) -> float:
     return 2.0 * label.n + nu + 2.0 * eps
 
 
-def _c0_rhs(alpha: float, nu: float, c: float) -> float:
+def _c0_rhs(alpha: float, nu: float, c: float, k_pair) -> float:
+    # k_pair is bessel_k_pair(nu - 1/2): K_(nu-1/2) and K_(nu+1/2) together
     u = math.sqrt(abs(alpha) - 4.0 * c)
-    w = 2.0 * math.sqrt(c)
-    ratio = bessel_k(nu - 0.5, w) / bessel_k(nu + 0.5, w)
+    k_lo, k_hi = k_pair(2.0 * math.sqrt(c))
+    ratio = k_lo / k_hi
     return 0.25 * ((u * math.tan(u) + nu) * ratio) ** 2
 
 
@@ -123,9 +124,10 @@ def c0_self_consistent(alpha: float) -> GroundStateExpansion:
         raise DomainError(f"c0_self_consistent: requires -1/4 <= alpha < 0, got {alpha}")
     nu = nu_of_alpha(alpha)
     hi = 0.25 * abs(alpha)
+    k_pair = bessel_k_pair(nu - 0.5)
 
     def g(c):
-        return c - _c0_rhs(alpha, nu, c)
+        return c - _c0_rhs(alpha, nu, c, k_pair)
 
     lo = hi * 1e-12
     g_lo, g_hi = g(lo), g(hi * (1.0 - 1e-12))

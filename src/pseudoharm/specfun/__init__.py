@@ -4,25 +4,16 @@ Pure functions of their arguments with no internal mutable state; safe for
 unlimited concurrent invocation.
 """
 
-from .bessel import bessel_i, bessel_k
+from .bessel import bessel_k, bessel_k_pair
 from .gammafn import gamma, lgamma, rgamma, sinpi
-from .hyper import (
-    A_SWITCH,
-    kummer_m,
-    tricomi_u,
-    u_ratio_shift_a,
-    u_ratio_shift_z,
-    u_ratio_z_evaluator,
-)
+from .hyper import tricomi_u, u_ratio_shift_a, u_ratio_z_evaluator
 from .laguerre import laguerre
 from .sine_integral import sine_integral, sine_integral_array
 
 __all__ = [
-    "A_SWITCH",
-    "bessel_i",
     "bessel_k",
+    "bessel_k_pair",
     "gamma",
-    "kummer_m",
     "laguerre",
     "lgamma",
     "rgamma",
@@ -31,6 +22,5 @@ __all__ = [
     "sinpi",
     "tricomi_u",
     "u_ratio_shift_a",
-    "u_ratio_shift_z",
     "u_ratio_z_evaluator",
 ]

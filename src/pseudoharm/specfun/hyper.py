@@ -23,7 +23,7 @@ from typing import Callable
 from ..errors import DomainError, EvaluationOverflowError, NonConvergenceError
 from ..quadrature import integrate
 from .laguerre import laguerre
-from .bessel import _bessel_k_scaled_of_order, bessel_k
+from .bessel import bessel_k_pair
 from .gammafn import lgamma, rgamma, sinpi
 
 # Route switch points.  Tested constants, not tuning knobs: the overlap
@@ -169,22 +169,17 @@ def _q3(b, z):
     return c0 + z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * (c6 + z * (c7 + z * (c8 + z * (c9 + z * c10)))))))))
 
 
-def _k_pair(b):
-    """K_{b-1} and K_b as functions of the argument."""
-    return partial(bessel_k, b - 1.0), partial(bessel_k, b)
-
-
-def _bessel_combo(a, b, z, k_lo, k_hi):
+def _bessel_combo(a, b, z, k_pair):
     """K_{b-1}(w) P + sqrt(z/a) K_b(w) Q with w = 2 sqrt(a z); positive.
 
-    k_lo and k_hi evaluate K_{b-1} and K_b at w (see _k_pair); with e^w K
+    k_pair evaluates (K_{b-1}, K_b) at w (bessel_k_pair(b - 1)); with e^w K
     the combo is e^w times its unscaled value.
     """
     inv = 1.0 / a
     P = 1.0 + inv * (_p1(b, z) + inv * (_p2(b, z) + inv * _p3(b, z)))
     Q = _q0(b, z) + inv * (_q1(b, z) + inv * (_q2(b, z) + inv * _q3(b, z)))
-    w = 2.0 * math.sqrt(a * z)
-    return k_lo(w) * P + math.sqrt(z / a) * k_hi(w) * Q
+    k_lo, k_hi = k_pair(2.0 * math.sqrt(a * z))
+    return k_lo * P + math.sqrt(z / a) * k_hi * Q
 
 
 def _connection_u(a, b, z_large=math.inf, laplace_fallback=False):
@@ -326,10 +321,10 @@ def _laguerre_u(n, b):
 def _large_a_u(a, b):
     """z -> U(a, b, z) by the uniform large-a Bessel expansion."""
     half_1mb, log_a, lgamma_a = 0.5 * (1.0 - b), math.log(a), lgamma(a)
-    k_lo, k_hi = _k_pair(b)
+    k_pair = bessel_k_pair(b - 1.0)
 
     def u(z):
-        combo = _bessel_combo(a, b, z, k_lo, k_hi)
+        combo = _bessel_combo(a, b, z, k_pair)
         logu = _LN2 + half_1mb * (math.log(z) - log_a) + 0.5 * z \
             - lgamma_a + math.log(combo)
         if logu > 709.0:
@@ -398,9 +393,9 @@ def u_ratio_shift_a(a: float, b: float, z: float) -> float:
     if a > A_SWITCH + 1.0:
         scale = (a - 1.0) * math.exp(0.5 * (b - 1.0)
                                      * math.log1p(-1.0 / a))
-        k_lo, k_hi = _k_pair(b)
-        return scale * _bessel_combo(a - 1.0, b, z, k_lo, k_hi) \
-            / _bessel_combo(a, b, z, k_lo, k_hi)
+        k_pair = bessel_k_pair(b - 1.0)
+        return scale * _bessel_combo(a - 1.0, b, z, k_pair) \
+            / _bessel_combo(a, b, z, k_pair)
     return tricomi_u(a - 1.0, b, z) / tricomi_u(a, b, z)
 
 
@@ -411,8 +406,7 @@ def u_ratio_z_evaluator(a: float, b: float,
     Built once per (a, b, z_den), e.g. once per exterior wave function:
     the denominator (above the Bessel switch, its e^w-scaled combo and log
     terms), the connection-formula factors and the route choices that
-    depend only on (a, b) are computed here, not at every z.  Each value
-    equals u_ratio_shift_z(a, b, z, z_den) exactly.
+    depend only on (a, b) are computed here, not at every z.
     """
     if not z_den > 0.0:
         raise DomainError("u_ratio_z_evaluator: requires z_den > 0")
@@ -426,16 +420,15 @@ def u_ratio_z_evaluator(a: float, b: float,
         # gives exp(logr) = 0.0 rather than the log of zero
         half_1mb, log_z_den = 0.5 * (1.0 - b), math.log(z_den)
         sqrt_az_den = math.sqrt(a * z_den)
-        k_lo = _bessel_k_scaled_of_order(b - 1.0)
-        k_hi = _bessel_k_scaled_of_order(b)
-        combo_den = _bessel_combo(a, b, z_den, k_lo, k_hi)
+        k_pair = bessel_k_pair(b - 1.0, scaled=True)
+        combo_den = _bessel_combo(a, b, z_den, k_pair)
 
         def ratio(z):
             check(z)
             w_shift = 2.0 * (math.sqrt(a * z) - sqrt_az_den)
             logr = half_1mb * (math.log(z) - log_z_den) \
                 + 0.5 * (z - z_den) - w_shift \
-                + math.log(_bessel_combo(a, b, z, k_lo, k_hi) / combo_den)
+                + math.log(_bessel_combo(a, b, z, k_pair) / combo_den)
             return math.exp(logr)
 
         return ratio
@@ -448,9 +441,3 @@ def u_ratio_z_evaluator(a: float, b: float,
 
     return ratio
 
-
-def u_ratio_shift_z(a: float, b: float, z_num: float, z_den: float) -> float:
-    """U(a, b, z_num) / U(a, b, z_den), stable for arbitrarily large a."""
-    if not (z_num > 0.0 and z_den > 0.0):
-        raise DomainError("u_ratio_shift_z: requires positive arguments")
-    return u_ratio_z_evaluator(a, b, z_den)(z_num)

@@ -3,12 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import simpson
 from pseudoharm.errors import DomainError
-from pseudoharm.specfun import bessel_i, bessel_k
-from pseudoharm.specfun.bessel import (_bessel_k_scaled,
-                                       _bessel_k_scaled_of_order)
+from pseudoharm.specfun import bessel_k, bessel_k_pair
+from pseudoharm.specfun.bessel import _bessel_k_scaled
 
 mp.mp.dps = 40
 
@@ -45,11 +46,6 @@ def test_against_quadrature_oracle():
     (0.5528, 0.29, 1e-13),
 ])
 def test_against_reference(lam, z, tol):
-    # just below the seam between the series and asymptotic routes
-    # (z = 8.5) the series route loses digits: up to 1e-7 for orders at least
-    # 0.05 from an integer, and about 4e-9 / distance closer in (3.6e-5 at
-    # order 5e-6, z = 8.4); see _Z_SEAM.  The points here sit where it is
-    # small (7.6e-9 at order 0.3, z = 8.4).
     assert bessel_k(lam, z) == pytest.approx(float(mp.besselk(lam, z)), rel=tol)
 
 
@@ -58,9 +54,6 @@ def test_order_symmetry():
 
 
 def test_near_integer_order_floor():
-    # within 1e-6 of an integer order and z >= 2 the integer-limit route
-    # applies, with an accuracy floor of about |order - integer| *
-    # |dK/d(order)|; below z = 2 Temme's series takes this point
     val = bessel_k(1.0000004, 1.2)
     ref = float(mp.besselk(1.0000004, 1.2))
     assert val == pytest.approx(ref, rel=2e-6)
@@ -71,19 +64,26 @@ def test_near_integer_order_floor():
                                  1.01, 2.03, 3.0 - 1e-3])
 def test_near_integer_orders_below_two(lam):
     # Temme's series: no 1/sin(pi mu) cancellation as the order approaches
-    # an integer (the difference series erred by 2.5e-11 at order 5e-6,
-    # z = 0.5); measured worst 5.0e-15 over these orders and arguments
+    # an integer
     for z in (1e-6, 0.01, 0.3, 0.5, 1.0, 1.9, 1.999):
         assert bessel_k(lam, z) == pytest.approx(
             float(mp.besselk(lam, z)), rel=2e-14), z
 
 
 def test_temme_gamma_coefficients():
-    # the frozen Taylor coefficients of 1/Gamma(1 + x) at odd powers
+    # the frozen Taylor coefficients of 1/Gamma(1 + x) at odd powers, from
+    # log(1/Gamma(1 + x)) = gamma x - sum_(k>=2) (-1)^k zeta(k) x^k / k
+    # exponentiated term by term (t' = g' t); mp.taylor agrees bit for bit
+    # but takes seconds at this order
     from pseudoharm.specfun.bessel import _RGAMMA_ODD_TAYLOR
-    taylor = mp.taylor(lambda x: mp.rgamma(1 + x), 0, 13)
+    g = [mp.mpf(0), +mp.euler] + [-(-1) ** k * mp.zeta(k) / k
+                                  for k in range(2, 22)]
+    taylor = [mp.mpf(1)]
+    for k in range(1, 22):
+        taylor.append(mp.fsum(j * g[j] * taylor[k - j]
+                              for j in range(1, k + 1)) / k)
     assert _RGAMMA_ODD_TAYLOR == tuple(float(taylor[k])
-                                       for k in range(1, 14, 2))
+                                       for k in range(1, 22, 2))
 
 
 def test_positivity_and_monotone_decay():
@@ -95,8 +95,8 @@ def test_positivity_and_monotone_decay():
 
 
 def test_scaled_k_on_every_route():
-    # e^z K through the half-integer, integer-series, non-integer-series and
-    # asymptotic routes; past z ~ 745, where K underflows, it stays finite
+    # e^z K at half-integer, integer and other orders, from Temme's series
+    # and from CF2; past z ~ 745, where K underflows, it stays finite
     for lam in (0.5, 2.5, 0.0, 2.0, 0.3873, 1.3873):
         for z in (0.3, 8.4, 9.0, 40.0):
             expect = bessel_k(lam, z) * math.exp(z)
@@ -107,14 +107,19 @@ def test_scaled_k_on_every_route():
 
 
 def test_fixed_order_scaled_k_is_the_per_call_value():
-    # the order constants computed once give the same bits on every route:
-    # half-integer, integer band, non-integer series, asymptotic, underflow
-    for lam in (0.5, -2.5, 0.0, 1.0000004, 2.0, 5e-6, -0.3873, 1.3873, 2.05):
-        k = _bessel_k_scaled_of_order(lam)
-        for z in (1e-6, 0.3, 1.3, 8.4, 8.5, 8.6, 40.0, 1000.0):
-            assert k(z) == _bessel_k_scaled(lam, z), (lam, z)
+    # the order constants computed once give the same bits as a per-call
+    # evaluation at both orders of the pair (lam + 1 is exact for these):
+    # half-integer, integer, near-integer and reflected orders, Temme's
+    # series, CF2 and underflow of the unscaled K
+    for lam in (0.5, -2.5, 0.0, 0.9999996, 2.0, 2.0 ** -17, -0.3873, 0.3873,
+                2.05, -0.7):
+        assert lam + 1.0 - 1.0 == lam
+        pair = bessel_k_pair(lam, scaled=True)
+        for z in (1e-6, 0.3, 1.3, 2.0, 8.4, 8.5, 8.6, 40.0, 1000.0):
+            assert pair(z) == (_bessel_k_scaled(lam, z),
+                               _bessel_k_scaled(lam + 1.0, z)), (lam, z)
     with pytest.raises(DomainError):
-        _bessel_k_scaled_of_order(0.3)(0.0)
+        bessel_k_pair(0.3, scaled=True)(0.0)
 
 
 def test_rejects_nonpositive_argument():
@@ -124,7 +129,33 @@ def test_rejects_nonpositive_argument():
         bessel_k(0.5, -1.0)
 
 
-def test_bessel_i_reference():
-    for lam, z in [(0.5, 1.0), (-0.9, 0.3), (2.0, 4.0), (-2.0, 4.0), (0.0, 1e-3)]:
-        assert bessel_i(lam, z) == pytest.approx(
-            float(mp.besseli(lam, z)), rel=1e-13)
+_NEAR_INTEGER_ORDERS = st.builds(
+    lambda n, log_d, sign: n + sign * 10.0 ** log_d,
+    st.integers(0, 3), st.floats(-7.0, -3.0), st.sampled_from([-1.0, 1.0]))
+_ORDERS = st.one_of(
+    st.floats(-0.5, 3.5),
+    st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]),
+    _NEAR_INTEGER_ORDERS)
+_ARGUMENTS = st.one_of(
+    st.floats(-4.0, 3.0).map(lambda t: 10.0 ** t),
+    st.sampled_from([2.0 - 1e-6, 2.0, 2.0 + 1e-6]),
+    st.floats(8.4, 8.6))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lam=_ORDERS, z=_ARGUMENTS)
+def test_k_pair_against_mpmath(lam, z):
+    # K_lam and K_(lam+1), plain and e^z-scaled, against 30 digits across
+    # the Temme/CF2 switch at z = 2 and at orders near integers and
+    # half-integers; measured worst 9.9e-15 on a 5 559-point sweep
+    plain = bessel_k_pair(lam)(z)
+    scaled = bessel_k_pair(lam, scaled=True)(z)
+    with mp.workdps(30):
+        for k in (0, 1):
+            ref = mp.besselk(mp.mpf(lam) + k, z)
+            ref_scaled = ref * mp.exp(z)
+            assert abs(scaled[k] - ref_scaled) <= 5e-14 * ref_scaled, k
+            if ref > 1e-300:
+                assert abs(plain[k] - ref) <= 5e-14 * ref, k
+            else:  # K underflows the normal doubles
+                assert 0.0 <= plain[k] < 1e-299, k

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import one_sided_derivative, scan_sign_changes
 from pseudoharm import regspec
-from pseudoharm.specfun import bessel, hyper, u_ratio_shift_z
+from pseudoharm.specfun import bessel, hyper, u_ratio_z_evaluator
 from pseudoharm.errors import BracketError, DomainError, PoleError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
 from pseudoharm.rootfind import brent
@@ -433,7 +433,7 @@ class TestWaveFunction:
     @staticmethod
     def _closed_expression(spec, sol, wf, x):
         # the piecewise closure written out for one point, with the exterior
-        # ratio from the per-point u_ratio_shift_z
+        # ratio from an evaluator built for this one point
         d = spec.delta
         sign = math.copysign(1.0, x) if sol.label.parity == "odd" else 1.0
         ax = abs(x)
@@ -449,7 +449,7 @@ class TestWaveFunction:
         a, b, z0 = regspec._hyper_args(spec, sol.kappa)
         y2 = ax * ax
         rel = (ax / d) ** sol.nu * math.exp(-0.5 * (y2 - d * d)) \
-            * u_ratio_shift_z(a, b, y2, z0)
+            * u_ratio_z_evaluator(a, b, z0)(y2)
         return sign * wf.outer_coeff * rel
 
     @pytest.mark.parametrize("alpha,delta,parity,n", [
