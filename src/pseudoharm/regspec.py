@@ -221,7 +221,7 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     change, and stops at 1e-12 |seed|: a stopping tolerance, not the
     accuracy.  The root amplifies the relative error of the exterior ratio
     u_ratio_shift_a by 1e3 to 1e4.  Against a 30-digit mpmath solve of the
-    same condition, kappa agrees to 7.9e-12 relative at the Table 1
+    same condition, kappa agrees to 1.3e-11 relative at the Table 1
     couplings (delta = 0.002).  On the 36-point grid alpha in {-1/4,
     -1/4 + 2.5e-11, -0.2499, -0.2, -0.15, -0.1, -0.05, -0.01, -0.001},
     delta in {1e-4, 2e-3, 1e-2, 5e-2} it agrees to 1.6e-7, worst at alpha =
