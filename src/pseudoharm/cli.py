@@ -211,6 +211,13 @@ def cmd_wavefunction(args) -> RunRecord:
     if args.n is not None and len(args.n) != 1:
         raise PseudoharmError("wavefunction takes a single --n")
     n = args.n[0] if args.n else 0
+    for flag, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if not math.isfinite(value):
+            raise PseudoharmError(f"wavefunction: {flag} must be finite, "
+                                  f"got {value}")
+    if args.samples < 0:
+        raise PseudoharmError(f"wavefunction: --samples must be >= 0, "
+                              f"got {args.samples}")
     xs = np.linspace(args.x_min, args.x_max, args.samples)
     norm_report = {}
     if args.delta is None:
@@ -421,9 +428,13 @@ def _build_parser():
     return p
 
 
+# Built once per process: parse_args keeps no state between calls, and the
+# build (5 subparsers, 49 arguments) costs more than a short request.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
         record = args.fn(args)

@@ -183,6 +183,8 @@ def assemble(alpha: float, rho: float, epsilon: float,
     + (2 alpha / pi^2) k gives every off-diagonal element as
     F[|n-m|/2] - F[(n+m)/2].
     """
+    if not math.isfinite(alpha):
+        raise DomainError(f"assemble: alpha must be finite, got {alpha}")
     if n_max < 4:
         raise DomainError(f"assemble: n_max must be >= 4, got {n_max}")
     if not 0.0 < epsilon < 0.5:

@@ -6,7 +6,8 @@ unlimited concurrent invocation.
 
 from .bessel import bessel_k, bessel_k_pair
 from .gammafn import gamma, lgamma, rgamma, sinpi
-from .hyper import tricomi_u, u_ratio_shift_a, u_ratio_z_evaluator
+from .hyper import (tricomi_u, u_pair_shift_a, u_ratio_shift_a,
+                    u_ratio_z_evaluator)
 from .laguerre import laguerre
 from .sine_integral import sine_integral, sine_integral_array
 
@@ -21,6 +22,7 @@ __all__ = [
     "sine_integral_array",
     "sinpi",
     "tricomi_u",
+    "u_pair_shift_a",
     "u_ratio_shift_a",
     "u_ratio_z_evaluator",
 ]

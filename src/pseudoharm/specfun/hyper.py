@@ -10,6 +10,8 @@ Three evaluation regimes for U:
 Each route is built for fixed (a, b) as a function of z, with its
 z-independent factors computed once; tricomi_u builds one for a single z,
 u_ratio_z_evaluator keeps one for a whole exterior wave function.
+u_pair_shift_a works the other way round: at fixed (b, z) it shares the
+connection formula's b- and z-dependent factors across a root solve in a.
 
 The Bessel-branch coefficient polynomials were generated from the defining
 recurrences of the expansion and verified against 40-digit reference values;
@@ -380,6 +382,47 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"tricomi_u: requires z > 0, got z={z}")
     return _tricomi_u_of_z(a, b)(z)
+
+
+def u_pair_shift_a(b: float,
+                   z: float) -> Callable[[float], tuple[float, float]]:
+    """The function a -> (U(a, b, z), U(a-1, b, z)) at fixed (b, z).
+
+    Where _tricomi_u_of_z would take the plain connection formula for both
+    a and a-1 (a <= 0.1 and not within 1e-12 of a non-positive integer, b
+    at least B_INTEGER_TOL from an integer, z <= Z_LARGE), the pair shares
+    1/Gamma(b), 1/Gamma(2-b), pi/sin(pi b) and z^(1-b), computed here
+    once, and per a costs 1/Gamma(1+a-b) and 1/Gamma(a): the shifted
+    factors follow from 1/Gamma(x-1) = (x-1)/Gamma(x).  Every other a is
+    evaluated as tricomi_u evaluates it.
+    """
+    if not z > 0.0:
+        raise DomainError(f"u_pair_shift_a: requires z > 0, got z={z}")
+    shared = abs(b - round(b)) >= B_INTEGER_TOL and z <= Z_LARGE
+    if shared:
+        r_b, r_2mb = rgamma(b), rgamma(2.0 - b)
+        pi_over_s = math.pi / sinpi(b)
+        z_1mb = z ** (1.0 - b)
+
+    def pair(a):
+        a1 = a - 1.0
+        # fall back where a or a - 1 leaves the plain connection formula:
+        # a > 0.1, or either on the Laguerre route (within 1e-12 of a
+        # non-positive integer; a - 1 <= -0.9 is never positive)
+        if not (shared and a <= 0.1 and abs(a1 - round(a1)) >= 1e-12
+                and (a > 0.0 or abs(a - round(a)) >= 1e-12)):
+            return _tricomi_u_of_z(a, b)(z), _tricomi_u_of_z(a1, b)(z)
+        x = 1.0 + a - b
+        x1 = 1.0 + a1 - b
+        r_x, r_a = rgamma(x), rgamma(a)
+        u = pi_over_s * (kummer_m(a, b, z) * r_x * r_b
+                         - z_1mb * kummer_m(x, 2.0 - b, z) * r_a * r_2mb)
+        u1 = pi_over_s * (kummer_m(a1, b, z) * (x1 * r_x) * r_b
+                          - z_1mb * kummer_m(x1, 2.0 - b, z) * (a1 * r_a)
+                          * r_2mb)
+        return u, u1
+
+    return pair
 
 
 def u_ratio_shift_a(a: float, b: float, z: float) -> float:

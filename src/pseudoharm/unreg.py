@@ -41,6 +41,9 @@ class PotentialSpec:
     delta: Optional[float] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError(
+                f"PotentialSpec: alpha must be finite, got {self.alpha}")
         if self.delta is None:
             if self.alpha < ALPHA_MIN:
                 raise DomainError(

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 
 import pytest
 
+from pseudoharm import cli
 from pseudoharm.cli import RunRecord, _emit_json, _parse_n_range, main
 
 
@@ -243,6 +245,89 @@ class TestOtherCommands:
         assert r.returncode == 0
         rows = [l.split(",") for l in r.stdout.strip().split("\n")[1:]]
         assert float(rows[0][4]) == pytest.approx(0.5, rel=1e-4)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--alpha=nan", "--n", "0"],
+        ["spectrum", "--alpha=inf", "--n", "0"],
+        ["spectrum", "--alpha=nan", "--delta", "0.01", "--n", "0",
+         "--method", "transcendental"],
+        ["spectrum", "--alpha=-inf", "--delta", "0.002", "--ground"],
+        ["matmech", "--alpha=nan", "--delta", "0.01", "--nmax", "60"],
+    ])
+    def test_non_finite_alpha_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError"
+        assert "alpha must be finite" in err["message"]
+
+    def test_non_finite_alpha_exit_code(self):
+        r = run_cli(["spectrum", "--alpha=nan", "--n", "0"])
+        assert r.returncode == 1
+        assert "alpha must be finite" in json.loads(r.stdout)["error"]["message"]
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--x-min", "nan"], "--x-min"),
+        (["--x-max", "inf"], "--x-max"),
+        (["--delta", "0.01", "--x-max", "inf"], "--x-max"),
+        (["--delta", "0.01", "--x-min=-inf"], "--x-min"),
+        (["--samples", "-3"], "--samples"),
+    ])
+    def test_wavefunction_range_checked(self, flags, named, capsys):
+        assert main(["wavefunction", "--alpha", "0.1"] + flags) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "PseudoharmError"
+        assert named in err["message"]
+
+    def test_wavefunction_zero_samples_prints_header(self, capsys):
+        assert main(["wavefunction", "--alpha", "0.1", "--samples", "0"]) == 0
+        assert capsys.readouterr().out == "x_over_x0,psi_sqrt_x0\n"
+
+
+class TestParserReuse:
+    # one parser serves every main call of a process: flags of one call
+    # must not reach the next
+    SEQUENCE = [
+        ["spectrum", "--alpha=-0.05", "--delta", "0.002", "--parity",
+         "even", "--ground"],
+        ["spectrum", "--alpha=-0.05", "--delta", "0.002", "--parity",
+         "even", "--n", "0..1", "--method", "transcendental"],
+        ["wavefunction", "--alpha=-0.1", "--delta", "0.01", "--n", "0",
+         "--samples", "5", "--format", "json"],
+        ["spectrum", "--alpha", "0", "--n", "0", "--method", "matrix"],
+        ["wavefunction", "--alpha=-0.1", "--delta", "0.01", "--n", "0",
+         "--samples", "5"],
+        ["groundstate-scan", "--alpha-list=-0.1", "--out", "{out}"],
+        ["groundstate-scan", "--alpha-list=-0.1"],
+    ]
+
+    @staticmethod
+    def _payload(text):
+        # the JSON record carries the command's wall time
+        return re.sub(r'"wall-time-s":[^,}]*', '"wall-time-s":0', text)
+
+    def test_matches_fresh_processes(self, monkeypatch, capsys, tmp_path):
+        def no_rebuild():
+            raise AssertionError("main must reuse the parser built at import")
+
+        monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+        for i, argv in enumerate(self.SEQUENCE):
+            outs = [tmp_path / f"in-{i}.csv", tmp_path / f"sub-{i}.csv"]
+            here, fresh = ([a.format(out=out) for a in argv] for out in outs)
+            try:
+                code = main(here)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            r = run_cli(fresh, COLUMNS="80")
+            assert code == r.returncode, argv
+            assert self._payload(got.out) == self._payload(r.stdout), argv
+            assert got.err == r.stderr, argv
+            if "--out" in argv:
+                assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert code == 0 and got.out.count("\n") == 2
 
 
 def test_main_entry_returns_zero():

@@ -3,15 +3,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError)
 from pseudoharm.specfun import (bessel_k, laguerre, lgamma, rgamma, sinpi,
-                                tricomi_u, u_ratio_shift_a,
+                                tricomi_u, u_pair_shift_a, u_ratio_shift_a,
                                 u_ratio_z_evaluator)
 from pseudoharm.specfun.bessel import _bessel_k_scaled
-from pseudoharm.specfun.hyper import (_bessel_combo, _log_gu, _u_connection,
-                                      _u_large_a, _u_large_z, kummer_m)
+from pseudoharm.specfun.hyper import (B_INTEGER_TOL, _bessel_combo, _log_gu,
+                                      _u_connection, _u_large_a, _u_large_z,
+                                      kummer_m)
 
 mp.mp.dps = 50
 
@@ -357,3 +360,84 @@ class TestRatioEvaluator:
             ratio(0.0)
         with pytest.raises(DomainError):
             ratio(-1.0)
+
+
+# --- the pair evaluator of a root solve in a --------------------------------
+
+def _shares_factors(a, b):
+    """Where u_pair_shift_a takes its shared-factor formula: the plain
+    connection formula at a and a - 1 (z <= Z_LARGE throughout here)."""
+    def plain(x):
+        return x <= 0.1 and (x > 0.0 or abs(x - round(x)) >= 1e-12)
+    return abs(b - round(b)) >= B_INTEGER_TOL and plain(a) and plain(a - 1.0)
+
+
+def _check_pair(a, b, z):
+    u, u1 = u_pair_shift_a(b, z)(a)
+    # U(a) takes tricomi_u's operations in tricomi_u's order
+    assert u == tricomi_u(a, b, z), (a, b, z)
+    want = tricomi_u(a - 1.0, b, z)
+    if not _shares_factors(a, b):
+        # so does U(a - 1) wherever the shared factors do not serve
+        assert u1 == want, (a, b, z)
+        return
+    t1, t2 = _ref_terms(a - 1.0, b, z)
+    scale = abs(math.pi / sinpi(b)) * (abs(t1) + abs(t2))
+    assert abs(u1 - want) <= 1e-13 * scale, (a, b, z, u1, want)
+
+
+class TestPairShiftA:
+    @settings(derandomize=True, database=None, max_examples=400,
+              deadline=None)
+    @given(b=st.floats(1.0, 2.6),
+           z=st.floats(-8.0, -2.0).map(lambda t: 10.0 ** t),
+           a=st.floats(-51.0, 1.2).map(lambda a: a - 1.0 + 1.0))
+    def test_against_tricomi_u(self, b, z, a):
+        # the recurrences 1/Gamma(x-1) = (x-1)/Gamma(x) against two
+        # tricomi_u calls, to 1e-13 of the connection formula's |t1| + |t2|.
+        # a is drawn with a - 1 exact: where it rounds, tricomi_u(a - 1.0)
+        # is U at another argument (test_exact_shift_near_a_pole)
+        assume(a - 1.0 + 1.0 == a)
+        _check_pair(a, b, z)
+
+    @pytest.mark.parametrize("a,b,z", [(1e-5, 2.5, 1e-3),
+                                       (-1e-7, 1.45, 1e-6)])
+    def test_exact_shift_near_a_pole(self, a, b, z):
+        # a - 1.0 rounds by 1e-16 at 1e-5 from the pole of Gamma at -1, and
+        # tricomi_u at that float errs by 4.6e-13 (4.0e-14) against U at
+        # the exact a - 1; the recurrence carries the exact shift
+        with mp.workdps(30):
+            ref = float(mp.hyperu(mp.mpf(a) - 1, b, z))
+        assert u_pair_shift_a(b, z)(a)[1] == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [
+        0.1 - 1e-9, 0.1, 0.1 + 1e-9,                  # the a <= 0.1 switch
+        0.0, -1.0, -3.0, -50.0,                       # Laguerre route
+        1e-13, -1e-13, -1.0 + 1e-13, -3.0 - 1e-13,    # 1e-13 from them
+        2.0 ** -39, -3.0 + 2e-12, -0.5, 1.2])
+    @pytest.mark.parametrize("b", [1.4472, 1.0, 1.0 + 5e-7, 2.0 - 5e-7,
+                                   2.0, 2.0 + 2e-6])
+    def test_route_edges(self, a, b):
+        for z in (1e-8, 1e-4, 1e-2):
+            _check_pair(a, b, z)
+
+    def test_shared_formula_is_taken(self):
+        # the explicit cases above reach both sides of every fall-back test
+        assert _shares_factors(0.1, 1.4472)
+        assert not _shares_factors(0.1 + 1e-9, 1.4472)
+        assert _shares_factors(2.0 ** -39, 2.0 + 2e-6)
+        assert not _shares_factors(1e-13, 2.0 + 2e-6)  # a - 1 is Laguerre
+        assert not _shares_factors(-1e-13, 1.4472)
+        assert not _shares_factors(-0.5, 2.0 - 5e-7)
+
+    def test_large_argument_is_tricomi_u(self):
+        # above Z_LARGE the 1/z expansion serves a and a - 1
+        pair = u_pair_shift_a(1.4472, 25.0)
+        for a in (-1.3, 0.05):
+            assert pair(a) == (tricomi_u(a, 1.4472, 25.0),
+                               tricomi_u(a - 1.0, 1.4472, 25.0))
+
+    def test_rejects_nonpositive_argument(self):
+        for z in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                u_pair_shift_a(1.4472, z)

@@ -131,6 +131,9 @@ class TestElements:
             matmech.assemble(0.1, 25.0, 0.01, 3)
         with pytest.raises(DomainError):
             matmech.assemble(0.1, -1.0, 0.01, 40)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="alpha must be finite"):
+                matmech.assemble(alpha, 25.0, 0.01, 40)
 
 
 class TestSpectra:

@@ -280,6 +280,38 @@ class TestTranscendentalGrid:
         assert len(solves) == 160
         assert count[0] / len(solves) <= 10.0
 
+    def test_gamma_work_per_residual_evaluation(self, monkeypatch):
+        # the U pair of a residual evaluation shares 1/Gamma(b), 1/Gamma(2-b)
+        # across the solve and takes 1/Gamma(1+a-b), 1/Gamma(a) per a: 2
+        # rgamma calls where two tricomi_u calls made 8.  Every evaluation
+        # of this grid is on the plain connection formula (a <= 0.1, off
+        # the integers), where the shared factors serve.
+        calls, per_evaluation = [0], []
+        rgamma = hyper.rgamma
+
+        def counting(x):
+            calls[0] += 1
+            return rgamma(x)
+
+        residual = regspec._entire_residual
+
+        def counted(spec, parity):
+            g = residual(spec, parity)
+
+            def h(kappa):
+                before = calls[0]
+                value = g(kappa)
+                per_evaluation.append(calls[0] - before)
+                return value
+            return h
+
+        monkeypatch.setattr(hyper, "rgamma", counting)
+        monkeypatch.setattr(regspec, "_entire_residual", counted)
+        for spec, parity, n, _ in _grid_solves():
+            regspec.solve_excited(spec, parity, n)
+        assert len(per_evaluation) > 800
+        assert max(per_evaluation) <= 2
+
     def test_second_window(self):
         # a root 1.0 from the seed lies outside the first window only
         kappa = regspec._scan_for_root(lambda k: k - 4.0, seed=3.0,

@@ -28,6 +28,12 @@ class TestSpecAndLabels:
             PotentialSpec(-0.1, 0.3)       # cutoff range (0, 0.2)
         PotentialSpec(-0.3, 0.01)          # regularized allows lower alpha
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("delta", [None, 0.01])
+    def test_spec_rejects_non_finite_alpha(self, alpha, delta):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            PotentialSpec(alpha, delta)
+
     def test_display_relabelling(self):
         assert make_label(-0.1, "even", 0).n_display == 1
         assert make_label(-0.1, "odd", 0).n_display == 0
