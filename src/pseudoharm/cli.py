@@ -17,7 +17,7 @@ import numpy as np
 
 from . import asymptotics, matmech, refdata, regspec
 from .eigensolver import eigh_lowest
-from .errors import PseudoharmError
+from .errors import DomainError, PseudoharmError
 from .quadrature import integrate, integrate_to_infinity
 from .unreg import (EigenSolution, PotentialSpec, label_from_display,
                     make_label, nu_of_alpha, unreg_energy, unreg_psi)
@@ -142,6 +142,8 @@ def _energy_scale(units: str, rho):
     if units == "e1":
         if rho is None:
             raise PseudoharmError("--units e1 requires --rho")
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise DomainError(f"--rho must be finite and positive, got {rho}")
         return float(rho)
     raise PseudoharmError(f"unknown units {units!r}")
 
@@ -337,8 +339,8 @@ def cmd_matmech(args) -> RunRecord:
         raise PseudoharmError(
             "alpha < -1/4 is experimental; pass "
             "--experimental-alpha-below-quarter to proceed (no accuracy claim)")
-    scale = 1.0 / args.rho if args.units == "hw" else 1.0
     model = matmech.assemble(args.alpha, args.rho, eps, args.nmax)
+    scale = 1.0 / args.rho if args.units == "hw" else 1.0
     pairs = matmech.eigensolve(model, args.k, want_vectors=False)
     rows = [[args.alpha, eps, p.block, i, p.energy * scale]
             for i, p in enumerate(pairs)]

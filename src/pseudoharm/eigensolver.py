@@ -17,7 +17,7 @@ the norms ||A v|| over the unit search vectors v.
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 
 _MAX_ITERATIONS = 300
 _GUARD_VECTORS = 2          # block size is k plus these
@@ -60,6 +60,8 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
     NonConvergenceError, with the residuals reached, when the iteration
     budget runs out or the search space stops growing.
     """
+    if k < 1:
+        raise DomainError(f"eigh_lowest: k must be >= 1, got {k}")
     n = op.shape[0]
     k = min(k, n)
     diag = np.asarray(op.diagonal(), dtype=float)

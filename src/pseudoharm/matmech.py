@@ -29,6 +29,9 @@ from .specfun.sine_integral import sine_integral_array
 
 def epsilon_from_delta(delta: float, rho: float) -> float:
     """Box-relative cutoff: eps = (2/pi) sqrt(2/rho) delta."""
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise DomainError(f"epsilon_from_delta: rho must be finite and "
+                          f"positive, got {rho}")
     return 2.0 / math.pi * math.sqrt(2.0 / rho) * delta
 
 
@@ -189,8 +192,8 @@ def assemble(alpha: float, rho: float, epsilon: float,
         raise DomainError(f"assemble: n_max must be >= 4, got {n_max}")
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"assemble: epsilon must lie in (0, 0.5), got {epsilon}")
-    if rho <= 0.0:
-        raise DomainError(f"assemble: rho must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise DomainError(f"assemble: rho must be finite and positive, got {rho}")
     veps = v_epsilon(alpha, rho, epsilon)
     g, h, k = _coupling_tables(alpha, rho, epsilon, n_max)
     table = (epsilon * veps * g
@@ -209,6 +212,8 @@ def assemble(alpha: float, rho: float, epsilon: float,
 
 def eigensolve(model: MatrixModel, k: int, want_vectors: bool = True):
     """Lowest k eigenpairs per parity block, merged and sorted by energy."""
+    if k < 1:
+        raise DomainError(f"eigensolve: k must be >= 1, got {k}")
     if k > model.n_max:
         raise DomainError(f"eigensolve: k={k} exceeds n_max={model.n_max}")
     pairs = []

@@ -10,14 +10,13 @@ with a = (nu - kappa)/2 and b = nu + 1/2.  The interior side is
 u*cot(u) or -u*tan(u) in the oscillatory regime and u*coth(u) or
 u*tanh(u) in the evanescent one; both pairs are single analytic functions
 of the signed square s2 = (q delta x0)^2 = (2 kappa + 1) delta^2
-- (delta^4 + alpha), which this module exploits to solve all regimes with
-one code path.
+- (delta^4 + alpha), so one code path serves all regimes.
 
-Root scanning uses an entire (pole-free) rescaling of the condition:
-multiplying through by sin/cos-type entire factors and by U(a, b, delta^2)
-removes both the trigonometric poles and the U-denominator zeros that sit
-within O(delta^(2 nu - 1)) of every root, which a raw-residual scan cannot
-separate at small delta.
+Every root solve, excited or runaway ground state, runs on one entire
+(pole-free) rescaling of the condition: multiplying through by sin/cos-type
+entire factors and by U(a, b, delta^2) removes both the trigonometric poles
+and the U-denominator zeros that sit within O(delta^(2 nu - 1)) of every
+root, which a raw-residual scan cannot separate at small delta.
 """
 
 import math
@@ -27,14 +26,13 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import c0_self_consistent, epsilon_n
-from .errors import BracketError, DomainError, PoleError
+from .errors import BracketError, DomainError
 from .quadrature import integrate_to_infinity
 from .rootfind import brent, scan_outward
-from .specfun import u_pair_shift_a, u_ratio_shift_a, u_ratio_z_evaluator
+from .specfun import u_pair_shift_a, u_ratio_z_evaluator
 from .unreg import (BranchLabel, EigenSolution, PotentialSpec, make_label,
                     nu_of_alpha)
 
-_TRIG_POLE_TOL = 1e-9
 MAX_EXCITED_N = 50
 
 
@@ -62,29 +60,6 @@ def matching_state(spec: PotentialSpec, kappa: float) -> MatchingState:
 
 # --- analytic continuations in s2 = u^2 (u imaginary <-> evanescent) -------
 
-def _cot_family(s2):
-    """u*cot(u) for s2 = u^2 > 0, v*coth(v) for s2 = -v^2 < 0."""
-    if abs(s2) < 1e-4:
-        return 1.0 - s2 / 3.0 - s2 * s2 / 45.0 - 2.0 * s2 ** 3 / 945.0
-    if s2 > 0.0:
-        u = math.sqrt(s2)
-        return u / math.tan(u)
-    v = math.sqrt(-s2)
-    return v / math.tanh(v)
-
-
-def _tan_family(s2):
-    """-u*tan(u) for s2 = u^2 > 0, v*tanh(v) for s2 = -v^2 < 0."""
-    if abs(s2) < 1e-4:
-        return -s2 * (1.0 + s2 / 3.0 + 2.0 * s2 * s2 / 15.0
-                      + 17.0 * s2 ** 3 / 315.0)
-    if s2 > 0.0:
-        u = math.sqrt(s2)
-        return -u * math.tan(u)
-    v = math.sqrt(-s2)
-    return v * math.tanh(v)
-
-
 def _sinc_family(s2):
     """sin(u)/u continued through s2 = 0 (sinh(v)/v for negative s2)."""
     if abs(s2) < 1e-4:
@@ -108,54 +83,19 @@ def _hyper_args(spec: PotentialSpec, kappa: float):
     return 0.5 * (nu - kappa), nu + 0.5, spec.delta * spec.delta
 
 
-def _u_ratio(spec: PotentialSpec, kappa: float) -> float:
-    """U(a-1, b, delta^2) / U(a, b, delta^2) at the matching point."""
-    a, b, z = _hyper_args(spec, kappa)
-    return u_ratio_shift_a(a, b, z)
-
-
 def _require_regularized(spec: PotentialSpec, who: str):
     if not spec.is_regularized:
         raise DomainError(f"{who}: requires a regularized spec (delta set)")
 
 
-def eig_condition_residual(spec: PotentialSpec, parity: str,
-                           kappa: float) -> float:
-    """Interior-minus-exterior log-derivative mismatch at the matching point.
-
-    Zero crossings are eigenvalues.  Raises PoleError when the interior
-    term is evaluated at a trigonometric pole (bracket scans use the
-    pole-free _entire_residual instead).
-    """
-    _require_regularized(spec, "eig_condition_residual")
-    if parity not in ("even", "odd"):
-        raise DomainError(f"eig_condition_residual: bad parity {parity!r}")
-    s2 = signed_q_squared(spec, kappa)
-    if s2 > 0.0:
-        u = math.sqrt(s2)
-        period = math.pi
-        offset = 0.0 if parity == "odd" else 0.5 * math.pi
-        k_near = round((u - offset) / period)
-        if parity == "even" or k_near >= 1:
-            if abs(u - (offset + k_near * period)) < _TRIG_POLE_TOL:
-                raise PoleError(
-                    f"eig_condition_residual: interior pole at u={u} "
-                    f"(kappa={kappa})")
-    interior = _cot_family(s2) if parity == "odd" else _tan_family(s2)
-    d2 = spec.delta * spec.delta
-    rhs = d2 - kappa - 1.0 - 2.0 * _u_ratio(spec, kappa)
-    return interior - rhs
-
-
 def _entire_residual(spec: PotentialSpec, parity: str) -> Callable[[float], float]:
-    """Pole-free rescaling of the eigenvalue condition for bracket scans.
+    """Pole-free rescaling of the eigenvalue condition; every solve roots it.
 
     Multiplying the condition by sin-type/cos-type entire factors and by
     U(a, b, delta^2) keeps exactly the eigenvalue zeros: no trig poles, and
     the U-zeros (which shadow each root at distance ~delta^(2nu-1)) cancel.
-    Only usable where U itself is representable (moderate a).  The pair
-    U(a, b, delta^2), U(a-1, b, delta^2) comes from one evaluator built per
-    residual, since b and delta^2 stay fixed while kappa moves.
+    The pair U(a), U(a-1) comes from one evaluator built per residual (b and
+    delta^2 stay fixed); for the runaway ground state it is divided by U(a).
     """
     d2 = spec.delta * spec.delta
     nu = nu_of_alpha(spec.alpha)
@@ -221,16 +161,17 @@ def _scan_for_root(g, seed, windows, step, context):
 def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     """The runaway even-parity ground state for -1/4 <= alpha < 0.
 
-    Seeded by kappa = -2 c0/delta^2 - 1/2.  Brent's method roots the raw
-    condition on seed +- 0.5, the window doubling until it brackets a sign
-    change, and stops at 1e-12 |seed|: a stopping tolerance, not the
-    accuracy.  The root amplifies the relative error of the exterior ratio
-    u_ratio_shift_a by 1e3 to 1e4.  Against a 30-digit mpmath solve of the
-    same condition, kappa agrees to 1.3e-11 relative at the Table 1
-    couplings (delta = 0.002).  On the 36-point grid alpha in {-1/4,
-    -1/4 + 2.5e-11, -0.2499, -0.2, -0.15, -0.1, -0.05, -0.01, -0.001},
-    delta in {1e-4, 2e-3, 1e-2, 5e-2} it agrees to 1.6e-7, worst at alpha =
-    -0.001, delta = 1e-4, where the ratio errs by 8e-13 (a = 98.5).
+    Seeded by kappa = -2 c0/delta^2 - 1/2.  Brent's method roots the
+    excited states' entire residual on seed +- 0.5, the window doubling
+    until it brackets a sign change, and stops at 1e-12 |seed|: a stopping
+    tolerance, not the accuracy.  The root amplifies the relative error of
+    the ratio U(a-1)/U(a) by 1e3 to 1e4.  Against a 40-digit mpmath solve
+    of the condition, kappa agrees to 1.3e-11 relative at the Table 1
+    couplings (delta = 0.002).
+    On the 36-point grid alpha in {-1/4, -1/4 + 2.5e-11, -0.2499, -0.2,
+    -0.15, -0.1, -0.05, -0.01, -0.001}, delta in {1e-4, 2e-3, 1e-2, 5e-2}
+    it agrees to 1.6e-7, worst at alpha = -0.001, delta = 1e-4, where the
+    ratio errs by 8e-13 (a = 98.5).
 
     The returned state is checked to lie on the oscillatory tan branch
     below the first interior pole, with kappa < 0.
@@ -246,15 +187,12 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     c0 = c0_self_consistent(spec.alpha).c0
     d2 = spec.delta * spec.delta
     seed = -2.0 * c0 / d2 - 0.5
-
-    def f(kappa):
-        return eig_condition_residual(spec, "even", kappa)
-
+    g = _entire_residual(spec, "even")
     half = 0.5
     scale = max(1.0, abs(seed))
     while half <= 16.0:
         try:
-            kappa = brent(f, seed - half, seed + half, xtol=1e-12 * scale)
+            kappa = brent(g, seed - half, seed + half, xtol=1e-12 * scale)
             break
         except BracketError:
             half *= 2.0

@@ -11,7 +11,7 @@ Each route is built for fixed (a, b) as a function of z, with its
 z-independent factors computed once; tricomi_u builds one for a single z,
 u_ratio_z_evaluator keeps one for a whole exterior wave function.
 u_pair_shift_a works the other way round: at fixed (b, z) it shares the
-connection formula's b- and z-dependent factors across a root solve in a.
+connection formula's factors and the K pair across a root solve in a.
 
 The Bessel-branch coefficient polynomials were generated from the defining
 recurrences of the expansion and verified against 40-digit reference values;
@@ -386,18 +386,23 @@ def tricomi_u(a: float, b: float, z: float) -> float:
 
 def u_pair_shift_a(b: float,
                    z: float) -> Callable[[float], tuple[float, float]]:
-    """The function a -> (U(a, b, z), U(a-1, b, z)) at fixed (b, z).
+    """The function a -> (U(a, b, z), U(a-1, b, z)) at fixed (b, z), up to a
+    common positive factor: 1/U(a) for a > A_SWITCH + 1, else 1.
 
-    Where _tricomi_u_of_z would take the plain connection formula for both
-    a and a-1 (a <= 0.1 and not within 1e-12 of a non-positive integer, b
-    at least B_INTEGER_TOL from an integer, z <= Z_LARGE), the pair shares
-    1/Gamma(b), 1/Gamma(2-b), pi/sin(pi b) and z^(1-b), computed here
-    once, and per a costs 1/Gamma(1+a-b) and 1/Gamma(a): the shifted
-    factors follow from 1/Gamma(x-1) = (x-1)/Gamma(x).  Every other a is
-    evaluated as tricomi_u evaluates it.
+    Above A_SWITCH + 1 U may not be representable, and the pair is
+    (1, U(a-1)/U(a)), the ratio's Gamma prefactors cancelled analytically
+    and K_(b-1), K_b from one bessel_k_pair built here; U > 0 for a > 0, so
+    a residual homogeneous of degree 1 in the pair keeps its signs and
+    roots.  Where _tricomi_u_of_z takes the plain connection formula for a
+    and a-1 (a <= 0.1 and not within 1e-12 of a non-positive integer, b at
+    least B_INTEGER_TOL from an integer, z <= Z_LARGE), the pair shares
+    1/Gamma(b), 1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs
+    1/Gamma(1+a-b) and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) =
+    (x-1)/Gamma(x).  Every other a is evaluated as tricomi_u evaluates it.
     """
     if not z > 0.0:
         raise DomainError(f"u_pair_shift_a: requires z > 0, got z={z}")
+    k_pair = bessel_k_pair(b - 1.0)
     shared = abs(b - round(b)) >= B_INTEGER_TOL and z <= Z_LARGE
     if shared:
         r_b, r_2mb = rgamma(b), rgamma(2.0 - b)
@@ -406,6 +411,10 @@ def u_pair_shift_a(b: float,
 
     def pair(a):
         a1 = a - 1.0
+        if a > A_SWITCH + 1.0:
+            scale = a1 * math.exp(0.5 * (b - 1.0) * math.log1p(-1.0 / a))
+            return 1.0, scale * _bessel_combo(a1, b, z, k_pair) \
+                / _bessel_combo(a, b, z, k_pair)
         # fall back where a or a - 1 leaves the plain connection formula:
         # a > 0.1, or either on the Laguerre route (within 1e-12 of a
         # non-positive integer; a - 1 <= -0.9 is never positive)
@@ -423,23 +432,6 @@ def u_pair_shift_a(b: float,
         return u, u1
 
     return pair
-
-
-def u_ratio_shift_a(a: float, b: float, z: float) -> float:
-    """U(a-1, b, z) / U(a, b, z), stable for arbitrarily large a.
-
-    For a above the Bessel switch the Gamma prefactors cancel analytically,
-    so no overflow occurs even when U itself is unrepresentable.
-    """
-    if not z > 0.0:
-        raise DomainError(f"u_ratio_shift_a: requires z > 0, got z={z}")
-    if a > A_SWITCH + 1.0:
-        scale = (a - 1.0) * math.exp(0.5 * (b - 1.0)
-                                     * math.log1p(-1.0 / a))
-        k_pair = bessel_k_pair(b - 1.0)
-        return scale * _bessel_combo(a - 1.0, b, z, k_pair) \
-            / _bessel_combo(a, b, z, k_pair)
-    return tricomi_u(a - 1.0, b, z) / tricomi_u(a, b, z)
 
 
 def u_ratio_z_evaluator(a: float, b: float,

@@ -23,6 +23,8 @@ PARITIES = ("even", "odd")
 
 def nu_of_alpha(alpha: float) -> float:
     """Near-origin exponent nu = 1/2 + sqrt(1/4 + alpha); positive root only."""
+    if not math.isfinite(alpha):
+        raise DomainError(f"nu_of_alpha: alpha must be finite, got {alpha}")
     if alpha < ALPHA_MIN:
         raise DomainError(
             f"nu_of_alpha: requires alpha >= -1/4 for real exponent, got {alpha}")

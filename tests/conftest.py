@@ -7,6 +7,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pseudoharm import matmech  # noqa: E402
+from pseudoharm.specfun import u_pair_shift_a  # noqa: E402
+from pseudoharm.unreg import nu_of_alpha  # noqa: E402
 
 
 def simpson(f, a, b, n=4001):
@@ -39,6 +41,27 @@ def scan_sign_changes(f, lo, hi, step):
         elif i + 1 < len(xs) and fx * fs[i + 1] < 0.0:
             brackets.append((x, xs[i + 1]))
     return brackets
+
+
+def eig_condition_residual(spec, parity, kappa):
+    """The paper's matching condition in its raw form: the interior
+    log-derivative u cot u (odd) or -u tan u (even), continued to
+    v coth v and v tanh v in the evanescent regime, minus the exterior
+    delta^2 - kappa - 1 - 2 U(a-1, b, delta^2) / U(a, b, delta^2).
+    It has poles at the trigonometric poles and at the zeros of U(a); the
+    program roots the entire rescaling regspec._entire_residual instead."""
+    d2 = spec.delta * spec.delta
+    nu = nu_of_alpha(spec.alpha)
+    u0, u1 = u_pair_shift_a(nu + 0.5, d2)(0.5 * (nu - kappa))
+    s2 = (2.0 * kappa + 1.0) * d2 - (d2 * d2 + spec.alpha)
+    u = math.sqrt(abs(s2))
+    if s2 > 0.0:
+        interior = u / math.tan(u) if parity == "odd" else -u * math.tan(u)
+    elif s2 < 0.0:
+        interior = u / math.tanh(u) if parity == "odd" else u * math.tanh(u)
+    else:
+        interior = 1.0 if parity == "odd" else 0.0
+    return interior - (d2 - kappa - 1.0 - 2.0 * u1 / u0)
 
 
 def one_sided_derivative(f, x0, h, side):

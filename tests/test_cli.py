@@ -267,6 +267,41 @@ class TestInputValidation:
         assert r.returncode == 1
         assert "alpha must be finite" in json.loads(r.stdout)["error"]["message"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["matmech", "--alpha", "0.1", "--delta", "0.01", "--rho", "0"],
+         "rho must be finite and positive"),
+        (["matmech", "--alpha", "0.1", "--delta", "0.01", "--rho=-1"],
+         "rho must be finite and positive"),
+        (["matmech", "--alpha", "0.1", "--delta", "0.01", "--rho", "nan"],
+         "rho must be finite and positive"),
+        (["matmech", "--alpha", "0.1", "--epsilon", "0.01", "--rho", "0"],
+         "rho must be finite and positive"),
+        (["table1", "--rho", "0"], "rho must be finite and positive"),
+        (["table1", "--rho", "inf", "--units", "e1"],
+         "rho must be finite and positive"),
+        (["spectrum", "--alpha", "0.1", "--n", "0", "--units", "e1",
+          "--rho", "0"], "rho must be finite and positive"),
+        (["spectrum", "--alpha", "0.1", "--n", "0", "--units", "e1",
+          "--rho=-5"], "rho must be finite and positive"),
+        (["matmech", "--alpha", "0.1", "--delta", "0.01", "--nmax", "60",
+          "--k", "0"], "k must be >= 1"),
+        (["matmech", "--alpha", "0.1", "--delta", "0.01", "--nmax", "60",
+          "--k=-2"], "k must be >= 1"),
+    ])
+    def test_matrix_arguments_rejected(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError"
+        assert message in err["message"]
+
+    def test_rho_exit_code(self):
+        r = run_cli(["matmech", "--alpha", "0.1", "--delta", "0.01",
+                     "--rho", "0"])
+        assert r.returncode == 1
+        err = json.loads(r.stdout)["error"]
+        assert err["type"] == "DomainError"
+        assert "rho must be finite and positive" in err["message"]
+
     @pytest.mark.parametrize("flags,named", [
         (["--x-min", "nan"], "--x-min"),
         (["--x-max", "inf"], "--x-max"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoharm.eigensolver import eigh_lowest
-from pseudoharm.errors import NonConvergenceError
+from pseudoharm.errors import DomainError, NonConvergenceError
 
 
 def random_symmetric(n, seed):
@@ -16,6 +16,12 @@ def test_input_not_modified():
     before = a.copy()
     eigh_lowest(a, 3)
     assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_k_below_one_rejected(k):
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        eigh_lowest(random_symmetric(5, 1), k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 60, 200])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError)
-from pseudoharm.specfun import (bessel_k, laguerre, lgamma, rgamma, sinpi,
-                                tricomi_u, u_pair_shift_a, u_ratio_shift_a,
+from pseudoharm.specfun import (bessel_k, bessel_k_pair, laguerre, lgamma,
+                                rgamma, sinpi, tricomi_u, u_pair_shift_a,
                                 u_ratio_z_evaluator)
 from pseudoharm.specfun.bessel import _bessel_k_scaled
 from pseudoharm.specfun.hyper import (B_INTEGER_TOL, _bessel_combo, _log_gu,
@@ -185,6 +185,20 @@ class TestTricomiProperties:
             assert lhs == pytest.approx(rhs, rel=3e-11, abs=1e-280), (n, lam, x)
 
 
+def _shift_ratio(a, b, z):
+    u0, u1 = u_pair_shift_a(b, z)(a)
+    return u1 / u0
+
+
+def _ref_large_a_ratio(a, b, z):
+    """U(a-1)/U(a) on the Bessel branch, the Gamma prefactors cancelled,
+    written out in the order of the per-point scalar form."""
+    scale = (a - 1.0) * math.exp(0.5 * (b - 1.0) * math.log1p(-1.0 / a))
+    k_pair = bessel_k_pair(b - 1.0)
+    return scale * _bessel_combo(a - 1.0, b, z, k_pair) \
+        / _bessel_combo(a, b, z, k_pair)
+
+
 class TestRatioHelpers:
     def test_shift_ratio_matches_reference(self):
         # just above the branch switch the expansion floor is ~1e-9; it
@@ -194,12 +208,21 @@ class TestRatioHelpers:
                                (31.5, 1.3, 1e-6, 1e-9),
                                (12.0, 1.7, 0.3, 5e-12)]:
             ref = float(mp.hyperu(a - 1, b, z) / mp.hyperu(a, b, z))
-            assert u_ratio_shift_a(a, b, z) == pytest.approx(ref, rel=tol)
+            assert _shift_ratio(a, b, z) == pytest.approx(ref, rel=tol)
 
     def test_huge_a_ratio_no_overflow(self):
         # U itself is unrepresentable here; the ratio must still evaluate
-        val = u_ratio_shift_a(5.36e5, 1.0601, 1e-8)
+        val = _shift_ratio(5.36e5, 1.0601, 1e-8)
         assert math.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("a,b,z", [
+        (31.0 + 1e-12, 1.3, 1e-6), (31.5, 1.3, 1e-6), (414.2, 1.4472, 4e-6),
+        (5650.0, 1.0, 4e-6), (5360.143152184891, 1.3872983346207417, 1e-6),
+        (5.36e5, 1.0601, 1e-8), (40.0, 1.2, 25.0)])
+    def test_large_a_pair_is_the_scalar_ratio(self, a, b, z):
+        # above A_SWITCH + 1 the pair is (1, U(a-1)/U(a)) with the bits of
+        # the per-point form, its Bessel pair built once per evaluator
+        assert u_pair_shift_a(b, z)(a) == (1.0, _ref_large_a_ratio(a, b, z))
 
     def test_z_ratio_matches_reference(self):
         for (a, b, z1, z2) in [(414.2, 1.4472, 9e-6, 4e-6),

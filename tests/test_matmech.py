@@ -134,6 +134,20 @@ class TestElements:
         for alpha in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="alpha must be finite"):
                 matmech.assemble(alpha, 25.0, 0.01, 40)
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="rho must be finite"):
+                matmech.assemble(0.1, rho, 0.01, 40)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_from_delta_validation(self, rho):
+        with pytest.raises(DomainError, match="rho must be finite"):
+            matmech.epsilon_from_delta(0.01, rho)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_eigensolve_validation(self, k):
+        model = matmech.assemble(0.1, 25.0, 0.01, 40)
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            matmech.eigensolve(model, k)
 
 
 class TestSpectra:

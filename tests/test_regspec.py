@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_sided_derivative, scan_sign_changes
+from conftest import (eig_condition_residual, one_sided_derivative,
+                      scan_sign_changes)
 from pseudoharm import regspec
 from pseudoharm.specfun import bessel, hyper, u_ratio_z_evaluator
-from pseudoharm.errors import BracketError, DomainError, PoleError
+from pseudoharm.errors import BracketError, DomainError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
 from pseudoharm.rootfind import brent
 from pseudoharm.unreg import PotentialSpec, make_label, nu_of_alpha, unreg_psi
@@ -27,37 +28,55 @@ class TestResidual:
         # change; the entire rescaling used for scanning resolves the root
         spec = PotentialSpec(0.1, 1e-4)
         nu = nu_of_alpha(0.1)
-        r_lo = regspec.eig_condition_residual(spec, "odd", nu - 0.01)
-        r_hi = regspec.eig_condition_residual(spec, "odd", nu + 0.01)
+        r_lo = eig_condition_residual(spec, "odd", nu - 0.01)
+        r_hi = eig_condition_residual(spec, "odd", nu + 0.01)
         assert r_lo * r_hi > 0.0  # pole shadows the root at this width
         g = regspec._entire_residual(spec, "odd")
         assert g(nu - 0.01) * g(nu + 0.01) < 0.0
         # straddling just the root (the U-zero sits ~1.5e-6 above it) the
         # raw residual does change sign
         root = regspec.solve_excited(spec, "odd", 0).kappa
-        assert regspec.eig_condition_residual(spec, "odd", root - 1e-7) \
-            * regspec.eig_condition_residual(spec, "odd", root + 1e-7) < 0.0
+        assert eig_condition_residual(spec, "odd", root - 1e-7) \
+            * eig_condition_residual(spec, "odd", root + 1e-7) < 0.0
 
     def test_residual_vanishes_at_reference_ground_state(self):
+        # the runaway ground state's U pair comes scaled by 1/U(a): the
+        # residual is the raw condition times cos(u) > 0
         spec = PotentialSpec(-0.05, 0.002)
         kappa = -828.4898894 - 0.5
-        res = regspec.eig_condition_residual(spec, "even", kappa)
+        res = regspec._entire_residual(spec, "even")(kappa)
         d2 = spec.delta ** 2
-        rhs = d2 - kappa - 1.0 - 2.0 * regspec._u_ratio(spec, kappa)
+        nu = nu_of_alpha(spec.alpha)
+        u0, u1 = hyper.u_pair_shift_a(nu + 0.5, d2)(0.5 * (nu - kappa))
+        s2 = regspec.signed_q_squared(spec, kappa)
+        rhs = regspec._cos_family(s2) * ((d2 - kappa - 1.0) * u0 - 2.0 * u1)
         assert abs(res) < 1e-6 * abs(rhs)
 
-    def test_trig_pole_flagged(self):
-        spec = PotentialSpec(0.1, 0.05)
-        # kappa placed exactly at q*delta*x0 = pi/2 (even-parity tan pole)
-        d2 = spec.delta ** 2
-        u_pole = 0.5 * math.pi
-        kappa = (u_pole ** 2 + d2 * d2 + spec.alpha) / (2.0 * d2) - 0.5
-        with pytest.raises(PoleError):
-            regspec.eig_condition_residual(spec, "even", kappa)
+    @pytest.mark.parametrize("alpha,delta,parity,kappa", [
+        (0.1, 1e-3, "odd", 1.2), (0.1, 1e-3, "even", 0.7),
+        (-0.1, 0.01, "odd", 2.95), (-0.1, 0.01, "even", 3.1),
+        (0.3, 0.01, "even", -6.0),                      # evanescent
+        (-0.05, 0.002, "even", -829.2), (-0.2, 0.01, "even", -300.0)])
+    def test_entire_residual_is_the_scaled_condition(self, alpha, delta,
+                                                     parity, kappa):
+        # the raw condition times U(a) and the entire factor cos(u) (even)
+        # or sin(u)/u (odd), continued to the evanescent regime
+        spec = PotentialSpec(alpha, delta)
+        nu = nu_of_alpha(alpha)
+        u0, _ = hyper.u_pair_shift_a(nu + 0.5, delta * delta)(
+            0.5 * (nu - kappa))
+        s2 = regspec.signed_q_squared(spec, kappa)
+        factor = regspec._cos_family(s2) if parity == "even" \
+            else regspec._sinc_family(s2)
+        raw = eig_condition_residual(spec, parity, kappa)
+        got = regspec._entire_residual(spec, parity)(kappa)
+        assert got == pytest.approx(factor * u0 * raw, rel=1e-9)
 
     def test_requires_regularized(self):
         with pytest.raises(DomainError):
-            regspec.eig_condition_residual(PotentialSpec(0.1), "odd", 1.0)
+            regspec.solve_excited(PotentialSpec(0.1), "odd", 0)
+        with pytest.raises(DomainError):
+            regspec.solve_ground_even(PotentialSpec(-0.1))
 
 
 class TestMatchingState:
@@ -74,19 +93,18 @@ class TestMatchingState:
             assert (s2 >= 0.0) == (regime == "oscillatory")
 
     def test_analytic_families_continuous_at_zero(self):
-        for fam in (regspec._cot_family, regspec._tan_family,
-                    regspec._sinc_family, regspec._cos_family):
+        for fam in (regspec._sinc_family, regspec._cos_family):
             below = fam(-1e-5)
             above = fam(1e-5)
             assert below == pytest.approx(above, abs=1e-4)
 
     def test_families_match_trig_forms(self):
         u = 0.7
-        assert regspec._cot_family(u * u) == pytest.approx(u / math.tan(u), rel=1e-14)
-        assert regspec._tan_family(u * u) == pytest.approx(-u * math.tan(u), rel=1e-14)
+        assert regspec._sinc_family(u * u) == pytest.approx(math.sin(u) / u, rel=1e-14)
+        assert regspec._cos_family(u * u) == pytest.approx(math.cos(u), rel=1e-14)
         v = 1.3
-        assert regspec._cot_family(-v * v) == pytest.approx(v / math.tanh(v), rel=1e-14)
-        assert regspec._tan_family(-v * v) == pytest.approx(v * math.tanh(v), rel=1e-14)
+        assert regspec._sinc_family(-v * v) == pytest.approx(math.sinh(v) / v, rel=1e-14)
+        assert regspec._cos_family(-v * v) == pytest.approx(math.cosh(v), rel=1e-14)
 
 
 class TestSolveExcited:
@@ -350,6 +368,22 @@ class TestSolveGround:
                                          mp.mpf(kappa) * (1 + 1e-9)),
                               solver="secant")
             assert abs((kappa - ref) / ref) < 1.5e-11
+
+    def test_one_bessel_k_pair_per_solve(self, monkeypatch):
+        # the Bessel orders of the large-a branch depend only on b, so the
+        # residual's pair evaluator builds K_(b-1), K_b once for the solve
+        built = [0]
+        k_pair = hyper.bessel_k_pair
+
+        def counting(lam, *args, **kwargs):
+            built[0] += 1
+            return k_pair(lam, *args, **kwargs)
+
+        monkeypatch.setattr(hyper, "bessel_k_pair", counting)
+        for alpha in sorted(TABLE1_TRICOMI):
+            built[0] = 0
+            regspec.solve_ground_even(PotentialSpec(alpha, 0.002))
+            assert built[0] == 1, alpha
 
     def test_oscillatory_tan_branch(self):
         spec = PotentialSpec(-0.1, 1e-3)

@@ -19,6 +19,11 @@ class TestNu:
         with pytest.raises(DomainError):
             nu_of_alpha(-0.2500001)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            nu_of_alpha(alpha)
+
 
 class TestSpecAndLabels:
     def test_spec_validation(self):
