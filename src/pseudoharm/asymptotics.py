@@ -26,7 +26,6 @@ class CorrectionTerm:
     """Leading small-delta correction: kappa ~ 2n + nu + 2 epsilon_n."""
 
     parity: str
-    alpha_sign: str  # negative | positive
     n: int           # display index
     epsilon_n: float
     leading_power: float  # 2 nu - 1
@@ -42,20 +41,55 @@ class GroundStateExpansion:
     c1: float = 0.0
 
 
-def _interior_slope_factor(alpha: float, parity: str) -> float:
-    """Prefactor of the correction formula for the four (parity, sign) cases."""
-    nu = nu_of_alpha(alpha)
-    r = math.sqrt(abs(alpha))
-    if alpha < 0.0:
-        if parity == "odd":
-            w = r / math.tan(r)  # r*cot(r)
-            return (nu - w) / (nu - 1.0 + w)
-        w = r * math.tan(r)
-        return (nu + w) / (nu - 1.0 - w)
+# --- the interior wave, cos(u t) (even) or sin(u t)/u (odd), t = |x|/delta,
+# as entire functions of s2 = u^2 (cosh, sinh for s2 < 0): the two families
+# hold the only regime branch; every interior formula goes through them.
+
+_SERIES_S2 = 1e-4  # below this |s2| Taylor series replace the closed forms
+
+
+def _sinc_family(s2):
+    """sin(u)/u continued through s2 = 0 (sinh(v)/v for negative s2)."""
+    if abs(s2) < _SERIES_S2:
+        return 1.0 - s2 / 6.0 + s2 * s2 / 120.0 - s2 ** 3 / 5040.0
+    if s2 > 0.0:
+        u = math.sqrt(s2)
+        return math.sin(u) / u
+    v = math.sqrt(-s2)
+    return math.sinh(v) / v
+
+
+def _cos_family(s2):
+    """cos(u) continued through s2 = 0 (cosh(v) for negative s2)."""
+    if s2 > 0.0:
+        return math.cos(math.sqrt(s2))
+    return math.cosh(math.sqrt(-s2))
+
+
+def _interior_log_derivative(s2: float, parity: str):
+    """(N, D), N/D = t psi'/psi at t = 1: -u tan u = (-s2 sinc, cos) even,
+    u cot u = (cos, sinc) odd; a pair, so callers can clear D."""
     if parity == "odd":
-        w = r / math.tanh(r)  # r*coth(r)
-        return (nu - w) / (nu - 1.0 + w)
-    w = r * math.tanh(r)
+        return _cos_family(s2), _sinc_family(s2)
+    return -s2 * _sinc_family(s2), _cos_family(s2)
+
+
+def _interior_norm(s2: float, parity: str) -> float:
+    """Integral of the interior wave squared over 0 <= t <= 1: (1 + C S)/2
+    even, (1 - C S)/(2 s2) odd (its Taylor series below _SERIES_S2)."""
+    if parity == "even":
+        return 0.5 * (1.0 + _cos_family(s2) * _sinc_family(s2))
+    if abs(s2) < _SERIES_S2:
+        return 1.0 / 3.0 - s2 / 15.0 + 2.0 * s2 * s2 / 315.0
+    return 0.5 * (1.0 - _cos_family(s2) * _sinc_family(s2)) / s2
+
+
+def _interior_slope_factor(alpha: float, parity: str) -> float:
+    """Prefactor (nu - w)/(nu - 1 + w) of the correction formula, w = N/D at
+    s2 = -alpha: -r tan r, r cot r, r tanh r or r coth r, r = sqrt|alpha|."""
+    nu = nu_of_alpha(alpha)
+    num, den = _interior_log_derivative(-alpha, parity)
+    w = num / den
     return (nu - w) / (nu - 1.0 + w)
 
 
@@ -89,9 +123,7 @@ def epsilon_n(spec: PotentialSpec, parity: str, n: int) -> CorrectionTerm:
     eps = -_interior_slope_factor(alpha, parity) * gam \
         * spec.delta ** (2.0 * nu - 1.0)
     return CorrectionTerm(
-        parity=parity,
-        alpha_sign="negative" if alpha < 0.0 else "positive",
-        n=n, epsilon_n=eps, leading_power=2.0 * nu - 1.0)
+        parity=parity, n=n, epsilon_n=eps, leading_power=2.0 * nu - 1.0)
 
 
 def kappa_estimate(spec: PotentialSpec, parity: str, n: int) -> float:

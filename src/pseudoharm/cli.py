@@ -133,7 +133,10 @@ def _parse_n_range(text: str):
 
 
 def _parse_float_list(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+    out = [float(v) for v in text.split(",") if v.strip()]
+    if not out:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return out
 
 
 def _energy_scale(units: str, rho):
@@ -158,8 +161,7 @@ def cmd_spectrum(args) -> RunRecord:
                f"n_display", "kappa", f"energy_{unit_tag}", "method"]
     rows = []
     if args.ground:
-        if args.delta is None:
-            raise PseudoharmError("--ground requires --delta")
+        _check_ground_flags(args)
         spec = PotentialSpec(args.alpha, args.delta)
         sol = regspec.solve_ground_even(spec)
         rows.append([args.alpha, args.delta, "even", sol.label.n_display,
@@ -209,7 +211,19 @@ def cmd_spectrum(args) -> RunRecord:
         units=unit_tag, columns=columns, rows=rows)
 
 
+def _check_ground_flags(args):
+    # --ground names one state; refuse the flags that would name another
+    if args.delta is None:
+        raise PseudoharmError("--ground requires --delta")
+    if args.n is not None or args.parity == "odd":
+        flag = "--n" if args.n is not None else "--parity odd"
+        raise PseudoharmError(f"--ground (the even ground state) takes no {flag}")
+
+
 def cmd_wavefunction(args) -> RunRecord:
+    if args.ground:
+        _check_ground_flags(args)
+    parity = args.parity or ("even" if args.ground else "odd")
     if args.n is not None and len(args.n) != 1:
         raise PseudoharmError("wavefunction takes a single --n")
     n = args.n[0] if args.n else 0
@@ -224,7 +238,7 @@ def cmd_wavefunction(args) -> RunRecord:
     norm_report = {}
     if args.delta is None:
         spec = PotentialSpec(args.alpha)
-        label = label_from_display(args.alpha, args.parity, n)
+        label = label_from_display(args.alpha, parity, n)
         psi = unreg_psi(spec, label, xs)
         norm_report["analytic_norm"] = 1.0
         method = "closed"
@@ -233,8 +247,8 @@ def cmd_wavefunction(args) -> RunRecord:
         if args.ground:
             sol = regspec.solve_ground_even(spec)
         else:
-            label = label_from_display(args.alpha, args.parity, n)
-            sol = regspec.solve_excited(spec, args.parity, label.n)
+            label = label_from_display(args.alpha, parity, n)
+            sol = regspec.solve_excited(spec, parity, label.n)
         wf = regspec.build_wavefunction(spec, sol)
         psi = wf(xs)
         norm_report = _norm_report(wf, spec)
@@ -243,7 +257,7 @@ def cmd_wavefunction(args) -> RunRecord:
     return RunRecord(
         command="wavefunction",
         parameters={"alpha": args.alpha, "delta": args.delta,
-                    "parity": args.parity, "n": n, "ground": args.ground,
+                    "parity": parity, "n": n, "ground": args.ground,
                     "x_min": args.x_min, "x_max": args.x_max,
                     "samples": args.samples},
         settings={"norm_rel_tol": 1e-10},
@@ -300,8 +314,6 @@ def cmd_table1(args) -> RunRecord:
 
 def cmd_groundstate_scan(args) -> RunRecord:
     alphas = args.alpha_list
-    if not alphas:
-        raise PseudoharmError("groundstate-scan requires --alpha-list")
     if any(not -0.25 <= a < 0.0 for a in alphas):
         raise PseudoharmError("groundstate-scan: alphas must lie in [-0.25, 0)")
     deltas = args.delta_list or [0.002]
@@ -369,12 +381,13 @@ def _build_parser():
                     "matrix-mechanics solvers.")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, alpha=True):
+    def common(sp, alpha=True, units=True):
         if alpha:
             sp.add_argument("--alpha", type=float, required=True)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--units", choices=("hw", "e1"), default="hw")
+        if units:
+            sp.add_argument("--units", choices=("hw", "e1"), default="hw")
 
     sp = sub.add_parser("spectrum", help="bound-state energies")
     common(sp)
@@ -392,9 +405,10 @@ def _build_parser():
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("wavefunction", help="sample one eigenfunction")
-    common(sp)
+    common(sp, units=False)
     sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--parity", choices=("even", "odd"), default="odd")
+    sp.add_argument("--parity", choices=("even", "odd"), default=None,
+                    help="default: odd, or even with --ground")
     sp.add_argument("--n", type=_parse_n_range, default=None)
     sp.add_argument("--ground", action="store_true")
     sp.add_argument("--x-min", type=float, default=-6.0)
@@ -412,7 +426,7 @@ def _build_parser():
 
     sp = sub.add_parser("groundstate-scan",
                         help="exact vs estimated ground-state energies")
-    common(sp, alpha=False)
+    common(sp, alpha=False, units=False)
     sp.add_argument("--alpha-list", type=_parse_float_list, required=True)
     sp.add_argument("--delta-list", type=_parse_float_list, default=None)
     sp.set_defaults(fn=cmd_groundstate_scan)
@@ -431,7 +445,7 @@ def _build_parser():
 
 
 # Built once per process: parse_args keeps no state between calls, and the
-# build (5 subparsers, 49 arguments) costs more than a short request.
+# build (5 subparsers, 47 arguments) costs more than a short request.
 _PARSER = _build_parser()
 
 

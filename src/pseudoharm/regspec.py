@@ -6,17 +6,18 @@ matching point equals
 
     delta^2 - kappa - 1 - 2 U(a-1, b, delta^2) / U(a, b, delta^2),
 
-with a = (nu - kappa)/2 and b = nu + 1/2.  The interior side is
-u*cot(u) or -u*tan(u) in the oscillatory regime and u*coth(u) or
-u*tanh(u) in the evanescent one; both pairs are single analytic functions
-of the signed square s2 = (q delta x0)^2 = (2 kappa + 1) delta^2
-- (delta^4 + alpha), so one code path serves all regimes.
+with a = (nu - kappa)/2 and b = nu + 1/2.  The interior side is N/D, the
+log-derivative of cos(u t) (even) or sin(u t)/u (odd), t = |x|/delta, with
+s2 = u^2 = (2 kappa + 1) delta^2 - (delta^4 + alpha); negative s2 (the
+evanescent regime) makes them cosh and sinh.  Residual, wave function and
+its norm all take the interior from the entire families of s2 in
+`asymptotics`, so one code path serves all regimes.
 
 Every root solve, excited or runaway ground state, runs on one entire
-(pole-free) rescaling of the condition: multiplying through by sin/cos-type
-entire factors and by U(a, b, delta^2) removes both the trigonometric poles
-and the U-denominator zeros that sit within O(delta^(2 nu - 1)) of every
-root, which a raw-residual scan cannot separate at small delta.
+(pole-free) rescaling of the condition N/D = exterior: multiplied through by
+D and by U(a, b, delta^2), it has neither the trigonometric poles nor the
+U-denominator zeros that sit within O(delta^(2 nu - 1)) of every root,
+which a raw-residual scan cannot separate at small delta.
 """
 
 import math
@@ -25,7 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import c0_self_consistent, epsilon_n
+from .asymptotics import (_cos_family, _interior_log_derivative,
+                          _interior_norm, _sinc_family, c0_self_consistent,
+                          epsilon_n)
 from .errors import BracketError, DomainError
 from .quadrature import integrate_to_infinity
 from .rootfind import brent, scan_outward
@@ -36,46 +39,10 @@ from .unreg import (BranchLabel, EigenSolution, PotentialSpec, make_label,
 MAX_EXCITED_N = 50
 
 
-@dataclass(frozen=True)
-class MatchingState:
-    """Interior wavenumber at the matching point, as the product q*delta*x0
-    (oscillatory, E above the core plateau) or k*delta*x0 (evanescent)."""
-
-    q_or_k: float
-    regime: str  # oscillatory | evanescent
-
-
 def signed_q_squared(spec: PotentialSpec, kappa: float) -> float:
     """(q delta x0)^2; negative values mean the evanescent regime."""
     d2 = spec.delta * spec.delta
     return (2.0 * kappa + 1.0) * d2 - (d2 * d2 + spec.alpha)
-
-
-def matching_state(spec: PotentialSpec, kappa: float) -> MatchingState:
-    s2 = signed_q_squared(spec, kappa)
-    if s2 >= 0.0:
-        return MatchingState(q_or_k=math.sqrt(s2), regime="oscillatory")
-    return MatchingState(q_or_k=math.sqrt(-s2), regime="evanescent")
-
-
-# --- analytic continuations in s2 = u^2 (u imaginary <-> evanescent) -------
-
-def _sinc_family(s2):
-    """sin(u)/u continued through s2 = 0 (sinh(v)/v for negative s2)."""
-    if abs(s2) < 1e-4:
-        return 1.0 - s2 / 6.0 + s2 * s2 / 120.0 - s2 ** 3 / 5040.0
-    if s2 > 0.0:
-        u = math.sqrt(s2)
-        return math.sin(u) / u
-    v = math.sqrt(-s2)
-    return math.sinh(v) / v
-
-
-def _cos_family(s2):
-    """cos(u) continued through s2 = 0 (cosh(v) for negative s2)."""
-    if s2 > 0.0:
-        return math.cos(math.sqrt(s2))
-    return math.cosh(math.sqrt(-s2))
 
 
 def _hyper_args(spec: PotentialSpec, kappa: float):
@@ -91,9 +58,9 @@ def _require_regularized(spec: PotentialSpec, who: str):
 def _entire_residual(spec: PotentialSpec, parity: str) -> Callable[[float], float]:
     """Pole-free rescaling of the eigenvalue condition; every solve roots it.
 
-    Multiplying the condition by sin-type/cos-type entire factors and by
-    U(a, b, delta^2) keeps exactly the eigenvalue zeros: no trig poles, and
-    the U-zeros (which shadow each root at distance ~delta^(2nu-1)) cancel.
+    N u0 - D outer: the condition times D and u0 = U(a, b, delta^2) keeps
+    exactly the eigenvalue zeros: no trig poles, and the U-zeros (which
+    shadow each root at distance ~delta^(2nu-1)) cancel.
     The pair U(a), U(a-1) comes from one evaluator built per residual (b and
     delta^2 stay fixed); for the runaway ground state it is divided by U(a).
     """
@@ -103,11 +70,10 @@ def _entire_residual(spec: PotentialSpec, parity: str) -> Callable[[float], floa
 
     def g(kappa: float) -> float:
         u0, u1 = u_pair(0.5 * (nu - kappa))
-        s2 = signed_q_squared(spec, kappa)
+        num, den = _interior_log_derivative(signed_q_squared(spec, kappa),
+                                            parity)
         outer = (d2 - kappa - 1.0) * u0 - 2.0 * u1
-        if parity == "odd":
-            return _cos_family(s2) * u0 - _sinc_family(s2) * outer
-        return -s2 * _sinc_family(s2) * u0 - _cos_family(s2) * outer
+        return num * u0 - den * outer
 
     return g
 
@@ -204,7 +170,7 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
         raise BracketError("solve_ground_even: found non-negative kappa",
                            kappa=kappa)
     s2 = signed_q_squared(spec, kappa)
-    if not (s2 > 0.0 and math.sqrt(s2) < 0.5 * math.pi):
+    if not 0.0 < s2 < (0.5 * math.pi) ** 2:
         raise BracketError(
             "solve_ground_even: root left the expected tan branch",
             kappa=kappa, s2=s2)
@@ -218,7 +184,7 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
 class PiecewiseWaveFunction:
     """Region-I/region-II closure: normalized, continuous at the cutoff.
 
-    inner_coeff multiplies the interior sin/cos (or sinh/cosh) wave;
+    inner_coeff multiplies the interior wave cos(u t) or sin(u t)/u;
     outer_coeff is the wave-function value at the matching point, i.e. the
     amplitude of the exterior closure expressed relative to its value at
     x = delta (the raw multiplier of U alone is not representable in double
@@ -230,8 +196,8 @@ class PiecewiseWaveFunction:
     inner_coeff: float
     outer_coeff: float
     matching_point: float
-    _inner_wave: Callable[[float], float] = None
-    _outer_rel: Callable[[float], float] = None
+    inner_wave: Callable[[float], float]
+    outer_rel: Callable[[float], float]
 
     def __call__(self, x):
         if np.ndim(x) == 0:
@@ -246,8 +212,8 @@ class PiecewiseWaveFunction:
             sign = math.copysign(1.0, x)
         ax = abs(x)
         if ax <= self.matching_point:
-            return sign * self.inner_coeff * self._inner_wave(ax)
-        return sign * self.outer_coeff * self._outer_rel(ax)
+            return sign * self.inner_coeff * self.inner_wave(ax)
+        return sign * self.outer_coeff * self.outer_rel(ax)
 
 
 def build_wavefunction(spec: PotentialSpec,
@@ -258,15 +224,12 @@ def build_wavefunction(spec: PotentialSpec,
     parity = solution.label.parity
     delta = spec.delta
     s2 = signed_q_squared(spec, kappa)
-    state = matching_state(spec, kappa)
-    rate = state.q_or_k / delta  # q or k (x0 = 1)
 
-    if state.regime == "oscillatory":
-        inner_wave = (lambda x: math.sin(rate * x)) if parity == "odd" \
-            else (lambda x: math.cos(rate * x))
-    else:
-        inner_wave = (lambda x: math.sinh(rate * x)) if parity == "odd" \
-            else (lambda x: math.cosh(rate * x))
+    def inner_wave(x: float) -> float:
+        t = x / delta
+        if parity == "odd":
+            return t * _sinc_family(s2 * t * t)  # sin(u t)/u
+        return _cos_family(s2 * t * t)
 
     # U(a, b, x^2) / U(a, b, delta^2), with everything that does not depend
     # on x computed once for the state
@@ -279,30 +242,15 @@ def build_wavefunction(spec: PotentialSpec,
             * math.exp(-0.5 * (y2 - delta * delta)) \
             * u_ratio(y2)
 
-    u = state.q_or_k
-    # closed-form interior norm integral over [0, delta] with unit amplitude
-    if state.regime == "oscillatory":
-        if parity == "odd":
-            inner_int = delta * (0.5 - math.sin(2.0 * u) / (4.0 * u))
-        else:
-            inner_int = delta * (0.5 + math.sin(2.0 * u) / (4.0 * u))
-    else:
-        if parity == "odd":
-            inner_int = delta * (math.sinh(2.0 * u) / (4.0 * u) - 0.5)
-        else:
-            inner_int = delta * (math.sinh(2.0 * u) / (4.0 * u) + 0.5)
-
     match_val = inner_wave(delta)
     outer_int = integrate_to_infinity(
         lambda x: outer_rel(x) ** 2, delta,
         rel_tol=1e-10, tail_cutoff=1e-18,
         first_width=min(1.0, 4.0 / math.sqrt(2.0 * abs(kappa) + 2.0)))
-    norm_sq = 2.0 * (inner_int + match_val * match_val * outer_int)
+    norm_sq = 2.0 * (delta * _interior_norm(s2, parity)
+                     + match_val * match_val * outer_int)
     amp = 1.0 / math.sqrt(norm_sq)
-    wf = PiecewiseWaveFunction(
+    return PiecewiseWaveFunction(
         spec=spec, solution=solution,
         inner_coeff=amp, outer_coeff=amp * match_val,
-        matching_point=delta)
-    wf._inner_wave = inner_wave
-    wf._outer_rel = outer_rel
-    return wf
+        matching_point=delta, inner_wave=inner_wave, outer_rel=outer_rel)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,8 @@ import threading
 import pytest
 
 from pseudoharm import cli
-from pseudoharm.cli import RunRecord, _emit_json, _parse_n_range, main
+from pseudoharm.cli import (RunRecord, _emit_json, _parse_float_list,
+                            _parse_n_range, main)
 
 
 def run_cli(args, module="pseudoharm.cli", **env):
@@ -318,6 +320,65 @@ class TestInputValidation:
     def test_wavefunction_zero_samples_prints_header(self, capsys):
         assert main(["wavefunction", "--alpha", "0.1", "--samples", "0"]) == 0
         assert capsys.readouterr().out == "x_over_x0,psi_sqrt_x0\n"
+
+
+class TestFlagsApplyOrAreRefused:
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--alpha", "0.1", "--units", "e1"],
+        ["groundstate-scan", "--alpha-list=-0.1", "--units", "e1"],
+    ])
+    def test_units_only_where_energies_convert(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --units" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--n", "3"], "--n"),
+        (["--parity", "odd"], "--parity odd"),
+        (["--parity", "odd", "--n", "3"], "--n"),
+    ])
+    def test_ground_refuses_other_states(self, command, flags, named,
+                                         capsys):
+        argv = [command, "--alpha=-0.1", "--delta", "0.002", "--ground"]
+        assert main(argv + flags) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "PseudoharmError"
+        assert named in err["message"]
+
+    def test_wavefunction_ground_requires_delta(self, capsys):
+        assert main(["wavefunction", "--alpha=-0.1", "--ground"]) == 1
+        assert "--ground requires --delta" in \
+            json.loads(capsys.readouterr().out)["error"]["message"]
+
+    @pytest.mark.parametrize("flags,parity", [
+        (["--ground"], "even"), (["--ground", "--parity", "even"], "even"),
+        (["--n", "0"], "odd"), (["--n", "1", "--parity", "even"], "even")])
+    def test_wavefunction_records_the_solved_parity(self, flags, parity,
+                                                    capsys):
+        argv = ["wavefunction", "--alpha=-0.1", "--delta", "0.002",
+                "--samples", "3", "--format", "json"]
+        assert main(argv + flags) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["parity"] \
+            == parity
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--alpha-list", ""],
+        ["table1", "--alpha-list", " , "],
+        ["groundstate-scan", "--alpha-list", ""],
+        ["groundstate-scan", "--alpha-list=-0.1", "--delta-list", ""],
+    ])
+    def test_empty_lists_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "empty list" in capsys.readouterr().err
+
+    def test_float_list_parsing(self):
+        assert _parse_float_list("-0.25, 0.1,") == [-0.25, 0.1]
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_float_list(",")
 
 
 class TestParserReuse:

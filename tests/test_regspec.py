@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (eig_condition_residual, one_sided_derivative,
                       scan_sign_changes)
-from pseudoharm import regspec
+from pseudoharm import asymptotics, regspec
 from pseudoharm.specfun import bessel, hyper, u_ratio_z_evaluator
 from pseudoharm.errors import BracketError, DomainError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
@@ -49,7 +49,7 @@ class TestResidual:
         nu = nu_of_alpha(spec.alpha)
         u0, u1 = hyper.u_pair_shift_a(nu + 0.5, d2)(0.5 * (nu - kappa))
         s2 = regspec.signed_q_squared(spec, kappa)
-        rhs = regspec._cos_family(s2) * ((d2 - kappa - 1.0) * u0 - 2.0 * u1)
+        rhs = asymptotics._cos_family(s2) * ((d2 - kappa - 1.0) * u0 - 2.0 * u1)
         assert abs(res) < 1e-6 * abs(rhs)
 
     @pytest.mark.parametrize("alpha,delta,parity,kappa", [
@@ -66,8 +66,8 @@ class TestResidual:
         u0, _ = hyper.u_pair_shift_a(nu + 0.5, delta * delta)(
             0.5 * (nu - kappa))
         s2 = regspec.signed_q_squared(spec, kappa)
-        factor = regspec._cos_family(s2) if parity == "even" \
-            else regspec._sinc_family(s2)
+        factor = asymptotics._cos_family(s2) if parity == "even" \
+            else asymptotics._sinc_family(s2)
         raw = eig_condition_residual(spec, parity, kappa)
         got = regspec._entire_residual(spec, parity)(kappa)
         assert got == pytest.approx(factor * u0 * raw, rel=1e-9)
@@ -81,30 +81,27 @@ class TestResidual:
 
 class TestMatchingState:
     def test_regime_exclusivity(self):
-        # exactly one of (q d)^2, (k d)^2 is non-negative, tracking alpha
-        for alpha, kappa, regime in [(-0.1, 0.9, "oscillatory"),
-                                     (0.1, 1.1, "evanescent"),
-                                     (-0.05, -829.0, "oscillatory")]:
-            spec = PotentialSpec(alpha, 1e-3)
-            st = regspec.matching_state(spec, kappa)
-            assert st.regime == regime
-            assert st.q_or_k >= 0.0
-            s2 = regspec.signed_q_squared(spec, kappa)
-            assert (s2 >= 0.0) == (regime == "oscillatory")
+        # the sign of (q d)^2 tracks alpha: oscillatory for the attractive
+        # states and the runaway ground state, evanescent for repulsive ones
+        for alpha, kappa, oscillatory in [(-0.1, 0.9, True),
+                                          (0.1, 1.1, False),
+                                          (-0.05, -829.0, True)]:
+            s2 = regspec.signed_q_squared(PotentialSpec(alpha, 1e-3), kappa)
+            assert (s2 > 0.0) == oscillatory
 
     def test_analytic_families_continuous_at_zero(self):
-        for fam in (regspec._sinc_family, regspec._cos_family):
+        for fam in (asymptotics._sinc_family, asymptotics._cos_family):
             below = fam(-1e-5)
             above = fam(1e-5)
             assert below == pytest.approx(above, abs=1e-4)
 
     def test_families_match_trig_forms(self):
         u = 0.7
-        assert regspec._sinc_family(u * u) == pytest.approx(math.sin(u) / u, rel=1e-14)
-        assert regspec._cos_family(u * u) == pytest.approx(math.cos(u), rel=1e-14)
+        assert asymptotics._sinc_family(u * u) == pytest.approx(math.sin(u) / u, rel=1e-14)
+        assert asymptotics._cos_family(u * u) == pytest.approx(math.cos(u), rel=1e-14)
         v = 1.3
-        assert regspec._sinc_family(-v * v) == pytest.approx(math.sinh(v) / v, rel=1e-14)
-        assert regspec._cos_family(-v * v) == pytest.approx(math.cosh(v), rel=1e-14)
+        assert asymptotics._sinc_family(-v * v) == pytest.approx(math.sinh(v) / v, rel=1e-14)
+        assert asymptotics._cos_family(-v * v) == pytest.approx(math.cosh(v), rel=1e-14)
 
 
 class TestSolveExcited:
@@ -504,13 +501,12 @@ class TestWaveFunction:
         sign = math.copysign(1.0, x) if sol.label.parity == "odd" else 1.0
         ax = abs(x)
         if ax <= d:
-            state = regspec.matching_state(spec, sol.kappa)
-            t = state.q_or_k / d * ax
-            odd = sol.label.parity == "odd"
-            if state.regime == "oscillatory":
-                wave = math.sin(t) if odd else math.cos(t)
+            s2 = regspec.signed_q_squared(spec, sol.kappa)
+            t = ax / d
+            if sol.label.parity == "odd":
+                wave = t * asymptotics._sinc_family(s2 * t * t)
             else:
-                wave = math.sinh(t) if odd else math.cosh(t)
+                wave = asymptotics._cos_family(s2 * t * t)
             return sign * wf.inner_coeff * wave
         a, b, z0 = regspec._hyper_args(spec, sol.kappa)
         y2 = ax * ax
@@ -536,6 +532,35 @@ class TestWaveFunction:
             x = float(x)
             assert p == self._closed_expression(spec, sol, wf, x), x
             assert wf(x) == p
+
+    @pytest.mark.parametrize("alpha,delta,parity,n", [
+        (-0.1, 0.01, "odd", 0), (-0.1, 0.01, "even", 1),   # oscillatory
+        (0.1, 1e-3, "odd", 1), (0.75, 0.01, "even", 0),    # evanescent
+        (-1e-5, 1e-3, "odd", 1),                           # |s2| < 1e-4
+        (-0.1, 1e-3, "even", None)])                       # ground state
+    def test_inner_samples_match_trig_forms(self, alpha, delta, parity, n):
+        # the interior written out as sin(q x)/u, cos(q x) (or sinh, cosh),
+        # u = q delta, independently of the s2 families
+        spec = PotentialSpec(alpha, delta)
+        if n is None:
+            sol = regspec.solve_ground_even(spec)
+        else:
+            sol = regspec.solve_excited(spec, parity, n)
+        wf = regspec.build_wavefunction(spec, sol)
+        s2 = regspec.signed_q_squared(spec, sol.kappa)
+        u = math.sqrt(abs(s2))
+        sin, cos = (math.sin, math.cos) if s2 > 0.0 else (math.sinh, math.cosh)
+        xs = np.linspace(-delta, delta, 41)
+        psi = wf(xs)
+        scale = max(np.max(np.abs(psi)),
+                    np.max(np.abs(wf(np.linspace(-6.0, 6.0, 601)))))
+        for x, p in zip(xs, psi):
+            t = abs(x) / delta
+            if parity == "odd":
+                want = math.copysign(1.0, x) * sin(u * t) / u
+            else:
+                want = cos(u * t)
+            assert abs(p - wf.inner_coeff * want) <= 1e-14 * scale, x
 
     def test_gamma_work_is_per_state_not_per_point(self, monkeypatch):
         # the 1/Gamma factors of the exterior (connection formula, Bessel
