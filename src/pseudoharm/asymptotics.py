@@ -46,6 +46,23 @@ class GroundStateExpansion:
 # hold the only regime branch; every interior formula goes through them.
 
 _SERIES_S2 = 1e-4  # below this |s2| Taylor series replace the closed forms
+# below this |s2| the differences sinc - cos and 1 - cos sinc, which cancel
+# like eps/|s2|, come from their own series (terms to 1e-16 relative here)
+_DIFF_SERIES_S2 = 1e-2
+# (sinc - cos)/s2 = 1/3 - s2/30 + ...: s2^(k-1) has -2k (-1)^k/(2k+1)!
+_SINC_MINUS_COS = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0, -1.0 / 45360.0,
+                   1.0 / 3991680.0)
+# (1 - cos sinc)/(2 s2) = 1/3 - s2/15 + ...: s2^(k-1) has -(-4)^k/(2 (2k+1)!)
+_ODD_NORM = (1.0 / 3.0, -1.0 / 15.0, 2.0 / 315.0, -1.0 / 2835.0,
+             2.0 / 155925.0, -2.0 / 6081075.0)
+
+
+def _series(coeffs, s2):
+    """sum_k coeffs[k] s2^k by Horner's rule."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * s2 + c
+    return total
 
 
 def _sinc_family(s2):
@@ -76,20 +93,30 @@ def _interior_log_derivative(s2: float, parity: str):
 
 def _interior_norm(s2: float, parity: str) -> float:
     """Integral of the interior wave squared over 0 <= t <= 1: (1 + C S)/2
-    even, (1 - C S)/(2 s2) odd (its Taylor series below _SERIES_S2)."""
+    even, (1 - C S)/(2 s2) odd (its Taylor series below _DIFF_SERIES_S2)."""
     if parity == "even":
         return 0.5 * (1.0 + _cos_family(s2) * _sinc_family(s2))
-    if abs(s2) < _SERIES_S2:
-        return 1.0 / 3.0 - s2 / 15.0 + 2.0 * s2 * s2 / 315.0
+    if abs(s2) < _DIFF_SERIES_S2:
+        return _series(_ODD_NORM, s2)
     return 0.5 * (1.0 - _cos_family(s2) * _sinc_family(s2)) / s2
 
 
 def _interior_slope_factor(alpha: float, parity: str) -> float:
     """Prefactor (nu - w)/(nu - 1 + w) of the correction formula, w = N/D at
-    s2 = -alpha: -r tan r, r cot r, r tanh r or r coth r, r = sqrt|alpha|."""
+    s2 = -alpha: -r tan r, r cot r, r tanh r or r coth r, r = sqrt|alpha|.
+
+    For odd states near alpha = 0, where nu - w cancels (w = u cot u -> 1),
+    the numerator below _DIFF_SERIES_S2 is alpha/nu + (1 - w): nu - 1 =
+    alpha/nu exactly, and 1 - w = (sinc - cos)/sinc from its series.
+    """
     nu = nu_of_alpha(alpha)
     num, den = _interior_log_derivative(-alpha, parity)
     w = num / den
+    if parity == "odd" and abs(alpha) < _DIFF_SERIES_S2:
+        shift = alpha / nu
+        one_minus_w = _series(_SINC_MINUS_COS, -alpha) * -alpha \
+            / _sinc_family(-alpha)
+        return (shift + one_minus_w) / (shift + w)
     return (nu - w) / (nu - 1.0 + w)
 
 

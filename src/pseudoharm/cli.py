@@ -162,6 +162,7 @@ def cmd_spectrum(args) -> RunRecord:
     rows = []
     if args.ground:
         _check_ground_flags(args)
+        method = "transcendental"
         spec = PotentialSpec(args.alpha, args.delta)
         sol = regspec.solve_ground_even(spec)
         rows.append([args.alpha, args.delta, "even", sol.label.n_display,
@@ -169,18 +170,19 @@ def cmd_spectrum(args) -> RunRecord:
     else:
         if args.n is None:
             raise PseudoharmError("spectrum requires --n (or --ground)")
+        method = args.method or "closed"
         tasks = [(p, n) for p in parities for n in args.n]
 
         def solve(task):
             parity, n = task
-            if args.method == "closed":
+            if method == "closed":
                 if args.delta is not None:
                     raise PseudoharmError(
                         "--method closed is the unregularized solution; "
                         "omit --delta")
                 spec = PotentialSpec(args.alpha)
                 sol = unreg_energy(spec, make_label(args.alpha, parity, n))
-            elif args.method == "transcendental":
+            elif method == "transcendental":
                 if args.delta is None:
                     raise PseudoharmError("--method transcendental requires --delta")
                 spec = PotentialSpec(args.alpha, args.delta)
@@ -205,8 +207,8 @@ def cmd_spectrum(args) -> RunRecord:
     return RunRecord(
         command="spectrum",
         parameters={"alpha": args.alpha, "delta": args.delta,
-                    "parity": args.parity, "n": args.n,
-                    "method": args.method, "ground": args.ground},
+                    "parity": "even" if args.ground else args.parity,
+                    "n": args.n, "method": method, "ground": args.ground},
         settings={"kappa_abs_tol": 1e-12},
         units=unit_tag, columns=columns, rows=rows)
 
@@ -218,6 +220,11 @@ def _check_ground_flags(args):
     if args.n is not None or args.parity == "odd":
         flag = "--n" if args.n is not None else "--parity odd"
         raise PseudoharmError(f"--ground (the even ground state) takes no {flag}")
+    method = getattr(args, "method", None)
+    if method not in (None, "transcendental"):
+        raise PseudoharmError(
+            f"--ground (the transcendental ground state) takes no "
+            f"--method {method}")
 
 
 def cmd_wavefunction(args) -> RunRecord:
@@ -260,7 +267,7 @@ def cmd_wavefunction(args) -> RunRecord:
                     "parity": parity, "n": n, "ground": args.ground,
                     "x_min": args.x_min, "x_max": args.x_max,
                     "samples": args.samples},
-        settings={"norm_rel_tol": 1e-10},
+        settings={"norm_rel_tol": 1e-11},
         units="oscillator-length",
         columns=["x_over_x0", "psi_sqrt_x0"], rows=rows,
         extras={"normalization": norm_report, "method": method})
@@ -269,7 +276,7 @@ def cmd_wavefunction(args) -> RunRecord:
 def _norm_report(wf, spec):
     inner = integrate(lambda x: wf(x) ** 2, 0.0, spec.delta, rel_tol=1e-12)
     outer = integrate_to_infinity(
-        lambda x: wf(x) ** 2, spec.delta, rel_tol=1e-10,
+        lambda x: wf(x) ** 2, spec.delta, rel_tol=1e-11,
         first_width=min(1.0, 40.0 / math.sqrt(2.0 * abs(wf.solution.kappa) + 2.0)))
     return {"norm": 2.0 * (inner + outer), "inner_mass": 2.0 * inner}
 
@@ -397,8 +404,9 @@ def _build_parser():
                     help="display indices, e.g. 0..3 or 0,2,5")
     sp.add_argument("--method", choices=("closed", "transcendental",
                                          "asymptotic"),
-                    default="closed",
-                    help="matrix-mechanics runs use the matmech command")
+                    default=None,
+                    help="default: closed, or transcendental with --ground; "
+                         "matrix-mechanics runs use the matmech command")
     sp.add_argument("--ground", action="store_true",
                     help="solve the runaway even ground state (alpha < 0)")
     sp.add_argument("--rho", type=float, default=None)

@@ -136,16 +136,10 @@ def unreg_psi(spec: PotentialSpec, label: BranchLabel, x):
     xa = np.asarray(x, dtype=float)
     ax = np.abs(xa)
     body = norm * sign_n * np.exp(-0.5 * xa * xa) * ax ** nu \
-        * _laguerre_arr(n, nu - 0.5, xa * xa)
+        * laguerre(n, nu - 0.5, xa * xa)
     if label.parity == "odd":
         body = body * np.sign(xa)
     if np.ndim(x) == 0:
         return float(body)
     return body
 
-
-def _laguerre_arr(n, lam, w):
-    if np.ndim(w) == 0:
-        return laguerre(n, lam, float(w))
-    flat = np.array([laguerre(n, lam, float(v)) for v in np.ravel(w)])
-    return flat.reshape(np.shape(w))

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 
+import mpmath as mp
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -144,3 +145,31 @@ def dense_wavefunction(pair, model, x_grid):
     if right.size and psi[right[0]] < 0.0:
         psi = -psi
     return psi
+
+
+def hyperu_ref(a, b, z):
+    """U(a, b, z) at 20 digits: mpmath's hyperu, or for a > 3 where its
+    series cancel past a 300-bit working precision, the Laplace integral in
+    s = log t by mpmath's quadrature, split around its peak."""
+    with mp.workdps(20):
+        a, b, z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+        if a <= 3:
+            return mp.hyperu(a, b, z)
+        try:
+            return mp.hyperu(a, b, z, maxprec=300)
+        except (ValueError, mp.libmp.NoConvergence):
+            pass
+        c = b - 1 - z
+        disc = mp.sqrt(c * c + 4 * a * z)
+        t_pk = (c + disc) / (2 * z) if c > 0 else 2 * a / (disc - c)
+        s_pk = mp.log(t_pk)
+        width = mp.sqrt((1 + t_pk) / (t_pk * disc))
+
+        def f(s):
+            return mp.exp(-z * mp.exp(s) - a * mp.log1p(mp.exp(-s))
+                          + (b - 1) * mp.log1p(mp.exp(s)))
+
+        pts = [s_pk - 40 * width - 150 / a] + [
+            s_pk + k * width
+            for k in (-40, -20, -10, -5, -2, 0, 2, 5, 10, 20, 40)]
+        return mp.quad(f, pts) / mp.gamma(a)

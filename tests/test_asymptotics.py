@@ -57,6 +57,43 @@ class TestInterior:
         assert got == pytest.approx(want, rel=tol, abs=0.0)
 
 
+    @pytest.mark.parametrize("alpha", [1e-6, -1e-6, 1e-4, -1e-4, 1e-3,
+                                       -1e-3])
+    def test_odd_slope_factor_near_zero_coupling(self, alpha):
+        # nu - w cancels for odd states as alpha -> 0; the factor keeps
+        # 1e-14 relative against 40 digits (the closed forms lost up to
+        # 3.1e-10 at alpha = 1e-6)
+        import mpmath as mp
+
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            nu = mp.mpf(1) / 2 + mp.sqrt(mp.mpf(1) / 4 + a)
+            u = mp.sqrt(-a)  # s2 = -alpha; imaginary for alpha > 0
+            w = mp.re(u / mp.tan(u))
+            want = (nu - w) / (nu - 1 + w)
+            got = asymptotics._interior_slope_factor(alpha, "odd")
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("s2", [1e-4, -1e-4, 3e-4, -3e-3,
+                                    1e-2 - 1e-12, -1e-2 + 1e-12,
+                                    1e-2 + 1e-12, -1e-2 - 1e-12, 5e-2])
+    def test_odd_interior_norm_across_its_series_seam(self, s2):
+        # below the seam the series keeps 1e-15 relative; above it the
+        # closed form 1 - cos(u) sinc(u) ~ 2 s2/3 cancels eps/|s2|
+        import mpmath as mp
+
+        with mp.workdps(30):
+            u = mp.sqrt(mp.mpf(s2))
+            want = float(mp.quad(
+                lambda t: mp.re(mp.sin(u * t) / u) ** 2 if t else mp.mpf(0),
+                [0, 1]))
+        got = asymptotics._interior_norm(s2, "odd")
+        tol = 1e-15
+        if abs(s2) >= asymptotics._DIFF_SERIES_S2:
+            tol = 2e-15 + 2.3e-16 / abs(s2)
+        assert got == pytest.approx(want, rel=tol, abs=0.0)
+
+
 class TestEpsilonN:
     def test_vanishes_as_alpha_to_zero_minus(self):
         # odd prefactor (nu - r cot r)/(...) -> 0 with alpha

@@ -347,6 +347,34 @@ class TestFlagsApplyOrAreRefused:
         assert err["type"] == "PseudoharmError"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("method", ["asymptotic", "closed"])
+    def test_spectrum_ground_refuses_other_methods(self, method, capsys):
+        argv = ["spectrum", "--alpha=-0.1", "--delta", "0.002", "--ground",
+                "--method", method, "--format", "json"]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "PseudoharmError"
+        assert f"--method {method}" in err["message"]
+
+    @pytest.mark.parametrize("flags,method,parity", [
+        (["--ground"], "transcendental", "even"),
+        (["--ground", "--method", "transcendental"], "transcendental",
+         "even"),
+        (["--n", "0"], "closed", "both"),
+        (["--n", "0", "--delta", "0.002", "--method", "asymptotic"],
+         "asymptotic", "both")])
+    def test_spectrum_records_the_method_used(self, flags, method, parity,
+                                              capsys):
+        argv = ["spectrum", "--alpha=-0.1", "--format", "json"]
+        if "--ground" in flags:
+            argv += ["--delta", "0.002"]
+        assert main(argv + flags) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["parameters"]["method"] == method
+        assert rec["parameters"]["parity"] == parity
+        assert {row[6] for row in rec["rows"]} \
+            == {"closed_form" if method == "closed" else method}
+
     def test_wavefunction_ground_requires_delta(self, capsys):
         assert main(["wavefunction", "--alpha=-0.1", "--ground"]) == 1
         assert "--ground requires --delta" in \
@@ -429,3 +457,41 @@ class TestParserReuse:
 def test_main_entry_returns_zero():
     assert main(["spectrum", "--alpha", "0", "--n", "0", "--parity", "odd",
                  "--method", "closed", "--out", os.devnull]) == 0
+
+
+class TestWaveFunctionExteriors:
+    """Regularized wave functions whose exteriors the per-point U routes
+    could not evaluate."""
+
+    def _record(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == 0, \
+            capsys.readouterr().out[:300]
+        return json.loads(capsys.readouterr().out)
+
+    def test_ground_state_far_tail(self, capsys):
+        # the large-a Bessel branch took the log of a negative number here
+        rec = self._record(["wavefunction", "--alpha=-0.1", "--delta",
+                            "0.005", "--ground", "--x-max", "12"], capsys)
+        assert abs(rec["normalization"]["norm"] - 1.0) <= 1e-8
+        psi = [row[1] for row in rec["rows"]]
+        assert all(math.isfinite(p) for p in psi)
+
+    def test_far_samples_of_a_high_state_are_zero(self, capsys):
+        # U grows like x^100 where exp(-x^2/2) has underflowed
+        rec = self._record(["wavefunction", "--alpha", "0.1", "--delta",
+                            "0.01", "--n", "50", "--x-min", "0", "--x-max",
+                            "10000", "--samples", "11"], capsys)
+        assert [row[1] for row in rec["rows"][1:]] == [0.0] * 10
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_high_excited_states(self, n, capsys):
+        # the 1/z expansion raised NonConvergenceError from a < -12 on
+        rec = self._record(["wavefunction", "--alpha", "0.1", "--delta",
+                            "0.01", "--n", str(n), "--x-min", "0",
+                            "--x-max", "12", "--samples", "2401"], capsys)
+        assert abs(rec["normalization"]["norm"] - 1.0) <= 1e-8
+        psi = [row[1] for row in rec["rows"]]
+        assert all(math.isfinite(p) for p in psi)
+        # an odd state with radial index n has n nodes for x > 0
+        signs = [p > 0.0 for x, p in rec["rows"] if x > 0.0]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == n

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import hyperu_ref
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError)
 from pseudoharm.specfun import (bessel_k, bessel_k_pair, laguerre, lgamma,
                                 rgamma, sinpi, tricomi_u, u_pair_shift_a,
                                 u_ratio_z_evaluator)
-from pseudoharm.specfun.bessel import _bessel_k_scaled
 from pseudoharm.specfun.hyper import (B_INTEGER_TOL, _bessel_combo, _log_gu,
                                       _u_connection, _u_large_a, _u_large_z,
                                       kummer_m)
@@ -293,17 +293,26 @@ def _ref_small_a(a, b, z):
     return _ref_connection(a, b, z)
 
 
-def _ref_bessel_ratio(a, b, z, z0):
-    # the log form of U(a,b,z)/U(a,b,z0) from per-call e^w-scaled K
-    def combo(zz):
-        return _bessel_combo(a, b, zz,
-                             lambda w: (_bessel_k_scaled(b - 1.0, w),
-                                        _bessel_k_scaled(b, w)))
-
-    w_shift = 2.0 * (math.sqrt(a * z) - math.sqrt(a * z0))
-    logr = 0.5 * (1.0 - b) * (math.log(z) - math.log(z0)) \
-        + 0.5 * (z - z0) - w_shift + math.log(combo(z) / combo(z0))
-    return math.exp(logr)
+def _check_psi_scale(ratio, a, b, z0, zs, tol=1e-12):
+    """ratio(z) against U(z)/U(z0) at 20 digits, to tol of the psi scale:
+    the largest |U(z)/U(z0)| z^(b/2-1/4) e^(-z/2) over z0 and zs (the
+    exterior wave function's shape up to a constant).  Where the reference
+    ratio lies below every double, the value must be exactly 0.0."""
+    zs = np.asarray(zs, dtype=float)
+    got = ratio(zs)
+    u0 = hyperu_ref(a, b, z0)
+    with mp.workdps(20):
+        refs = [hyperu_ref(a, b, z) / u0 for z in zs.tolist()]
+        weights = [mp.mpf(z) ** (mp.mpf(b) / 2 - mp.mpf(1) / 4)
+                   * mp.exp(-mp.mpf(z) / 2) for z in [z0] + zs.tolist()]
+        scale = max([weights[0]] + [abs(r) * w
+                                    for r, w in zip(refs, weights[1:])])
+        for z, g, r, w in zip(zs.tolist(), got.tolist(), refs, weights[1:]):
+            if abs(r) < mp.mpf(2) ** -1080:
+                assert g == 0.0, (a, b, z0, z, g)
+                continue
+            err = abs(mp.mpf(g) - r) * w / scale
+            assert err <= tol, (a, b, z0, z, float(err))
 
 
 class TestRatioEvaluator:
@@ -331,13 +340,13 @@ class TestRatioEvaluator:
     @pytest.mark.parametrize("route,a,b,z0,zs,ref", ROUTES,
                              ids=[r[0] for r in ROUTES])
     def test_equals_per_point_ratio(self, route, a, b, z0, zs, ref):
-        ratio = u_ratio_z_evaluator(a, b, z0)
-        u0 = ref(a, b, z0)
-        assert tricomi_u(a, b, z0) == u0
+        # tricomi_u keeps each route's per-point bits; the exterior
+        # evaluator, one algorithm for all of them, matches 20 digits at
+        # 1e-12 of the psi scale on the same points
+        assert tricomi_u(a, b, z0) == ref(a, b, z0)
         for z in zs:
-            u = ref(a, b, z)
-            assert tricomi_u(a, b, z) == u, (route, z)
-            assert ratio(z) == u / u0, (route, z)
+            assert tricomi_u(a, b, z) == ref(a, b, z), (route, z)
+        _check_psi_scale(u_ratio_z_evaluator(a, b, z0), a, b, z0, zs)
 
     def test_laplace_fallback_is_taken(self):
         # the "laplace fallback" points above really leave the formula
@@ -353,10 +362,12 @@ class TestRatioEvaluator:
         (45.0, 1.7, 1e-3),
     ])
     def test_bessel_branch_equals_log_form(self, a, b, z0):
+        # the runaway ground states' exteriors, which the Bessel branch's
+        # log form served, now against 20 digits at 1e-12 of the psi scale
         ratio = u_ratio_z_evaluator(a, b, z0)
-        for z in (z0, 3.0 * z0, 1e-3, 0.05, 0.25, 1.0, 4.0, 28.0, 36.0):
-            want = _ref_bessel_ratio(a, b, z, z0)
-            assert ratio(z) == want, z
+        _check_psi_scale(ratio, a, b, z0,
+                         (z0, 3.0 * z0, 1e-3, 0.05, 0.25, 1.0, 4.0, 28.0,
+                          36.0))
 
     def test_bessel_branch_far_tail_is_zero(self):
         a, b, z0 = 5360.143152184891, 1.3872983346207417, 1e-6
@@ -383,6 +394,60 @@ class TestRatioEvaluator:
             ratio(0.0)
         with pytest.raises(DomainError):
             ratio(-1.0)
+
+
+class TestExteriorEvaluator:
+    """u_ratio_z_evaluator against 20 digits over the exterior's whole range:
+    the Laplace rule above a = 4 and the recurrence below it."""
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(a=st.floats(-30.0, 1e4),
+           b=st.floats(1.0, 3.0),
+           z_den=st.floats(-8.0, -2.0).map(lambda t: 10.0 ** t),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_against_reference(self, a, b, z_den, fractions):
+        assume(a > 0.0 or abs(a - round(a)) > 1e-12)
+        # z from z_den to 160, spread in log z; no error of any kind may
+        # leave the evaluator on this domain, a PseudoharmError included
+        zs = [z_den * (160.0 / z_den) ** f for f in fractions]
+        _check_psi_scale(u_ratio_z_evaluator(a, b, z_den), a, b, z_den, zs)
+
+    @pytest.mark.parametrize("a,b,z0,zs", [
+        # where the previous routes erred or raised: the connection
+        # formula at a ~ -20..-30, z ~ 5..17; the 1/z expansion for
+        # a < -12; the Bessel branch at a = 127, z = 42 and beyond z/a
+        (-29.7, 2.16, 1e-4, (5.0, 12.0, 17.0, 36.0)),
+        (-21.7, 1.5, 1e-4, (16.6, 25.0)),
+        (-12.3, 1.3872983346207417, 1e-4, (25.0, 40.0, 144.0)),
+        (127.0, 1.5, 1e-4, (1.0, 42.0)),
+        (215.0, 1.3872983346207417, 2.5e-5, (36.0, 64.0, 144.0)),
+        # near poles of Gamma(a) at small z with b > 2, where the plain
+        # recurrence loses the z^(1-b) part (1e-7 of U at b = 3, z = 1e-8)
+        (-30.0 + 1.1e-12, 3.0, 1e-8, (1e-6, 1.0, 80.0)),
+        (1e-11, 2.5, 1e-8, (1e-4, 1.0, 20.0)),
+        (-3.0 - 1e-11, 2.5, 1e-8, (1e-6, 0.3, 5.0)),
+        (-3.0 - 1e-7, 1.922, 1e-8, (1e-5, 1.0, 36.0)),
+    ])
+    def test_former_failures(self, a, b, z0, zs):
+        _check_psi_scale(u_ratio_z_evaluator(a, b, z0), a, b, z0, zs)
+
+    def test_unrepresentable_ratio_raises(self):
+        # U(-50.5, b, z) ~ z^50.5: past double range at z = 1e10
+        ratio = u_ratio_z_evaluator(-50.5, 1.5, 1e-8)
+        assert math.isfinite(ratio(1e4))
+        with pytest.raises(EvaluationOverflowError):
+            ratio(np.array([1.0, 1e10]))
+
+    def test_point_values_do_not_depend_on_the_call(self):
+        # each point takes its own window and node count
+        ratio = u_ratio_z_evaluator(-2.3, 1.7, 1e-6)
+        zs = np.concatenate([10.0 ** np.linspace(-6.0, 2.2, 97), [3.7]])
+        together = ratio(zs)
+        assert [ratio(z) for z in zs.tolist()] == together.tolist()
+        assert ratio(zs.reshape(2, 49)).tolist() \
+            == together.reshape(2, 49).tolist()
+        assert isinstance(ratio(0.5), float)
 
 
 # --- the pair evaluator of a root solve in a --------------------------------

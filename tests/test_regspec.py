@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (eig_condition_residual, one_sided_derivative,
-                      scan_sign_changes)
+from conftest import (eig_condition_residual, hyperu_ref,
+                      one_sided_derivative, scan_sign_changes)
 from pseudoharm import asymptotics, regspec
 from pseudoharm.specfun import bessel, hyper, u_ratio_z_evaluator
 from pseudoharm.errors import BracketError, DomainError
@@ -496,7 +496,8 @@ class TestWaveFunction:
     @staticmethod
     def _closed_expression(spec, sol, wf, x):
         # the piecewise closure written out for one point, with the exterior
-        # ratio from an evaluator built for this one point
+        # ratio from an evaluator built for this one point, called on a
+        # one-point array (numpy's array power and exp, as in the sampler)
         d = spec.delta
         sign = math.copysign(1.0, x) if sol.label.parity == "odd" else 1.0
         ax = abs(x)
@@ -509,10 +510,11 @@ class TestWaveFunction:
                 wave = asymptotics._cos_family(s2 * t * t)
             return sign * wf.inner_coeff * wave
         a, b, z0 = regspec._hyper_args(spec, sol.kappa)
-        y2 = ax * ax
-        rel = (ax / d) ** sol.nu * math.exp(-0.5 * (y2 - d * d)) \
+        xa = np.array([ax])
+        y2 = xa * xa
+        rel = (xa / d) ** sol.nu * np.exp(-0.5 * (y2 - d * d)) \
             * u_ratio_z_evaluator(a, b, z0)(y2)
-        return sign * wf.outer_coeff * rel
+        return sign * wf.outer_coeff * float(rel[0])
 
     @pytest.mark.parametrize("alpha,delta,parity,n", [
         (0.1, 1e-3, "odd", 1), (-0.1, 0.01, "even", 1),
@@ -612,3 +614,82 @@ class TestWaveFunction:
             dists.append(np.max(np.abs(wf(xs) - ref)))
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 1e-3  # the even/odd families converge ~delta^(2nu-1)
+
+
+def _psi_reference(spec, sol, wf, xs):
+    """The same state (same kappa, same amplitude inner_coeff) at 20 digits:
+    cos(u t) or sin(u t)/u inside, x^nu e^(-x^2/2) U(a, b, x^2) outside,
+    continuous at the cutoff."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        d = mp.mpf(spec.delta)
+        u = mp.sqrt(mp.mpf(regspec.signed_q_squared(spec, sol.kappa)))
+        odd = sol.label.parity == "odd"
+
+        def wave(t):
+            return mp.re(mp.sin(u * t) / u if odd else mp.cos(u * t))
+
+        a, b, z0 = regspec._hyper_args(spec, sol.kappa)
+        u0 = hyperu_ref(a, b, z0)
+        match = wf.inner_coeff * wave(1)
+        out = []
+        for x in xs:
+            sign = -1 if (odd and x < 0) else 1
+            ax = abs(mp.mpf(x))
+            if ax <= d:
+                val = wf.inner_coeff * wave(ax / d)
+            else:
+                val = match * (ax / d) ** sol.nu \
+                    * mp.exp(-(ax * ax - d * d) / 2) \
+                    * hyperu_ref(a, b, ax * ax) / u0
+            out.append(sign * val)
+        return out
+
+
+class TestWaveFunctionAgainstReference:
+    """Regularized samples against 20 digits, to 1e-12 of max|psi| on
+    x in [-12, 12], and the program's own norm within 1e-10 of 1."""
+
+    @staticmethod
+    def _check(spec, sol, xs):
+        from pseudoharm import cli
+
+        wf = regspec.build_wavefunction(spec, sol)
+        psi = wf(np.asarray(xs))
+        ref = _psi_reference(spec, sol, wf, xs)
+        scale = max(abs(float(r)) for r in ref)
+        worst = max(abs(float(p - r)) for p, r in zip(psi.tolist(), ref))
+        assert worst <= 1e-12 * scale, worst / scale
+        norm = cli._norm_report(wf, spec)["norm"]
+        assert abs(norm - 1.0) <= 1e-10, norm
+        # the amplitude itself, by a tight quadrature of the samples split
+        # at the cutoff's scales, carries the 1e-12 of the samples
+        edges = [0.0, spec.delta] + [e for e in (0.01, 0.1, 1.0, 4.0, 8.0,
+                                                 16.0) if e > spec.delta]
+        tight = 2.0 * sum(integrate(lambda x: wf(x) ** 2, lo, hi,
+                                    rel_tol=1e-14, abs_tol=1e-300)
+                          for lo, hi in zip(edges, edges[1:]))
+        assert abs(tight - 1.0) <= 2e-12, tight
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.1, 0.6])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("n,delta", [(0, 1e-3), (1, 1e-3), (12, 1e-3),
+                                         (30, 1e-3), (1, 1e-4), (12, 1e-2)])
+    def test_excited(self, alpha, parity, n, delta):
+        spec = PotentialSpec(alpha, delta)
+        sol = regspec.solve_excited(spec, parity, n)
+        xs = list(np.linspace(-12.0, 12.0, 25)) \
+            + [0.5 * delta, delta, -1.5 * delta, 0.05, -0.3, 1.7, 4.1]
+        self._check(spec, sol, xs)
+
+    @pytest.mark.parametrize("alpha,delta", [(-0.15, 1e-2), (-0.2, 2e-3),
+                                             (-0.05, 1e-4)])
+    def test_ground(self, alpha, delta):
+        spec = PotentialSpec(alpha, delta)
+        sol = regspec.solve_ground_even(spec)
+        decay = 1.0 / math.sqrt(2.0 * abs(sol.energy))
+        xs = [0.0, 0.5 * delta, -delta, 12.0, -12.0, 1.0] \
+            + [s * k * decay for k in (0.5, 1, 2, 4, 8, 16, 30)
+               for s in (1.0, -1.0)]
+        self._check(spec, sol, xs)
