@@ -105,19 +105,22 @@ def _interior_slope_factor(alpha: float, parity: str) -> float:
     """Prefactor (nu - w)/(nu - 1 + w) of the correction formula, w = N/D at
     s2 = -alpha: -r tan r, r cot r, r tanh r or r coth r, r = sqrt|alpha|.
 
-    For odd states near alpha = 0, where nu - w cancels (w = u cot u -> 1),
-    the numerator below _DIFF_SERIES_S2 is alpha/nu + (1 - w): nu - 1 =
-    alpha/nu exactly, and 1 - w = (sinc - cos)/sinc from its series.
+    Below |alpha| = _DIFF_SERIES_S2, where nu - 1 cancels, it is taken as
+    alpha/nu, exactly nu - 1.  For odd states there nu - w cancels too
+    (w = u cot u -> 1), and the numerator is alpha/nu + (1 - w), 1 - w =
+    (sinc - cos)/sinc from its series.
     """
     nu = nu_of_alpha(alpha)
     num, den = _interior_log_derivative(-alpha, parity)
     w = num / den
-    if parity == "odd" and abs(alpha) < _DIFF_SERIES_S2:
-        shift = alpha / nu
+    if abs(alpha) >= _DIFF_SERIES_S2:
+        return (nu - w) / (nu - 1.0 + w)
+    shift = alpha / nu
+    if parity == "odd":
         one_minus_w = _series(_SINC_MINUS_COS, -alpha) * -alpha \
             / _sinc_family(-alpha)
         return (shift + one_minus_w) / (shift + w)
-    return (nu - w) / (nu - 1.0 + w)
+    return (nu - w) / (shift + w)
 
 
 def epsilon_n(spec: PotentialSpec, parity: str, n: int) -> CorrectionTerm:

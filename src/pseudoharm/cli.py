@@ -28,21 +28,26 @@ ARTIFACT_VERSION = "1.0.0"
 # --- serialization ----------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
+    if math.isfinite(x):
+        return f"{x:.17g}"
     if math.isnan(x):
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return f"{x:.17g}"
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def _emit_json(obj) -> str:
     """JSON with floats at 17 significant digits (lossless round-trip)."""
+    if type(obj) is float:
+        return _fmt_float(obj)
     if isinstance(obj, dict):
         inner = ",".join(f"{_emit_json(str(k))}:{_emit_json(v)}"
                          for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit_json(v) for v in obj) + "]"
+        # rows of plain floats, the bulk of a wave-function record, skip the
+        # recursive call
+        return "[" + ",".join(_fmt_float(v) if type(v) is float
+                              else _emit_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

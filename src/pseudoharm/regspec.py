@@ -81,15 +81,18 @@ def _entire_residual(spec: PotentialSpec, parity: str) -> Callable[[float], floa
 def solve_excited(spec: PotentialSpec, parity: str, n: int) -> EigenSolution:
     """Root-solve the bound state with radial index n (kappa near 2n + nu).
 
-    Seeds from the small-delta correction kappa = 2n + nu + 2 eps_n, which
-    lies within one 0.05 scan step of the root in all but a few far cases.
-    The grid of the window seed +- 0.55 (then seed +- 1.4) is scanned
-    outward from the seed for the nearest sign change of the entire
-    residual, and Brent's method closes that bracket to 1e-12 absolute in
-    kappa: about 6 residual evaluations a solve.  An evaluation takes the
-    U pair from one u_pair_shift_a evaluator built for the solve: four
-    Kummer series and 2 rgamma calls, about 13 us on one desk core (about
-    21 us and 8 rgamma calls as two tricomi_u calls).
+    Up to delta = _SEED_DELTA the seed is the small-delta correction
+    kappa = 2n + nu + 2 eps_n, which lies within one 0.05 scan step of the
+    root in all but a few far cases.  The grid of the window seed +- 0.55
+    (then seed +- 1.4) is scanned outward from the seed for the nearest
+    sign change of the entire residual, and Brent's method closes that
+    bracket to 1e-12 absolute in kappa: about 6 residual evaluations a
+    solve.  An evaluation takes the U pair from one u_pair_shift_a
+    evaluator built for the solve: four Kummer series and 2 rgamma calls,
+    about 13 us on one desk core (about 21 us and 8 rgamma calls as two
+    tricomi_u calls).  Above _SEED_DELTA the seed can lie nearer another
+    state's root, and the root is continued in delta instead
+    (_continue_in_delta).
     """
     _require_regularized(spec, "solve_excited")
     if spec.alpha < -0.25:
@@ -99,17 +102,71 @@ def solve_excited(spec: PotentialSpec, parity: str, n: int) -> EigenSolution:
         raise DomainError(f"solve_excited: radial index out of range: {n}")
     nu = nu_of_alpha(spec.alpha)
     label = make_label(spec.alpha, parity, n)
-    base = 2.0 * n + nu
-    shift = 0.0
-    if spec.alpha != 0.0 and spec.delta < 0.1:
-        shift = 2.0 * epsilon_n(spec, parity, label.n_display).epsilon_n
-        shift = max(-0.45, min(0.45, shift))  # distrust exploding corrections
-    seed = base + shift
-    g = _entire_residual(spec, parity)
-    kappa = _scan_for_root(g, seed, windows=(0.55, 1.4), step=0.05,
-                           context=dict(spec=spec, parity=parity, n=n))
+    if spec.delta > _SEED_DELTA:
+        kappa = _continue_in_delta(spec, parity, n, label.n_display)
+    else:
+        kappa = _seeded_root(spec, parity, n, label.n_display)
     return EigenSolution(label=label, nu=nu, kappa=kappa,
                          energy=kappa + 0.5, method="transcendental")
+
+
+# Up to this cutoff the seed 2n + nu + 2 eps_n lies nearest the n-th root
+# for every alpha >= -1/4 and n <= MAX_EXCITED_N (checked against a full
+# scan); at alpha = -1/4 it is one state off from n = 27 at 0.03 and from
+# n = 2 at 0.1.
+_SEED_DELTA = 0.02
+# continuation steps in log(delta): at most log(1.25), halved on rejection
+_LOG_STEP = math.log(1.25)
+_MIN_LOG_STEP = 1e-3
+# a continued root may lie at most this far from its extrapolated seed: a
+# small part of the spacing 2 of the levels of one parity
+_MAX_SEED_MISS = 0.25
+
+
+def _seeded_root(spec, parity, n, n_display):
+    shift = 0.0
+    if spec.alpha != 0.0 and spec.delta < 0.1:
+        shift = 2.0 * epsilon_n(spec, parity, n_display).epsilon_n
+        shift = max(-0.45, min(0.45, shift))  # distrust exploding corrections
+    seed = 2.0 * n + nu_of_alpha(spec.alpha) + shift
+    g = _entire_residual(spec, parity)
+    return _scan_for_root(g, seed, windows=(0.55, 1.4), step=0.05,
+                          context=dict(spec=spec, parity=parity, n=n))
+
+
+def _continue_in_delta(spec, parity, n, n_display):
+    """The n-th root at spec.delta, followed from _SEED_DELTA upward.
+
+    Levels of one parity never cross in one dimension, so the root that
+    moves continuously from the n-th root at _SEED_DELTA is the n-th.  Each
+    step of at most _LOG_STEP in log(delta) seeds the scan by linear
+    extrapolation in log(delta) and accepts the nearest root only within
+    _MAX_SEED_MISS of that seed; otherwise the step is halved, and below
+    _MIN_LOG_STEP the solve raises BracketError.
+    """
+    delta = _SEED_DELTA
+    kappa = _seeded_root(PotentialSpec(spec.alpha, delta), parity, n,
+                         n_display)
+    slope = 0.0  # d kappa / d log(delta) over the last accepted step
+    log_step = _LOG_STEP
+    while delta < spec.delta:
+        nxt = min(delta * math.exp(log_step), spec.delta)
+        dlog = math.log(nxt / delta)
+        seed = kappa + slope * dlog
+        g = _entire_residual(PotentialSpec(spec.alpha, nxt), parity)
+        context = dict(spec=spec, parity=parity, n=n, delta=nxt)
+        try:
+            root = _scan_for_root(g, seed, windows=(_MAX_SEED_MISS,),
+                                  step=0.05, context=context)
+        except BracketError:
+            log_step *= 0.5
+            if log_step < _MIN_LOG_STEP:
+                raise
+            continue
+        slope = (root - kappa) / dlog
+        delta, kappa = nxt, root
+        log_step = min(2.0 * log_step, _LOG_STEP)
+    return kappa
 
 
 def _scan_for_root(g, seed, windows, step, context):

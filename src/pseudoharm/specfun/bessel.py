@@ -9,8 +9,7 @@ fraction CF2 from z = 2 up (Thompson & Barnett, J. Comput. Phys. 64:490,
 1986), exact at half-integer orders.  Upward recurrence in the order, which
 is stable for K, then reaches lam.  Callers need consecutive orders (the
 Tricomi Bessel branch combines K_(b-1) and K_b, the c0 fixed point takes
-K_(nu-1/2)/K_(nu+1/2)), so the evaluator returns the pair; the same route
-gives e^z K, which stays finite where K underflows.
+K_(nu-1/2)/K_(nu+1/2)), so the evaluator returns the pair.
 """
 
 import math
@@ -38,21 +37,15 @@ def bessel_k(lam: float, z: float) -> float:
     return bessel_k_pair(lam)(z)[0]
 
 
-def _bessel_k_scaled(lam: float, z: float) -> float:
-    """e^z K_lam(z), z > 0; finite where K_lam(z) itself underflows."""
-    return bessel_k_pair(lam, scaled=True)(z)[0]
-
-
-def bessel_k_pair(lam: float, scaled: bool = False):
+def bessel_k_pair(lam: float):
     """The function z -> (K_lam(z), K_(lam+1)(z)), z > 0, for a fixed order.
 
-    With scaled, both values carry the factor e^z.  The order constants of
-    Temme's series (two 1/Gamma values, gam1, gam2, pi mu / sin(pi mu)) are
-    computed here once.
+    The order constants of Temme's series (two 1/Gamma values, gam1, gam2,
+    pi mu / sin(pi mu)) are computed here once.
     """
     if lam < -0.5:
         # K is even in the order: (K_lam, K_(lam+1)) = (K_(-lam), K_(-lam-1))
-        pair_of_reflected = bessel_k_pair(-lam - 1.0, scaled)
+        pair_of_reflected = bessel_k_pair(-lam - 1.0)
         return lambda z: pair_of_reflected(z)[::-1]
     m = math.floor(lam + 0.5)
     mu = lam - m
@@ -63,11 +56,8 @@ def bessel_k_pair(lam: float, scaled: bool = False):
             raise DomainError(f"bessel_k: requires z > 0, got z={z}")
         if z < _TEMME_Z:
             k_lo, k_hi = _temme(mu, temme, z)
-            if scaled:
-                ez = math.exp(z)
-                k_lo, k_hi = k_lo * ez, k_hi * ez
         else:
-            k_lo, k_hi = _steed(mu, z, scaled)
+            k_lo, k_hi = _steed(mu, z)
         order = mu + 1.0
         for _ in range(m):
             k_lo, k_hi = k_hi, k_lo + (2.0 * order / z) * k_hi
@@ -117,7 +107,7 @@ def _temme(mu, constants, z):
                               mu=mu, z=z)
 
 
-def _steed(mu, z, scaled):
+def _steed(mu, z):
     """K_mu(z) and K_(mu+1)(z), |mu| <= 1/2, z >= 2, by Steed's CF2.
 
     The continued fraction gives K_(mu+1)/K_mu and, through the same
@@ -148,7 +138,5 @@ def _steed(mu, z, scaled):
     else:
         raise NonConvergenceError("bessel_k: continued fraction CF2 did not "
                                   "converge", mu=mu, z=z)
-    k_mu = math.sqrt(math.pi / (2.0 * z)) / s
-    if not scaled:
-        k_mu *= math.exp(-z)
+    k_mu = math.sqrt(math.pi / (2.0 * z)) / s * math.exp(-z)
     return k_mu, k_mu * (mu + z + 0.5 - a1 * h) / z

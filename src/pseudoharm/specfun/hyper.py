@@ -1,19 +1,15 @@
 """Kummer M and Tricomi U confluent hypergeometric functions (real arguments).
 
-Three evaluation regimes for U:
-  * connection formula through two M series (moderate parameters),
-  * Poincare expansion in 1/z for large argument,
-  * uniform large-first-parameter expansion in modified Bessel K functions,
-    carried through three correction orders so the series/Bessel branches
-    overlap to better than 1e-7 for first parameter >= 30.
+tricomi_u takes one of three routes, each inside a stated, tested region
+(see its docstring): the Laguerre polynomial, the connection formula through
+two M series (DLMF 13.2.42) and the array evaluator below.  u_pair_shift_a
+serves a root solve in a at fixed (b, z): it shares the connection
+formula's factors across a for a <= 0.1, and above A_SWITCH + 1 returns
+U(a-1)/U(a) from the uniform large-a expansion in modified Bessel K
+functions, carried through three correction orders.
 
-Each route is built for fixed (a, b) as a function of z, with its
-z-independent factors computed once; tricomi_u builds one for a single z.
-u_pair_shift_a works the other way round: at fixed (b, z) it shares the
-connection formula's factors and the K pair across a root solve in a.
-
-Exterior wave functions take none of these routes.  u_ratio_z_evaluator
-gives U(a, b, z)/U(a, b, z_den) over an array of z by one algorithm:
+u_ratio_z_evaluator gives U(a, b, z)/U(a, b, z_den) over an array of z by
+one algorithm, the array evaluator that tricomi_u's route 3 also takes:
   * for a > 4, the trapezoidal rule on the Laplace integral (DLMF 13.4.4)
     in s = log t, in log form, which converges exponentially;
   * for a <= 4, the downward recurrence in a (DLMF 13.3.7, 13.3.9, 13.3.10)
@@ -32,30 +28,31 @@ wave function's scale, max |U(z) z^(b/2-1/4) e^(-z/2)|, for a in
 [-30, 1e4], b in [1, 3], z from 1e-8 to 160 (2.2e-14 at worst in 840
 random draws).
 
-The Bessel-branch coefficient polynomials were generated from the defining
-recurrences of the expansion and verified against 40-digit reference values;
-they are tested constants (see tests).
+The large-a expansion's coefficient polynomials were generated from its
+defining recurrences and verified against 40-digit reference values; they
+are tested constants (see tests).
 """
 
 import math
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..errors import DomainError, EvaluationOverflowError, NonConvergenceError
-from ..quadrature import integrate
 from .laguerre import laguerre
 from .bessel import bessel_k_pair
 from .gammafn import lgamma, rgamma, sinpi
 
-# Route switch points.  Tested constants, not tuning knobs: the overlap
-# agreement property in the test suite pins them.
-A_SWITCH = 30.0      # first parameter above which the Bessel branch is used
-Z_LARGE = 20.0       # argument above which the Poincare expansion is used
-B_INTEGER_TOL = 1e-6  # connection formula is singular at integer b
-# cancellation amplification in the connection formula above which the
-# convergent Laplace-integral route takes over (available for a > 0)
+# Route regions.  Tested constants, not tuning knobs: the tests check each
+# route against mpmath on both sides of every one.
+A_SWITCH = 30.0          # connection formula up to this a; the pair's Bessel
+#                          ratio above A_SWITCH + 1
+A_CONNECTION_MIN = -52.0  # connection formula from this a: a - 1 of every
+#                           excited solve, n <= 50
+Z_CONNECTION = 1.0       # connection formula up to this z
+B_INTEGER_TOL = 1e-6     # connection formula is singular at integer b
+# rounding amplification in the connection formula above which the array
+# evaluator takes over
 _AMP_SWITCH = 3e3
 
 _LN2 = math.log(2.0)
@@ -205,209 +202,117 @@ def _bessel_combo(a, b, z, k_pair):
     return k_lo * P + math.sqrt(z / a) * k_hi * Q
 
 
-def _connection_u(a, b, z_large=math.inf, laplace_fallback=False):
-    """z -> U(a, b, z) by the connection formula, DLMF 13.2.42:
+def _connection_terms(a, b, z):
+    """pi/sin(pi b), t1 and t2 of the connection formula, DLMF 13.2.42:
 
         U = pi/sin(pi b) * (t1 - t2),
         t1 = M(a, b, z) / (Gamma(1+a-b) Gamma(b)),
         t2 = z^(1-b) M(1+a-b, 2-b, z) / (Gamma(a) Gamma(2-b)).
-
-    The four 1/Gamma factors and pi/sin(pi b) depend only on (a, b), so
-    they are computed here once.  Above z_large the 1/z expansion takes
-    over.  With laplace_fallback, a cancellation in t1 - t2 that amplifies
-    rounding by more than _AMP_SWITCH sends z to the Laplace integral
-    instead.  b must lie at least B_INTEGER_TOL from the integers.
     """
-    r1, r2 = rgamma(1.0 + a - b), rgamma(b)
-    r3, r4 = rgamma(a), rgamma(2.0 - b)
-    pi_over_s = math.pi / sinpi(b)
-
-    def u(z):
-        if z > z_large:
-            return _u_large_z(a, b, z)
-        t1 = kummer_m(a, b, z) * r1 * r2
-        t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) * r3 * r4
-        diff = t1 - t2
-        if laplace_fallback:
-            amplification = (abs(t1) + abs(t2)) / abs(diff) \
-                if diff != 0.0 else math.inf
-            if amplification > _AMP_SWITCH:
-                return _u_quadrature(a, b, z)
-        return pi_over_s * diff
-
-    return u
-
-
-def _straddled_connection_u(a, b, z_large=math.inf):
-    """The connection formula for b within B_INTEGER_TOL of an integer."""
-    # U is entire in b: two-point evaluation straddling the integer kills the
-    # O(h) error.  Documented accuracy floor: 1e-7 relative.
-    bn = round(b)
-    h = 2e-6
-    lo, hi = _connection_u(a, bn - h), _connection_u(a, bn + h)
-    exact = abs(b - bn) < 1e-12
-    offset = b - (bn - h)
-
-    def u(z):
-        if z > z_large:
-            return _u_large_z(a, b, z)
-        if exact:
-            return 0.5 * (lo(z) + hi(z))
-        u_lo = lo(z)
-        return u_lo + offset * (hi(z) - u_lo) / (2.0 * h)
-
-    return u
+    t1 = kummer_m(a, b, z) * rgamma(1.0 + a - b) * rgamma(b)
+    t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) \
+        * rgamma(a) * rgamma(2.0 - b)
+    return math.pi / sinpi(b), t1, t2
 
 
 def _u_connection(a, b, z):
+    """U(a, b, z) by the connection formula alone, without the cancellation
+    check; b must lie at least B_INTEGER_TOL from the integers."""
     if abs(b - round(b)) < B_INTEGER_TOL:
-        return _straddled_connection_u(a, b)(z)
-    return _connection_u(a, b)(z)
-
-
-def _u_large_z(a, b, z):
-    """Poincare expansion U ~ z^-a * sum_k (a)_k (a-b+1)_k / (k! (-z)^k)."""
-    total = 1.0
-    term = 1.0
-    k = 0
-    while k < 400:
-        nxt = term * (a + k) * (a - b + 1.0 + k) / (-z * (k + 1.0))
-        if abs(nxt) >= abs(term) and k > 2:
-            # smallest term reached; asymptotic tail starts growing
-            if abs(term) > 1e-11 * abs(total):
-                raise NonConvergenceError(
-                    "tricomi_u: large-z expansion out of regime",
-                    a=a, b=b, z=z, floor=abs(term / total))
-            break
-        term = nxt
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-        k += 1
-    return z ** (-a) * total
-
-
-def _log_gu(a, b, z):
-    """log of Gamma(a)*U(a,b,z) by quadrature of the Laplace integral.
-
-    Integrand exp(-z t) t^(a-1) (1+t)^(b-a-1) is positive for a > 0; the
-    integration runs in u = log t, panels spreading from the peak until the
-    tail is below 1e-18 of it.
-    """
-    if not a > 0.0:
-        raise DomainError(f"_log_gu: requires a > 0, got a={a}")
-
-    def log_f(u):
-        t = math.exp(u)
-        # +u is the Jacobian of t -> e^u
-        return -z * t + a * u + (b - a - 1.0) * math.log1p(t)
-
-    # stationary point of log_f: -z t^2 + (b-1-z) t + a = 0
-    disc = math.sqrt((b - 1.0 - z) ** 2 + 4.0 * a * z)
-    t_peak = ((b - 1.0 - z) + disc) / (2.0 * z)
-    u_peak = math.log(t_peak)
-    lmax = log_f(u_peak)
-
-    def g(u):
-        return math.exp(log_f(u) - lmax)
-
-    def g_nodes(us):
-        # the scalar math expression node by node: np.exp differs from
-        # math.exp in the last bit for some arguments
-        return [g(u) for u in us.tolist()]
-
-    total = 0.0
-    # expand in panels from the peak until both tails are negligible; the
-    # left tail decays only like exp(a*u), so its panels widen as 1/a
-    for direction, width in ((+1.0, 1.0), (-1.0, max(1.0, 4.0 / a))):
-        edge = u_peak
-        for _ in range(400):
-            nxt = edge + direction * width
-            total += integrate(g_nodes, min(edge, nxt), max(edge, nxt),
-                               rel_tol=1e-12, abs_tol=1e-16)
-            edge = nxt
-            if g(edge) < 1e-18:
-                break
-        else:
-            raise NonConvergenceError("_log_gu: tail does not decay",
-                                      a=a, b=b, z=z)
-    return lmax + math.log(total)
-
-
-def _u_quadrature(a, b, z):
-    return math.exp(_log_gu(a, b, z) - lgamma(a))
-
-
-def _laguerre_u(n, b):
-    """z -> U(-n, b, z) = (-1)^n n! L_n^(b-1)(z), exact truncation; the
-    degree recurrence is the stable evaluation of the polynomial case."""
-    signed_factorial = (-1.0 if n % 2 else 1.0) * math.factorial(n)
-    lam = b - 1.0
-    return lambda z: signed_factorial * laguerre(n, lam, z)
-
-
-def _large_a_u(a, b):
-    """z -> U(a, b, z) by the uniform large-a Bessel expansion."""
-    half_1mb, log_a, lgamma_a = 0.5 * (1.0 - b), math.log(a), lgamma(a)
-    k_pair = bessel_k_pair(b - 1.0)
-
-    def u(z):
-        combo = _bessel_combo(a, b, z, k_pair)
-        logu = _LN2 + half_1mb * (math.log(z) - log_a) + 0.5 * z \
-            - lgamma_a + math.log(combo)
-        if logu > 709.0:
-            raise EvaluationOverflowError(
-                f"tricomi_u: value exceeds double range (log={logu:.1f}, "
-                "threshold 709)", threshold=709.0)
-        if logu < -745.0:
-            raise EvaluationOverflowError(
-                f"tricomi_u: value underflows double range (log={logu:.1f}, "
-                "threshold -745); use the ratio helpers instead",
-                threshold=-745.0)
-        return math.exp(logu)
-
-    return u
+        raise DomainError(f"connection formula: b={b} is within "
+                          f"{B_INTEGER_TOL} of an integer")
+    pi_over_s, t1, t2 = _connection_terms(a, b, z)
+    return pi_over_s * (t1 - t2)
 
 
 def _u_large_a(a, b, z):
-    return _large_a_u(a, b)(z)
+    """U(a, b, z) by the uniform large-a Bessel expansion; no route of
+    tricomi_u, kept as the independent check of the connection formula at
+    a in [30, 100], z <= 1e-4 (acceptance criterion 7)."""
+    combo = _bessel_combo(a, b, z, bessel_k_pair(b - 1.0))
+    return math.exp(_LN2 + 0.5 * (1.0 - b) * (math.log(z) - math.log(a))
+                    + 0.5 * z - lgamma(a) + math.log(combo))
 
 
-def _tricomi_u_of_z(a, b):
-    """z -> U(a, b, z), z > 0, for fixed (a, b).
+def _is_laguerre(a):
+    # n! stays finite up to n = 170
+    return -170.0 <= a <= 0.0 and a == round(a)
 
-    The route choices that depend only on (a, b), and every factor the
-    chosen route shares across z, are made here once; what remains per call
-    depends on z.  Routes: Laguerre polynomial, large-a Bessel branch,
-    connection formula (with the Laplace integral where its observed
-    cancellation is too large, or at integer b for a > 0.1), 1/z expansion.
-    """
-    if a <= 0.0 and abs(a - round(a)) < 1e-12 and a >= -200.0:
-        return _laguerre_u(int(round(-a)), b)
-    if a > A_SWITCH:
-        return _large_a_u(a, b)
-    integer_b = abs(b - round(b)) < B_INTEGER_TOL
-    if a > 0.1:
-        # integer b is a removable singularity of the connection formula but
-        # not of the Laplace integral, so prefer the integral outright there
-        if integer_b:
-            return partial(_u_quadrature, a, b)
-        return _connection_u(a, b, math.inf, True)
-    if integer_b:
-        return _straddled_connection_u(a, b, Z_LARGE)
-    return _connection_u(a, b, Z_LARGE, False)
+
+def _u_by_formula(a, b, z):
+    """U(a, b, z) by the Laguerre polynomial or the checked connection
+    formula inside their regions, else None (tricomi_u's routes 1 and 2)."""
+    if _is_laguerre(a) and b >= 0.5:
+        # U(-n, b, z) = (-1)^n n! L_n^(b-1)(z), exact truncation; the degree
+        # recurrence is the stable evaluation of the polynomial case
+        n = int(-a)
+        u = (-1.0 if n % 2 else 1.0) * math.factorial(n) \
+            * laguerre(n, b - 1.0, z)
+        return u if math.isfinite(u) else None
+    if not (A_CONNECTION_MIN <= a <= A_SWITCH and z <= Z_CONNECTION
+            and b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL):
+        return None
+    try:
+        pi_over_s, t1, t2 = _connection_terms(a, b, z)
+    except OverflowError:  # z^(1-b) beyond double range
+        return None
+    diff = t1 - t2
+    # Rounding errors of t1 and t2 reach t1 - t2 amplified by (|t1| +
+    # |t2|)/|t1 - t2|.  Near a pole of 1/Gamma, t1 also carries the rounding
+    # of x = 1 + a - b, up to (1 + |a| + |b|) ulps, over the distance from
+    # x to the pole.  A non-finite term fails the test too.
+    x = 1.0 + a - b
+    gap = abs(x - round(x)) if x < 0.5 else math.inf
+    if diff == 0.0 or gap == 0.0:
+        return None
+    noise = abs(t1) * (1.0 + (1.0 + abs(a) + abs(b)) / gap) + abs(t2)
+    u = pi_over_s * diff
+    return u if noise / abs(diff) <= _AMP_SWITCH and math.isfinite(u) \
+        else None
+
+
+def _u_evaluated(a, b, z, count=1):
+    """(U(a, b, z), ..., U(a - count + 1, b, z)) for a scalar z > 0 by the
+    array evaluator (_log_abs_u), from one pass (tricomi_u's route 3)."""
+    log_c = lgamma(a + _recurrence_steps(a))
+    out = []
+    for log_u, sign in _log_abs_u(a, b, np.array([float(z)]), count):
+        logu = float(log_u[0]) - log_c
+        if not -745.13 <= logu <= 709.78:
+            bound = -745.13 if logu < 0.0 else 709.78
+            raise EvaluationOverflowError(
+                f"tricomi_u: U({a}, {b}, {z}) leaves double range "
+                f"(log={logu:.1f}, threshold {bound})", threshold=bound)
+        out.append(float(sign[0]) * math.exp(logu))
+    return tuple(out)
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi function U(a, b, z) for z > 0.
+    """Tricomi function U(a, b, z) for z > 0, by one of three routes:
 
-    Routes on (a, z) and on the observed cancellation in the connection
-    formula: Laguerre polynomial, connection formula, Laplace integral,
-    large-a Bessel branch or 1/z expansion.
+    1. the Laguerre polynomial, for a an integer in [-170, 0] and b >= 1/2;
+    2. the connection formula, for a in [A_CONNECTION_MIN, A_SWITCH],
+       z <= Z_CONNECTION and b >= 1/2 at least B_INTEGER_TOL from the
+       integers, where the observed amplification of its rounding
+       (_u_by_formula) is at most _AMP_SWITCH;
+    3. the array evaluator (Laplace rule and downward recurrence in a)
+       everywhere else, down to a = -195 (DomainError below).
+
+    Against 30 digits over a in [-60, 100], b in [1/2, 9/2] (integer b
+    and both sides of B_INTEGER_TOL included) and z in [1e-8, 160] it errs
+    by at most 1e-12 S on routes 1 and 3 and 5e-12 S on route 2, with
+    S = |U(a)| + |(2a + 2 - b + z) U(a+1)| + |(a+1)(a+2-b) U(a+2)| the
+    terms of the recurrence DLMF 13.3.7 that give U(a) (measured at worst
+    over about 4 500 draws: 6e-14 on route 1, 1.9e-12 on route 2 and
+    2.8e-13 on route 3).  For b in [-1/2, 1/2), always route 3, add
+    2e-13 |U|/(|b| + z): near b = 0 at small z, U(a <= 0) is itself
+    O(|b| + z), and the recurrence keeps only that much of it.  A value
+    beyond double range raises EvaluationOverflowError.
     """
     if not z > 0.0:
         raise DomainError(f"tricomi_u: requires z > 0, got z={z}")
-    return _tricomi_u_of_z(a, b)(z)
+    u = _u_by_formula(a, b, z)
+    return _u_evaluated(a, b, z)[0] if u is None else u
 
 
 def u_pair_shift_a(b: float,
@@ -419,34 +324,51 @@ def u_pair_shift_a(b: float,
     (1, U(a-1)/U(a)), the ratio's Gamma prefactors cancelled analytically
     and K_(b-1), K_b from one bessel_k_pair built here; U > 0 for a > 0, so
     a residual homogeneous of degree 1 in the pair keeps its signs and
-    roots.  Where _tricomi_u_of_z takes the plain connection formula for a
-    and a-1 (a <= 0.1 and not within 1e-12 of a non-positive integer, b at
-    least B_INTEGER_TOL from an integer, z <= Z_LARGE), the pair shares
-    1/Gamma(b), 1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs
-    1/Gamma(1+a-b) and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) =
-    (x-1)/Gamma(x).  Every other a is evaluated as tricomi_u evaluates it.
+    roots.  For a <= 0.1 with a and a - 1 in the connection formula's region
+    and more than 1e-12 from the integers, the pair shares 1/Gamma(b),
+    1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs 1/Gamma(1+a-b)
+    and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) = (x-1)/Gamma(x);
+    this hot path takes no cancellation check.  Every other a is evaluated
+    as tricomi_u evaluates it, except that where both a and a - 1 fall to
+    the array evaluator one pass gives both, U(a - 1) one recurrence step
+    below U(a).
     """
     if not z > 0.0:
         raise DomainError(f"u_pair_shift_a: requires z > 0, got z={z}")
     k_pair = bessel_k_pair(b - 1.0)
-    shared = abs(b - round(b)) >= B_INTEGER_TOL and z <= Z_LARGE
+    shared = (b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL
+              and z <= Z_CONNECTION)
     if shared:
         r_b, r_2mb = rgamma(b), rgamma(2.0 - b)
         pi_over_s = math.pi / sinpi(b)
-        z_1mb = z ** (1.0 - b)
+        try:
+            z_1mb = z ** (1.0 - b)
+        except OverflowError:  # beyond double range: no shared formula
+            shared = False
 
     def pair(a):
         a1 = a - 1.0
         if a > A_SWITCH + 1.0:
             scale = a1 * math.exp(0.5 * (b - 1.0) * math.log1p(-1.0 / a))
-            return 1.0, scale * _bessel_combo(a1, b, z, k_pair) \
-                / _bessel_combo(a, b, z, k_pair)
-        # fall back where a or a - 1 leaves the plain connection formula:
-        # a > 0.1, or either on the Laguerre route (within 1e-12 of a
-        # non-positive integer; a - 1 <= -0.9 is never positive)
-        if not (shared and a <= 0.1 and abs(a1 - round(a1)) >= 1e-12
+            num = scale * _bessel_combo(a1, b, z, k_pair)
+            den = _bessel_combo(a, b, z, k_pair)
+            ratio = num / den if den > 0.0 else math.inf
+            if not math.isfinite(ratio):
+                raise EvaluationOverflowError(
+                    f"u_pair_shift_a: K_(b-1), K_b at 2 sqrt(a z) leave "
+                    f"double range (a={a}, b={b}, z={z})")
+            return 1.0, ratio
+        # the shared formula serves a <= 0.1 with a and a - 1 more than
+        # 1e-12 from the non-positive integers, where 1/Gamma(a) and
+        # 1/Gamma(a - 1) are small and need the checked routes
+        if not (shared and A_CONNECTION_MIN <= a1 and a <= 0.1
+                and abs(a1 - round(a1)) >= 1e-12
                 and (a > 0.0 or abs(a - round(a)) >= 1e-12)):
-            return _tricomi_u_of_z(a, b)(z), _tricomi_u_of_z(a1, b)(z)
+            u, u1 = _u_by_formula(a, b, z), _u_by_formula(a1, b, z)
+            if u is None and u1 is None:
+                return _u_evaluated(a, b, z, 2)
+            return (_u_evaluated(a, b, z)[0] if u is None else u,
+                    _u_evaluated(a1, b, z)[0] if u1 is None else u1)
         x = 1.0 + a - b
         x1 = 1.0 + a1 - b
         r_x, r_a = rgamma(x), rgamma(a)
@@ -571,14 +493,22 @@ def _laplace_rule(a, b, z, levels):
     return log_gu, moments
 
 
-def _log_abs_u(a, b, z):
-    """(log|U(a, b, z)| + C, sign of U) over a 1-d array z > 0; the constant
-    C = log Gamma(a_top) depends on (a, b) only.
+def _recurrence_steps(a):
+    """Steps m of the downward recurrence from a_top = a + m in
+    (_LAPLACE_A, _LAPLACE_A + 1] to a; 0 for a > _LAPLACE_A."""
+    return max(0, math.floor(_LAPLACE_A + 1.0 - a))
 
-    For a > _LAPLACE_A, a_top = a and the Laplace rule gives log Gamma(a) U.
-    Otherwise U comes down from a_top = a + m in (_LAPLACE_A, _LAPLACE_A +
-    1], m steps in a, carried on W_l = U(., b - l, z), l = 0..L with
-    L = max(1, ceil(b - 1)), so that b - L <= 1:
+
+def _log_abs_u(a, b, z, count=1):
+    """[(log|U(a - i, b, z)| + C, sign of U(a - i, b, z)) for i < count]
+    over a 1-d array z > 0, from one pass; the constant C = log
+    Gamma(a_top) depends on (a, b) only.
+
+    For a single value at a > _LAPLACE_A, a_top = a and the Laplace rule
+    gives log Gamma(a) U.  Otherwise U comes down from a_top = a + m,
+    m = _recurrence_steps(a), in m + count - 1 steps in a, carried on
+    W_l = U(., b - l, z), l = 0..L with L = max(1, ceil(b - 1)), so that
+    b - L <= 1:
 
         W_L(a-1) = z W_(L-1)(a) + (a - b + L) W_L(a)    (DLMF 13.3.10)
         W_l(a-1) = (a-1) W_l(a) + W_(l+1)(a-1), l < L   (DLMF 13.3.9)
@@ -594,19 +524,20 @@ def _log_abs_u(a, b, z):
     cancels, z^(2-b) rounding units.  a + j - 1 is formed from the exact a,
     so U near a zero of 1/Gamma(a) sees a itself, not a_top - m.
     """
-    if a > _LAPLACE_A:
+    m = _recurrence_steps(a)
+    if m == 0 and count == 1:
         log_gu, _ = _laplace_rule(a, b, z, 0)
-        return log_gu, np.ones_like(z)
-    m = math.floor(_LAPLACE_A + 1.0 - a)
-    if m > _MAX_STEPS:
+        return [(log_gu, np.ones_like(z))]
+    if m + count - 1 > _MAX_STEPS:
         raise DomainError(
-            f"u_ratio_z_evaluator: a={a} needs {m} recurrence steps, more "
-            f"than {_MAX_STEPS}")
+            f"array evaluator of U: a={a} needs {m + count - 1} recurrence "
+            f"steps, more than {_MAX_STEPS}")
     levels = max(1, math.ceil(b - 1.0))
     log_gu, moments = _laplace_rule(a + m, b, z, levels)
     w = [np.ones_like(z)] + list(moments)
+    out = [(log_gu, w[0])] if m == 0 else []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(m, 0, -1):
+        for j in range(m, 1 - count, -1):
             a_j = a + j
             w[levels] = z * w[levels - 1] + (a_j - (b - levels)) * w[levels]
             for lev in range(levels - 1, -1, -1):
@@ -615,8 +546,9 @@ def _log_abs_u(a, b, z):
                 scale = np.abs(w[0]) + np.abs(w[levels])
                 log_gu = log_gu + np.log(scale)
                 w = [v / scale for v in w]
-        log_u = log_gu + np.log(np.abs(w[0]))
-    return log_u, np.sign(w[0])
+            if j <= 1:
+                out.append((log_gu + np.log(np.abs(w[0])), np.sign(w[0])))
+    return out
 
 
 def u_ratio_z_evaluator(a: float, b: float, z_den: float):
@@ -631,14 +563,14 @@ def u_ratio_z_evaluator(a: float, b: float, z_den: float):
     """
     if not z_den > 0.0:
         raise DomainError("u_ratio_z_evaluator: requires z_den > 0")
-    log_den, sign_den = _log_abs_u(a, b, np.array([float(z_den)]))
+    [(log_den, sign_den)] = _log_abs_u(a, b, np.array([float(z_den)]))
 
     def ratio(z):
         za = np.asarray(z, dtype=float)
         flat = za.reshape(-1)
         if not np.all(flat > 0.0):
             raise DomainError("u_ratio_z_evaluator: requires z > 0")
-        log_u, sign = _log_abs_u(a, b, flat)
+        [(log_u, sign)] = _log_abs_u(a, b, flat)
         with np.errstate(over="ignore"):
             out = (sign * sign_den[0]) * np.exp(log_u - log_den[0])
         if not np.all(np.isfinite(out)):

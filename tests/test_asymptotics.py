@@ -10,9 +10,12 @@ from pseudoharm.unreg import PotentialSpec, nu_of_alpha
 
 
 class TestInterior:
-    @pytest.mark.parametrize("alpha", [-0.25, -0.1, -1e-3, 1e-3, 0.1, 0.75, 2.0])
+    @pytest.mark.parametrize("alpha", [-0.25, -0.1, -1e-3, 1e-3, 0.1, 0.75,
+                                       2.0, -1e-6, 1e-6])
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_slope_factor_matches_trig_forms(self, alpha, parity):
+        import mpmath as mp
+
         # the interior log-derivative at s2 = -alpha written out per case:
         # -r tan r, r cot r (alpha < 0) and r tanh r, r coth r (alpha > 0)
         nu = nu_of_alpha(alpha)
@@ -23,14 +26,20 @@ class TestInterior:
             w = r * math.tanh(r) if parity == "even" else r / math.tanh(r)
         num, den = asymptotics._interior_log_derivative(-alpha, parity)
         assert num / den == pytest.approx(w, rel=1e-14)
-        # f = (nu - w)/(nu - 1 + w) turns a relative error e of w into
-        # e |w| (2 nu - 1)/(nu - 1 + w)^2 of f, which exceeds e |f| where
-        # nu - w cancels (odd, |alpha| small): there either form of w
-        # leaves f 2e-13 to 4e-13 from a 40-digit value at alpha = +-1e-3
-        want = (nu - w) / (nu - 1.0 + w)
-        cond = abs(w) * (2.0 * nu - 1.0) / (nu - 1.0 + w) ** 2
-        got = asymptotics._interior_slope_factor(alpha, parity)
-        assert abs(got - want) <= 1e-14 * max(abs(want), cond)
+        # f = (nu - w)/(nu - 1 + w) against 40 digits: a double-precision
+        # reference cancels in nu - 1 (and in nu - w for odd states) near
+        # alpha = 0, as the program did before nu - 1 = alpha/nu
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            r = mp.sqrt(abs(a))
+            nu = mp.mpf(1) / 2 + mp.sqrt(mp.mpf(1) / 4 + a)
+            if alpha < 0.0:
+                w = -r * mp.tan(r) if parity == "even" else r / mp.tan(r)
+            else:
+                w = r * mp.tanh(r) if parity == "even" else r / mp.tanh(r)
+            want = (nu - w) / (nu - 1 + w)
+            got = asymptotics._interior_slope_factor(alpha, parity)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("s2", [1e-6, -1e-6, 1e-4 + 1e-12, 1e-4 - 1e-12,
                                     -1e-4 + 1e-12, -1e-4 - 1e-12,

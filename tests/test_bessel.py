@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import simpson
 from pseudoharm.errors import DomainError
 from pseudoharm.specfun import bessel_k, bessel_k_pair
-from pseudoharm.specfun.bessel import _bessel_k_scaled
 
 mp.mp.dps = 40
 
@@ -94,34 +93,6 @@ def test_positivity_and_monotone_decay():
         assert np.all(np.diff(vals) < 0.0), lam
 
 
-def test_scaled_k_on_every_route():
-    # e^z K at half-integer, integer and other orders, from Temme's series
-    # and from CF2; past z ~ 745, where K underflows, it stays finite
-    for lam in (0.5, 2.5, 0.0, 2.0, 0.3873, 1.3873):
-        for z in (0.3, 8.4, 9.0, 40.0):
-            expect = bessel_k(lam, z) * math.exp(z)
-            assert _bessel_k_scaled(lam, z) == pytest.approx(expect, rel=1e-14)
-        assert bessel_k(lam, 1000.0) == 0.0
-        ref = float(mp.besselk(lam, 1000) * mp.exp(1000))
-        assert _bessel_k_scaled(lam, 1000.0) == pytest.approx(ref, rel=1e-14)
-
-
-def test_fixed_order_scaled_k_is_the_per_call_value():
-    # the order constants computed once give the same bits as a per-call
-    # evaluation at both orders of the pair (lam + 1 is exact for these):
-    # half-integer, integer, near-integer and reflected orders, Temme's
-    # series, CF2 and underflow of the unscaled K
-    for lam in (0.5, -2.5, 0.0, 0.9999996, 2.0, 2.0 ** -17, -0.3873, 0.3873,
-                2.05, -0.7):
-        assert lam + 1.0 - 1.0 == lam
-        pair = bessel_k_pair(lam, scaled=True)
-        for z in (1e-6, 0.3, 1.3, 2.0, 8.4, 8.5, 8.6, 40.0, 1000.0):
-            assert pair(z) == (_bessel_k_scaled(lam, z),
-                               _bessel_k_scaled(lam + 1.0, z)), (lam, z)
-    with pytest.raises(DomainError):
-        bessel_k_pair(0.3, scaled=True)(0.0)
-
-
 def test_rejects_nonpositive_argument():
     with pytest.raises(DomainError):
         bessel_k(0.5, 0.0)
@@ -145,16 +116,13 @@ _ARGUMENTS = st.one_of(
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(lam=_ORDERS, z=_ARGUMENTS)
 def test_k_pair_against_mpmath(lam, z):
-    # K_lam and K_(lam+1), plain and e^z-scaled, against 30 digits across
+    # K_lam and K_(lam+1) against 30 digits across
     # the Temme/CF2 switch at z = 2 and at orders near integers and
     # half-integers; measured worst 9.9e-15 on a 5 559-point sweep
     plain = bessel_k_pair(lam)(z)
-    scaled = bessel_k_pair(lam, scaled=True)(z)
     with mp.workdps(30):
         for k in (0, 1):
             ref = mp.besselk(mp.mpf(lam) + k, z)
-            ref_scaled = ref * mp.exp(z)
-            assert abs(scaled[k] - ref_scaled) <= 5e-14 * ref_scaled, k
             if ref > 1e-300:
                 assert abs(plain[k] - ref) <= 5e-14 * ref, k
             else:  # K underflows the normal doubles

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import hyperu_ref
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
-                               NonConvergenceError)
+                               NonConvergenceError, PseudoharmError)
 from pseudoharm.specfun import (bessel_k, bessel_k_pair, laguerre, lgamma,
                                 rgamma, sinpi, tricomi_u, u_pair_shift_a,
                                 u_ratio_z_evaluator)
-from pseudoharm.specfun.hyper import (B_INTEGER_TOL, _bessel_combo, _log_gu,
-                                      _u_connection, _u_large_a, _u_large_z,
-                                      kummer_m)
+from pseudoharm.specfun.hyper import (A_CONNECTION_MIN, A_SWITCH,
+                                      B_INTEGER_TOL, Z_CONNECTION,
+                                      _bessel_combo, _is_laguerre,
+                                      _u_by_formula, _u_connection,
+                                      _u_large_a, kummer_m)
 
 mp.mp.dps = 50
 
@@ -80,13 +82,14 @@ class TestTricomiValues:
             assert tricomi_u(a, b, z) == pytest.approx(
                 float(mp.hyperu(a, b, z)), rel=1e-12)
 
-    def test_integer_b_nudge_floor(self):
-        # connection formula is singular at integer b; the two-point nudge
-        # carries a documented 1e-7 accuracy floor
+    def test_integer_b_takes_the_evaluator(self):
+        # the connection formula is singular at integer b and refuses it;
+        # tricomi_u takes the array evaluator there, within its stated bound
         for (a, b, z) in [(-1.3, 2.0, 0.5), (-0.4, 1.0, 2.0e-3)]:
-            val = _u_connection(a, b, z)
-            ref = float(mp.hyperu(a, b, z))
-            assert val == pytest.approx(ref, rel=1e-7)
+            with pytest.raises(DomainError):
+                _u_connection(a, b, z)
+            assert _route(a, b, z) == "evaluator"
+            _check_u(a, b, z, tricomi_u(a, b, z))
 
     def test_unrepresentable_value_reports_threshold(self):
         with pytest.raises(EvaluationOverflowError) as exc:
@@ -185,6 +188,149 @@ class TestTricomiProperties:
             assert lhs == pytest.approx(rhs, rel=3e-11, abs=1e-280), (n, lam, x)
 
 
+# --- tricomi_u against 30 digits over its stated region --------------------
+# The bounds of tricomi_u's docstring, per route, relative to the recurrence
+# scale S: the terms of DLMF 13.3.7 that give U(a).  Measured worst over
+# about 4 500 random draws: 6e-14 (Laguerre), 1.9e-12 (connection), 2.8e-13
+# (evaluator).
+_ROUTE_TOL = {"laguerre": 1e-12, "connection": 5e-12, "evaluator": 1e-12}
+
+
+def _route(a, b, z):
+    if _is_laguerre(a) and b >= 0.5:
+        return "laguerre"
+    return "evaluator" if _u_by_formula(a, b, z) is None else "connection"
+
+
+def _u_mp(a, b, z):
+    return mp.hyperu(mp.mpf(a), mp.mpf(b), mp.mpf(z), maxprec=3000)
+
+
+def _check_u(a, b, z, got, tol=None):
+    """got against U(a, b, z) at 30 digits, to tol (the route's bound) of
+    the recurrence scale S; below b = 1/2 the bound adds 2e-13 |U|/(|b| +
+    z), what the recurrence keeps where U(a <= 0) is O(|b| + z)."""
+    tol = _ROUTE_TOL[_route(float(a), b, z)] if tol is None else tol
+    with mp.workdps(30):
+        a_mp = mp.mpf(a)
+        u = _u_mp(a_mp, b, z)
+        scale = abs(u) + abs((2 * a_mp + 2 - b + z) * _u_mp(a_mp + 1, b, z)) \
+            + abs((a_mp + 1) * (a_mp + 2 - b) * _u_mp(a_mp + 2, b, z))
+        bound = tol * scale
+        if b < 0.5:
+            bound += 2e-13 * abs(u) / (abs(b) + z)
+        err = abs(mp.mpf(got) - u)
+        assert err <= bound, (a, b, z, got, float(err / scale))
+
+
+def _next(x, toward):
+    return float(np.nextafter(x, toward))
+
+
+_SEAM_A = [A_SWITCH, _next(A_SWITCH, math.inf),
+           A_CONNECTION_MIN, _next(A_CONNECTION_MIN, -math.inf),
+           0.0, -1.0, -7.0, -1e-13, -7.0 + 1e-12, 0.1,
+           4.0, _next(4.0, math.inf), 5.0, _next(5.0, -math.inf)]
+_SEAM_Z = [Z_CONNECTION, _next(Z_CONNECTION, math.inf), 1e-8, 160.0]
+# offsets from an integer b across B_INTEGER_TOL and into the integer
+_B_OFFSETS = [0.0, 1e-7, -1e-7, B_INTEGER_TOL * (1.0 + 1e-9),
+              -B_INTEGER_TOL * (1.0 + 1e-9), B_INTEGER_TOL * (1.0 - 1e-9)]
+
+
+class TestTricomiRoutes:
+    """tricomi_u's three routes against 30 digits at their stated bounds."""
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(a=st.one_of(st.floats(-60.0, 100.0), st.sampled_from(_SEAM_A),
+                       st.integers(-60, 0).map(float),
+                       st.tuples(st.integers(-60, 0),
+                                 st.sampled_from([1e-13, -1e-12, 1e-9]))
+                       .map(sum)),
+           b=st.one_of(st.floats(0.5, 4.5),
+                       st.tuples(st.integers(1, 4),
+                                 st.sampled_from(_B_OFFSETS)).map(sum)),
+           z=st.one_of(st.floats(-8.0, math.log10(160.0))
+                       .map(lambda t: 10.0 ** t), st.sampled_from(_SEAM_Z)))
+    def test_against_reference(self, a, b, z):
+        _check_u(a, b, z, tricomi_u(a, b, z))
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(a=st.one_of(st.floats(-60.0, 100.0),
+                       st.integers(-60, 0).map(float)),
+           b=st.one_of(st.floats(-0.5, 0.5),
+                       st.sampled_from([1e-7, -1e-7, 2e-6, -2e-6])),
+           z=st.floats(-8.0, math.log10(160.0)).map(lambda t: 10.0 ** t))
+    def test_below_half_against_reference(self, a, b, z):
+        # every b < 1/2 takes the evaluator, which the recurrence checks of
+        # criterion 7 reach through U(a, b - 1, z)
+        assert _route(a, b, z) == "evaluator"
+        _check_u(a, b, z, tricomi_u(a, b, z))
+
+    @pytest.mark.parametrize("a,b", [(-0.3, 1.6), (-2.6, 2.3), (-5.5, 1.45)])
+    def test_cancellation_seam(self, a, b):
+        # the two neighbouring doubles where the connection formula's
+        # cancellation check switches, past a zero of U in (0, 1)
+        with mp.workdps(30):
+            z0 = float(mp.findroot(lambda z: _u_mp(a, b, z), 0.4))
+        lo, hi = z0, min(2.0 * z0, Z_CONNECTION)
+        assert _route(a, b, lo) == "evaluator"
+        assert _route(a, b, hi) == "connection"
+        while _next(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            if _route(a, b, mid) == "evaluator":
+                lo = mid
+            else:
+                hi = mid
+        for z in (lo, hi):
+            _check_u(a, b, z, tricomi_u(a, b, z))
+
+    @pytest.mark.parametrize("a,b,z", [(44.0, 1.387, 36.0),
+                                       (127.0, 1.5, 42.0),
+                                       (-29.7, 2.16, 12.0),
+                                       (-12.7, 1.447, 25.0),
+                                       (31.5, 1.3, 1e-6)])
+    def test_former_silent_errors(self, a, b, z):
+        # where the Bessel branch (1.4e-2, 6.0e-4, 2.1e-9), the unchecked
+        # connection formula (3.2e-5) and the 1/z expansion (5.6e-10) erred
+        assert _route(a, b, z) == "evaluator"
+        _check_u(a, b, z, tricomi_u(a, b, z))
+        with mp.workdps(30):
+            ref = _u_mp(a, b, z)
+            assert abs(tricomi_u(a, b, z) - ref) <= 1e-13 * abs(ref)
+
+    def test_laguerre_band_is_the_integers(self):
+        # 1e-13 from -1 the polynomial U(-1) would miss the z^(1-b) part,
+        # of relative size about 1e-13 z^(1-b): 3.5e-2 here
+        a, b, z = -1.0 + 1e-13, 2.5, 1e-8
+        assert _route(a, b, z) == "connection"
+        _check_u(a, b, z, tricomi_u(a, b, z))
+        assert abs(tricomi_u(a, b, z) / tricomi_u(-1.0, b, z) - 1.0) > 0.03
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(a=st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 7.0)
+                       .map(lambda t: 10.0 ** t),
+                       st.integers(-250, 5).map(float)),
+           b=st.one_of(st.floats(-6.0, 12.0),
+                       st.tuples(st.integers(-5, 10),
+                                 st.sampled_from([0.0, 1e-7, 1e-5]))
+                       .map(sum)),
+           z=st.one_of(st.floats(-300.0, 6.0).map(lambda t: 10.0 ** t),
+                       st.floats(-9.0, 3.0).map(lambda t: 10.0 ** t)))
+    def test_raises_only_package_errors(self, a, b, z):
+        # far outside the stated region too: a value or a PseudoharmError,
+        # never another exception, a warning or a non-finite value
+        for evaluate in (lambda: (tricomi_u(a, b, z),),
+                         lambda: u_pair_shift_a(b, z)(a)):
+            try:
+                values = evaluate()
+            except PseudoharmError:
+                continue
+            assert all(math.isfinite(v) for v in values), (a, b, z, values)
+
+
 def _shift_ratio(a, b, z):
     u0, u1 = u_pair_shift_a(b, z)(a)
     return u1 / u0
@@ -245,9 +391,10 @@ class TestRatioHelpers:
 
 
 # --- per-point references for the exterior evaluator ----------------------
-# Each writes one route of U out term by term, in the order of the
-# per-point scalar code (M*r1*r2, pi/sin(pi b) * (t1 - t2), ...), so an
-# evaluator that hoists a factor but changes a rounding shows as a bit.
+# Each writes one formula route of U out term by term, in the order of the
+# per-point scalar code (M*r1*r2, pi/sin(pi b) * (t1 - t2), ...), so a
+# change of a rounding shows as a bit; None where tricomi_u takes the array
+# evaluator, which is checked against 30 digits at its stated bound instead.
 
 def _ref_laguerre(a, b, z):
     n = int(round(-a))
@@ -267,29 +414,19 @@ def _ref_connection(a, b, z):
     return math.pi / sinpi(b) * (t1 - t2)
 
 
-def _ref_straddle(a, b, z):
-    bn, h = round(b), 2e-6
-    lo = _ref_connection(a, bn - h, z)
-    hi = _ref_connection(a, bn + h, z)
-    if abs(b - bn) < 1e-12:
-        return 0.5 * (lo + hi)
-    return lo + (b - (bn - h)) * (hi - lo) / (2.0 * h)
-
-
-def _ref_laplace(a, b, z):
-    return math.exp(_log_gu(a, b, z) - lgamma(a))
+def _ref_evaluator(a, b, z):
+    return None
 
 
 def _ref_checked_connection(a, b, z):
-    t1, t2 = _ref_terms(a, b, z)
-    if (abs(t1) + abs(t2)) / abs(t1 - t2) > 3e3:
-        return _ref_laplace(a, b, z)
-    return math.pi / sinpi(b) * (t1 - t2)
+    if _route(a, b, z) == "evaluator":
+        return None
+    return _ref_connection(a, b, z)
 
 
 def _ref_small_a(a, b, z):
-    if z > 20.0:
-        return _u_large_z(a, b, z)
+    if z > Z_CONNECTION:
+        return None
     return _ref_connection(a, b, z)
 
 
@@ -316,7 +453,8 @@ def _check_psi_scale(ratio, a, b, z0, zs, tol=1e-12):
 
 
 class TestRatioEvaluator:
-    # (route, a, b, z0, sample arguments, per-point reference for U)
+    # (route, a, b, z0, sample arguments, per-point reference for U); the
+    # ids name the routes these points took before tricomi_u had three
     ROUTES = [
         ("laguerre", -3.0, 1.4472, 1e-6, (1e-6, 0.3, 4.0, 25.0),
          _ref_laguerre),
@@ -325,27 +463,30 @@ class TestRatioEvaluator:
         ("connection, a > 0.1", 1.7, 1.4472, 1e-4, (2e-4, 0.3, 5.0),
          _ref_checked_connection),
         ("near-integer b", -0.7, 2.0000005, 1e-4, (3e-4, 0.5, 6.0),
-         lambda a, b, z: _ref_straddle(a, b, z)),
-        ("integer b", -0.4, 1.0, 2e-3, (4e-3, 1.5),
-         lambda a, b, z: _ref_straddle(a, b, z)),
+         _ref_evaluator),
+        ("integer b", -0.4, 1.0, 2e-3, (4e-3, 1.5), _ref_evaluator),
         ("1/z", -1.3, 1.4472, 1e-6, (20.5, 27.0, 38.0), _ref_small_a),
         ("1/z, near-integer b", -0.7, 1.9999995, 0.5, (24.0, 36.0),
-         lambda a, b, z: _u_large_z(a, b, z) if z > 20.0
-         else _ref_straddle(a, b, z)),
+         _ref_evaluator),
         ("laplace fallback", 0.5, 1.3, 0.5, (10.0, 15.0),
          _ref_checked_connection),
-        ("laplace, integer b", 1.7, 2.0, 1e-3, (0.3, 4.0), _ref_laplace),
+        ("laplace, integer b", 1.7, 2.0, 1e-3, (0.3, 4.0), _ref_evaluator),
     ]
 
     @pytest.mark.parametrize("route,a,b,z0,zs,ref", ROUTES,
                              ids=[r[0] for r in ROUTES])
     def test_equals_per_point_ratio(self, route, a, b, z0, zs, ref):
-        # tricomi_u keeps each route's per-point bits; the exterior
-        # evaluator, one algorithm for all of them, matches 20 digits at
-        # 1e-12 of the psi scale on the same points
-        assert tricomi_u(a, b, z0) == ref(a, b, z0)
-        for z in zs:
-            assert tricomi_u(a, b, z) == ref(a, b, z), (route, z)
+        # tricomi_u keeps each formula route's per-point bits and meets the
+        # evaluator's stated bound elsewhere; the exterior evaluator, one
+        # algorithm for all of them, matches 20 digits at 1e-12 of the psi
+        # scale on the same points
+        for z in (z0,) + zs:
+            want = ref(a, b, z)
+            if want is None:
+                assert _route(a, b, z) == "evaluator", (route, z)
+                _check_u(a, b, z, tricomi_u(a, b, z))
+            else:
+                assert tricomi_u(a, b, z) == want, (route, z)
         _check_psi_scale(u_ratio_z_evaluator(a, b, z0), a, b, z0, zs)
 
     def test_laplace_fallback_is_taken(self):
@@ -376,6 +517,8 @@ class TestRatioEvaluator:
         assert ratio(4.0) > 0.0
 
     def test_large_a_tricomi_equals_per_point_form(self):
+        # the Bessel expansion keeps its per-point form for criterion 7;
+        # tricomi_u takes the array evaluator above A_SWITCH
         a, b = 45.0, 1.7
         for z in (1e-4, 1e-3, 0.2):
             combo = _bessel_combo(a, b, z, lambda w: (bessel_k(b - 1.0, w),
@@ -383,7 +526,7 @@ class TestRatioEvaluator:
             logu = math.log(2.0) \
                 + 0.5 * (1.0 - b) * (math.log(z) - math.log(a)) \
                 + 0.5 * z - lgamma(a) + math.log(combo)
-            assert tricomi_u(a, b, z) == math.exp(logu)
+            _check_u(a, b, z, tricomi_u(a, b, z))
             assert _u_large_a(a, b, z) == math.exp(logu)
 
     def test_rejects_nonpositive_arguments(self):
@@ -454,21 +597,39 @@ class TestExteriorEvaluator:
 
 def _shares_factors(a, b):
     """Where u_pair_shift_a takes its shared-factor formula: the plain
-    connection formula at a and a - 1 (z <= Z_LARGE throughout here)."""
+    connection formula at a and a - 1 (z <= Z_CONNECTION throughout here)."""
     def plain(x):
-        return x <= 0.1 and (x > 0.0 or abs(x - round(x)) >= 1e-12)
-    return abs(b - round(b)) >= B_INTEGER_TOL and plain(a) and plain(a - 1.0)
+        return A_CONNECTION_MIN <= x <= 0.1 \
+            and (x > 0.0 or abs(x - round(x)) >= 1e-12)
+    return b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL \
+        and plain(a) and plain(a - 1.0)
 
 
 def _check_pair(a, b, z):
     u, u1 = u_pair_shift_a(b, z)(a)
-    # U(a) takes tricomi_u's operations in tricomi_u's order
-    assert u == tricomi_u(a, b, z), (a, b, z)
-    want = tricomi_u(a - 1.0, b, z)
     if not _shares_factors(a, b):
-        # so does U(a - 1) wherever the shared factors do not serve
-        assert u1 == want, (a, b, z)
+        # each value as tricomi_u takes it: the formula routes' bits at a
+        # and a - 1.0, and where both fall to the array evaluator one pass,
+        # at its bound, which steps from a to the exact a - 1
+        both = _route(a, b, z) == _route(a - 1.0, b, z) == "evaluator"
+        for x, x_exact, got in ((a, a, u), (a - 1.0, mp.mpf(a) - 1, u1)):
+            if _route(x, b, z) == "evaluator":
+                _check_u(x_exact if both else x, b, z, got)
+            else:
+                assert got == tricomi_u(x, b, z), (x, b, z)
         return
+    # U(a) takes the plain formula's operations in its order: tricomi_u's
+    # wherever its cancellation check passes (the hot path takes none)
+    assert u == _ref_connection(a, b, z), (a, b, z)
+    if _route(a, b, z) == "connection":
+        assert u == tricomi_u(a, b, z), (a, b, z)
+    # U(a - 1) against the formula at a - 1.0, or where that float rounds
+    # (U at another argument) against 30 digits at the exact a - 1
+    if a - 1.0 + 1.0 == a:
+        want = _ref_connection(a - 1.0, b, z)
+    else:
+        with mp.workdps(30):
+            want = float(_u_mp(mp.mpf(a) - 1, b, z))
     t1, t2 = _ref_terms(a - 1.0, b, z)
     scale = abs(math.pi / sinpi(b)) * (abs(t1) + abs(t2))
     assert abs(u1 - want) <= 1e-13 * scale, (a, b, z, u1, want)
@@ -481,10 +642,10 @@ class TestPairShiftA:
            z=st.floats(-8.0, -2.0).map(lambda t: 10.0 ** t),
            a=st.floats(-51.0, 1.2).map(lambda a: a - 1.0 + 1.0))
     def test_against_tricomi_u(self, b, z, a):
-        # the recurrences 1/Gamma(x-1) = (x-1)/Gamma(x) against two
-        # tricomi_u calls, to 1e-13 of the connection formula's |t1| + |t2|.
-        # a is drawn with a - 1 exact: where it rounds, tricomi_u(a - 1.0)
-        # is U at another argument (test_exact_shift_near_a_pole)
+        # the recurrences 1/Gamma(x-1) = (x-1)/Gamma(x) against the plain
+        # connection formula at a - 1, to 1e-13 of its |t1| + |t2|.  a is
+        # drawn with a - 1 exact: where it rounds, the formula at a - 1.0 is
+        # U at another argument (test_exact_shift_near_a_pole)
         assume(a - 1.0 + 1.0 == a)
         _check_pair(a, b, z)
 
@@ -514,16 +675,19 @@ class TestPairShiftA:
         assert _shares_factors(0.1, 1.4472)
         assert not _shares_factors(0.1 + 1e-9, 1.4472)
         assert _shares_factors(2.0 ** -39, 2.0 + 2e-6)
-        assert not _shares_factors(1e-13, 2.0 + 2e-6)  # a - 1 is Laguerre
+        assert not _shares_factors(1e-13, 2.0 + 2e-6)  # a - 1 near -1
         assert not _shares_factors(-1e-13, 1.4472)
         assert not _shares_factors(-0.5, 2.0 - 5e-7)
 
     def test_large_argument_is_tricomi_u(self):
-        # above Z_LARGE the 1/z expansion serves a and a - 1
+        # above Z_CONNECTION one evaluator pass serves a and a - 1: U(a)
+        # with tricomi_u's bits (the same recurrence from the same a_top),
+        # U(a - 1) one step further, at the evaluator's bound
         pair = u_pair_shift_a(1.4472, 25.0)
         for a in (-1.3, 0.05):
-            assert pair(a) == (tricomi_u(a, 1.4472, 25.0),
-                               tricomi_u(a - 1.0, 1.4472, 25.0))
+            u, u1 = pair(a)
+            assert u == tricomi_u(a, 1.4472, 25.0)
+            _check_u(a - 1.0, 1.4472, 25.0, u1)
 
     def test_rejects_nonpositive_argument(self):
         for z in (0.0, -1.0):

@@ -146,6 +146,68 @@ class TestSolveExcited:
         assert exc.value.context["seed"] == 3.0
         assert "parity" in exc.value.context
 
+    @pytest.mark.parametrize("alpha,delta", [(-0.1, 0.19), (-0.25, 0.1),
+                                             (-0.24, 0.15), (-0.2, 0.19),
+                                             (0.1, 0.19)])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_large_cutoff_roots_are_indexed(self, alpha, delta, parity):
+        # the seed 2n + nu can lie nearer another state's root at large
+        # delta (alpha -0.1, delta 0.19: even n = 1 and 2 both gave 3.866);
+        # the root continued in delta is the n-th root of a full scan from
+        # kappa = 0, below which lies only the runaway ground state
+        spec = PotentialSpec(alpha, delta)
+        kappas = [regspec.solve_excited(spec, parity, n).kappa
+                  for n in range(6)]
+        assert all(k1 > k0 for k0, k1 in zip(kappas, kappas[1:]))
+        g = regspec._entire_residual(spec, parity)
+        roots = [brent(g, lo, hi, xtol=1e-13) for lo, hi in
+                 scan_sign_changes(g, 0.0, kappas[-1] + 1.0, 0.02)]
+        assert len(roots) == 6
+        for kappa, root in zip(kappas, roots):
+            assert abs(kappa - root) <= 1e-10 * root
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.75])  # b = 1 and b = 2
+    @pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2])
+    def test_integer_b_against_40_digit_solve(self, alpha, delta):
+        # the U pair at integer b comes from the array evaluator (the
+        # straddled connection formula before left 6.3e-11 at alpha -1/4);
+        # the reference roots the entire condition with mpmath's hyperu
+        import mpmath as mp
+
+        spec = PotentialSpec(alpha, delta)
+        with mp.workdps(40):
+            d2 = mp.mpf(delta) ** 2
+            nu = mp.mpf(1) / 2 + mp.sqrt(mp.mpf(1) / 4 + mp.mpf(alpha))
+
+            def entire(k, parity):
+                s2 = (2 * k + 1) * d2 - (d2 * d2 + mp.mpf(alpha))
+                u = mp.sqrt(s2)  # imaginary in the evanescent regime
+                cos, sinc = mp.re(mp.cos(u)), mp.re(mp.sin(u) / u)
+                num, den = (-s2 * sinc, cos) if parity == "even" \
+                    else (cos, sinc)
+                u0 = mp.hyperu((nu - k) / 2, nu + mp.mpf(1) / 2, d2)
+                u1 = mp.hyperu((nu - k) / 2 - 1, nu + mp.mpf(1) / 2, d2)
+                return num * u0 - den * ((d2 - k - 1) * u0 - 2 * u1)
+
+            for parity in ("even", "odd"):
+                for n in range(3):
+                    kappa = regspec.solve_excited(spec, parity, n).kappa
+                    ref = mp.findroot(lambda k: entire(k, parity),
+                                      (mp.mpf(kappa) - 1e-7,
+                                       mp.mpf(kappa) + 1e-7),
+                                      solver="anderson")
+                    assert abs((kappa - ref) / ref) < 1e-12, (parity, n)
+
+    def test_continuation_raises_when_the_root_is_lost(self, monkeypatch):
+        # a residual without a root near the continued seed
+        monkeypatch.setattr(regspec, "_entire_residual",
+                            lambda spec, parity: lambda k: 1.0 + k * k)
+        monkeypatch.setattr(regspec, "_seeded_root",
+                            lambda spec, parity, n, n_display: 1.0)
+        with pytest.raises(BracketError) as exc:
+            regspec.solve_excited(PotentialSpec(0.1, 0.1), "odd", 0)
+        assert exc.value.context["n"] == 0
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             regspec.solve_excited(PotentialSpec(-0.3, 0.01), "odd", 0)
