@@ -328,7 +328,8 @@ def u_pair_shift_a(b: float,
     and more than 1e-12 from the integers, the pair shares 1/Gamma(b),
     1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs 1/Gamma(1+a-b)
     and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) = (x-1)/Gamma(x);
-    this hot path takes no cancellation check.  Every other a is evaluated
+    this hot path takes no cancellation check, and a non-finite result
+    leaves it.  Every other a is evaluated
     as tricomi_u evaluates it, except that where both a and a - 1 fall to
     the array evaluator one pass gives both, U(a - 1) one recurrence step
     below U(a).
@@ -361,23 +362,24 @@ def u_pair_shift_a(b: float,
         # the shared formula serves a <= 0.1 with a and a - 1 more than
         # 1e-12 from the non-positive integers, where 1/Gamma(a) and
         # 1/Gamma(a - 1) are small and need the checked routes
-        if not (shared and A_CONNECTION_MIN <= a1 and a <= 0.1
+        if (shared and A_CONNECTION_MIN <= a1 and a <= 0.1
                 and abs(a1 - round(a1)) >= 1e-12
                 and (a > 0.0 or abs(a - round(a)) >= 1e-12)):
-            u, u1 = _u_by_formula(a, b, z), _u_by_formula(a1, b, z)
-            if u is None and u1 is None:
-                return _u_evaluated(a, b, z, 2)
-            return (_u_evaluated(a, b, z)[0] if u is None else u,
-                    _u_evaluated(a1, b, z)[0] if u1 is None else u1)
-        x = 1.0 + a - b
-        x1 = 1.0 + a1 - b
-        r_x, r_a = rgamma(x), rgamma(a)
-        u = pi_over_s * (kummer_m(a, b, z) * r_x * r_b
-                         - z_1mb * kummer_m(x, 2.0 - b, z) * r_a * r_2mb)
-        u1 = pi_over_s * (kummer_m(a1, b, z) * (x1 * r_x) * r_b
-                          - z_1mb * kummer_m(x1, 2.0 - b, z) * (a1 * r_a)
-                          * r_2mb)
-        return u, u1
+            x = 1.0 + a - b
+            x1 = 1.0 + a1 - b
+            r_x, r_a = rgamma(x), rgamma(a)
+            u = pi_over_s * (kummer_m(a, b, z) * r_x * r_b
+                             - z_1mb * kummer_m(x, 2.0 - b, z) * r_a * r_2mb)
+            u1 = pi_over_s * (kummer_m(a1, b, z) * (x1 * r_x) * r_b
+                              - z_1mb * kummer_m(x1, 2.0 - b, z)
+                              * (a1 * r_a) * r_2mb)
+            if math.isfinite(u) and math.isfinite(u1):
+                return u, u1
+        u, u1 = _u_by_formula(a, b, z), _u_by_formula(a1, b, z)
+        if u is None and u1 is None:
+            return _u_evaluated(a, b, z, 2)
+        return (_u_evaluated(a, b, z)[0] if u is None else u,
+                _u_evaluated(a1, b, z)[0] if u1 is None else u1)
 
     return pair
 

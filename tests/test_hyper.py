@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import hyperu_ref
@@ -319,6 +319,9 @@ class TestTricomiRoutes:
                        .map(sum)),
            z=st.one_of(st.floats(-300.0, 6.0).map(lambda t: 10.0 ** t),
                        st.floats(-9.0, 3.0).map(lambda t: 10.0 ** t)))
+    # the shared-factor path overflowing to +-inf
+    @example(a=-44.641200958463564, b=7.4619978294131, z=2.385348197738613e-46)
+    @example(a=-32.91051797727496, b=9.00001, z=1.8219960487301865e-35)
     def test_raises_only_package_errors(self, a, b, z):
         # far outside the stated region too: a value or a PseudoharmError,
         # never another exception, a warning or a non-finite value
