@@ -15,6 +15,11 @@ No matrix is stored.  Each block is a ``BlockOperator`` that holds F, the
 diagonal and the two FFT symbols of a circulant embedding, in O(n_max)
 memory, and applies the block to vectors in O(n_max log n_max) operations;
 ``eigensolver.eigh_lowest`` needs nothing else.
+
+``reconstruct_wavefunction`` sums a pair's n sines at each sample by
+blocked angle addition over the powers of e^{2i theta}: three complex
+exponentials and about 2 sqrt(n) complex multiplications a sample, plus
+one small real matrix product, and no trig table.
 """
 
 import math
@@ -233,23 +238,36 @@ def eigensolve(model: MatrixModel, k: int, want_vectors: bool = True):
 def _sine_series(theta, first, coefficients):
     """sum_j c_j sin((first + 2 j) theta) for every theta, by angle addition.
 
-    With j = q B + r and B = isqrt(n), (first + 2j) theta is the sum of
-    (first + 2qB) theta and 2r theta.  N x B cos and sin tables of the second
-    angle times the coefficients as a zero-padded B x Q array give the
-    partial sums C_q + i S_q = sum_r c_{qB+r} e^{2ir theta}; N x Q tables of
-    the first angle combine them as sum_q sin(.) C_q + cos(.) S_q.  That is
-    about 4 N sqrt(n) sines and cosines and no N x n array.
+    With j = q B + r and B = isqrt(n), the sum is
+    Im(e^{i first theta} sum_q G^q P_q) with E = e^{2i theta},
+    G = e^{2iB theta} and the partial sums P_q = sum_r c_{qB+r} E^r.  The
+    powers E^r, r < B, come from repeated multiplication as the rows of a
+    B x N array; the zero-padded Q x B coefficients times that array, seen
+    as B x 2N reals, give every P_q in one real matrix product; Horner's
+    rule in G sums over q.  That is three complex exponentials and about
+    2 sqrt(n) complex multiplications per sample, and no N x n array.
+    After r steps a power carries at most r roundings (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1), the size of
+    the rounding that the angle 2 r theta itself carries.
     """
     n = len(coefficients)
     width = math.isqrt(n)
     rows = -(-n // width)
     padded = np.zeros(rows * width)
     padded[:n] = coefficients
-    blocks = padded.reshape(rows, width).T
-    inner = np.outer(theta, 2.0 * np.arange(width))
-    outer = np.outer(theta, first + 2.0 * width * np.arange(rows))
-    return (np.einsum("nq,nq->n", np.sin(outer), np.cos(inner) @ blocks)
-            + np.einsum("nq,nq->n", np.cos(outer), np.sin(inner) @ blocks))
+    step = np.exp(2j * theta)
+    powers = np.empty((width, theta.size), dtype=complex)
+    powers[0] = 1.0
+    for r in range(1, width):
+        np.multiply(powers[r - 1], step, out=powers[r])
+    partial = (padded.reshape(rows, width)
+               @ powers.view(float)).view(complex)
+    stride = np.exp(2j * width * theta)
+    total = partial[rows - 1].copy()
+    for q in range(rows - 2, -1, -1):
+        total *= stride
+        total += partial[q]
+    return (np.exp(1j * first * theta) * total).imag
 
 
 def reconstruct_wavefunction(pair: MatrixEigenpair, model: MatrixModel,
@@ -262,10 +280,11 @@ def reconstruct_wavefunction(pair: MatrixEigenpair, model: MatrixModel,
     result is 1-D.
 
     The sum over the n basis indices of the pair's block is evaluated by
-    blocked angle addition: about 4 sqrt(n) sines and cosines per sample and
-    two (len(x) x sqrt(n)) by (sqrt(n) x sqrt(n)) matrix products, with
-    O(len(x) sqrt(n)) memory.  It agrees with the direct sine sum to a few
-    units of rounding times max|psi|.
+    blocked angle addition: three complex exponentials and about 2 sqrt(n)
+    complex multiplications per sample, and one (sqrt(n) x sqrt(n)) by
+    (sqrt(n) x 2 len(x)) real matrix product, with O(len(x) sqrt(n))
+    memory.  It agrees with the direct sine sum to a few units of rounding
+    times max|psi|.
 
     Raises DomainError when the grid is not 1-D, holds a non-finite value
     or leaves [0, a], or when the pair has no coefficients or does not

@@ -328,8 +328,9 @@ def u_pair_shift_a(b: float,
     and more than 1e-12 from the integers, the pair shares 1/Gamma(b),
     1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs 1/Gamma(1+a-b)
     and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) = (x-1)/Gamma(x);
-    this hot path takes no cancellation check, and a non-finite result
-    leaves it.  Every other a is evaluated
+    this hot path takes only the pole-distance term of tricomi_u's
+    cancellation check, at a and a - 1, and a point that fails it or gives
+    a non-finite result leaves it.  Every other a is evaluated
     as tricomi_u evaluates it, except that where both a and a - 1 fall to
     the array evaluator one pass gives both, U(a - 1) one recurrence step
     below U(a).
@@ -368,12 +369,19 @@ def u_pair_shift_a(b: float,
             x = 1.0 + a - b
             x1 = 1.0 + a1 - b
             r_x, r_a = rgamma(x), rgamma(a)
-            u = pi_over_s * (kummer_m(a, b, z) * r_x * r_b
-                             - z_1mb * kummer_m(x, 2.0 - b, z) * r_a * r_2mb)
-            u1 = pi_over_s * (kummer_m(a1, b, z) * (x1 * r_x) * r_b
-                              - z_1mb * kummer_m(x1, 2.0 - b, z)
-                              * (a1 * r_a) * r_2mb)
-            if math.isfinite(u) and math.isfinite(u1):
+            t1 = kummer_m(a, b, z) * r_x * r_b
+            t2 = z_1mb * kummer_m(x, 2.0 - b, z) * r_a * r_2mb
+            s1 = kummer_m(a1, b, z) * (x1 * r_x) * r_b
+            s2 = z_1mb * kummer_m(x1, 2.0 - b, z) * (a1 * r_a) * r_2mb
+            u, u1 = pi_over_s * (t1 - t2), pi_over_s * (s1 - s2)
+            # the pole-distance term of _u_by_formula's check, at a and
+            # a - 1: near a pole of 1/Gamma, r_x carries the rounding of x,
+            # up to (1 + |a| + |b|) ulps, over the distance from x to the pole
+            ulps = 1.0 + abs(a) + abs(b)
+            limit = _AMP_SWITCH * abs(x - round(x))
+            if (abs(t1) * ulps < limit * abs(t1 - t2)
+                    and abs(s1) * ulps < limit * abs(s1 - s2)
+                    and math.isfinite(u) and math.isfinite(u1)):
                 return u, u1
         u, u1 = _u_by_formula(a, b, z), _u_by_formula(a1, b, z)
         if u is None and u1 is None:

@@ -38,26 +38,32 @@ def _si_continued_fraction(z):
     c = np.full(z.shape, 1.0 / _TINY, dtype=complex)
     d = 1.0 / b
     h = d.copy()
-    done = np.zeros(z.shape, dtype=bool)
+    out = np.empty(z.shape, dtype=complex)
+    live = np.arange(z.size)
     for i in range(2, _CF_MAX_TERMS + 1):
         a = -float((i - 1) ** 2)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         step = c * d
-        # each value stops at its own convergence, so it does not depend on
-        # the other arguments it is evaluated with
-        h = np.where(done, h, h * step)
-        done |= np.abs(step - 1.0) < _CF_TOL
-        if np.all(done):
-            break
+        h = h * step
+        # each value leaves the working arrays at its own convergence, so it
+        # does not depend on the other arguments it is evaluated with
+        done = np.abs(step - 1.0) < _CF_TOL
+        if np.any(done):
+            out[live[done]] = h[done]
+            going = ~done
+            live, b, c, d, h = (live[going], b[going], c[going], d[going],
+                                h[going])
+            if live.size == 0:
+                break
     else:
         raise NonConvergenceError(
             "sine_integral: continued fraction did not converge",
             terms=_CF_MAX_TERMS, z_min=float(np.min(z)))
     # Im[h e^{-iz}] in real arithmetic: numpy's in-place complex product
     # rounds differently on long arrays than on one element
-    return _HALF_PI + (h.imag * np.cos(z) - h.real * np.sin(z))
+    return _HALF_PI + (out.imag * np.cos(z) - out.real * np.sin(z))
 
 
 def sine_integral_array(z):

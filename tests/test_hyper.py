@@ -14,6 +14,7 @@ from pseudoharm.specfun import (bessel_k, bessel_k_pair, laguerre, lgamma,
                                 u_ratio_z_evaluator)
 from pseudoharm.specfun.hyper import (A_CONNECTION_MIN, A_SWITCH,
                                       B_INTEGER_TOL, Z_CONNECTION,
+                                      _AMP_SWITCH,
                                       _bessel_combo, _is_laguerre,
                                       _u_by_formula, _u_connection,
                                       _u_large_a, kummer_m)
@@ -598,19 +599,32 @@ class TestExteriorEvaluator:
 
 # --- the pair evaluator of a root solve in a --------------------------------
 
-def _shares_factors(a, b):
+def _shares_factors(a, b, z):
     """Where u_pair_shift_a takes its shared-factor formula: the plain
-    connection formula at a and a - 1 (z <= Z_CONNECTION throughout here)."""
+    connection formula at a and a - 1 (z <= Z_CONNECTION throughout here),
+    with the terms t1, t2 at a and a - 1 as the pair forms them, where the
+    pole-distance term of the cancellation check passes at both."""
     def plain(x):
         return A_CONNECTION_MIN <= x <= 0.1 \
             and (x > 0.0 or abs(x - round(x)) >= 1e-12)
-    return b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL \
-        and plain(a) and plain(a - 1.0)
+    if not (b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL
+            and plain(a) and plain(a - 1.0)):
+        return False
+    a1, x = a - 1.0, 1.0 + a - b
+    x1 = 1.0 + a1 - b
+    r_x, r_a, z_1mb = rgamma(x), rgamma(a), z ** (1.0 - b)
+    terms = ((kummer_m(a, b, z) * r_x * rgamma(b),
+              z_1mb * kummer_m(x, 2.0 - b, z) * r_a * rgamma(2.0 - b)),
+             (kummer_m(a1, b, z) * (x1 * r_x) * rgamma(b),
+              z_1mb * kummer_m(x1, 2.0 - b, z) * (a1 * r_a) * rgamma(2.0 - b)))
+    ulps = 1.0 + abs(a) + abs(b)
+    limit = _AMP_SWITCH * abs(x - round(x))
+    return all(abs(t1) * ulps < limit * abs(t1 - t2) for t1, t2 in terms)
 
 
 def _check_pair(a, b, z):
     u, u1 = u_pair_shift_a(b, z)(a)
-    if not _shares_factors(a, b):
+    if not _shares_factors(a, b, z):
         # each value as tricomi_u takes it: the formula routes' bits at a
         # and a - 1.0, and where both fall to the array evaluator one pass,
         # at its bound, which steps from a to the exact a - 1
@@ -622,7 +636,8 @@ def _check_pair(a, b, z):
                 assert got == tricomi_u(x, b, z), (x, b, z)
         return
     # U(a) takes the plain formula's operations in its order: tricomi_u's
-    # wherever its cancellation check passes (the hot path takes none)
+    # wherever its cancellation check passes (the hot path takes only its
+    # pole-distance term)
     assert u == _ref_connection(a, b, z), (a, b, z)
     if _route(a, b, z) == "connection":
         assert u == tricomi_u(a, b, z), (a, b, z)
@@ -673,14 +688,36 @@ class TestPairShiftA:
         for z in (1e-8, 1e-4, 1e-2):
             _check_pair(a, b, z)
 
+    @pytest.mark.parametrize("a,b,z", [(1e-9, 3.000002, 1e-4),
+                                       (1e-9, 2.000002, 1e-4),
+                                       (-2.5, 1.0000015, 0.01)])
+    def test_near_integer_b_against_reference(self, a, b, z):
+        # where the shared formula, unchecked, erred by 4.0e-11, 4.1e-11
+        # and 2.5e-10 of |U|: 1/Gamma(1 + a - b) 2e-6 from its pole at -2
+        # and -1 sees the rounding of 1 + a - b, and near b = 1 t1 - t2
+        # cancels.  The pole-distance test sends them to the checked routes
+        assert not _shares_factors(a, b, z)
+        _check_pair(a, b, z)
+        with mp.workdps(30):
+            want = (_u_mp(a, b, z), _u_mp(mp.mpf(a) - 1, b, z))
+        for x, got, ref in zip((a, a - 1.0), u_pair_shift_a(b, z)(a), want):
+            t1, t2 = _ref_terms(x, b, z)
+            scale = abs(math.pi / sinpi(b)) * (abs(t1) + abs(t2))
+            assert abs(got - ref) <= 1e-13 * scale, (x, b, z, got)
+
     def test_shared_formula_is_taken(self):
         # the explicit cases above reach both sides of every fall-back test
-        assert _shares_factors(0.1, 1.4472)
-        assert not _shares_factors(0.1 + 1e-9, 1.4472)
-        assert _shares_factors(2.0 ** -39, 2.0 + 2e-6)
-        assert not _shares_factors(1e-13, 2.0 + 2e-6)  # a - 1 near -1
-        assert not _shares_factors(-1e-13, 1.4472)
-        assert not _shares_factors(-0.5, 2.0 - 5e-7)
+        assert _shares_factors(0.1, 1.4472, 1e-4)
+        assert not _shares_factors(0.1 + 1e-9, 1.4472, 1e-4)
+        assert _shares_factors(2.0 ** -39, 1.4472, 1e-4)
+        assert not _shares_factors(1e-13, 2.0 + 2e-6, 1e-4)  # a - 1 near -1
+        assert not _shares_factors(-1e-13, 1.4472, 1e-4)
+        assert not _shares_factors(-0.5, 2.0 - 5e-7, 1e-4)
+        # the pole-distance test: 1 + a - b 2e-6 from the pole at -1, and
+        # t1 - t2 cancelling near b = 2 as z grows
+        assert not _shares_factors(2.0 ** -39, 2.0 + 2e-6, 1e-4)
+        assert _shares_factors(0.1 - 1e-9, 2.0 + 2e-6, 1e-4)
+        assert not _shares_factors(0.1 - 1e-9, 2.0 + 2e-6, 1e-2)
 
     def test_large_argument_is_tricomi_u(self):
         # above Z_CONNECTION one evaluator pass serves a and a - 1: U(a)

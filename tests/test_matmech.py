@@ -328,22 +328,27 @@ class TestReconstruction:
 
 # isqrt(n) does not divide the block size n, so the last coefficient row is
 # zero-padded, at n_max 11 (odd block, n = 5), 21 (n = 11 and 10) and 1600
-# (n = 800); it divides at the other sizes
-@pytest.mark.parametrize("n_max", [4, 5, 6, 7, 11, 17, 21, 200, 1600])
+# (n = 800); it divides at the other sizes.  At the paper's sizes n_max
+# 10000 and 32000 the powers of e^(2i theta) run to B = 70 and 126 steps,
+# so their rounding grows with B; there the 801 x n dense table would take
+# 100 MB, so only the random grid and the endpoints are summed, and the
+# scale is the largest |psi| on the random grid
+@pytest.mark.parametrize("n_max", [4, 5, 6, 7, 11, 17, 21, 200, 1600,
+                                   10000, 32000])
 def test_wavefunction_matches_dense_oracle(n_max):
     rho = 25.0
     model = matmech.assemble(-0.1, rho, matmech.epsilon_from_delta(0.01, rho),
                              n_max)
     a_box = math.pi * math.sqrt(rho / 2.0)
     uniform = np.linspace(0.0, a_box, 801)
-    grids = (uniform,
-             np.random.default_rng(n_max).uniform(0.0, a_box, 97),
-             np.array([0.0, a_box]),
-             np.array([]))
+    random = np.random.default_rng(n_max).uniform(0.0, a_box, 97)
+    grids = (random, np.array([0.0, a_box]), np.array([]))
+    if n_max <= 1600:
+        grids = (uniform,) + grids
     pairs = matmech.eigensolve(model, 3)
     assert {p.block for p in pairs} == {"even", "odd"}
     for pair in pairs:
-        scale = np.max(np.abs(dense_wavefunction(pair, model, uniform)))
+        scale = np.max(np.abs(dense_wavefunction(pair, model, grids[0])))
         for xs in grids:
             psi = matmech.reconstruct_wavefunction(pair, model, xs)
             want = dense_wavefunction(pair, model, xs)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (eig_condition_residual, hyperu_ref,
                       one_sided_derivative, scan_sign_changes)
 from pseudoharm import asymptotics, regspec
 from pseudoharm.specfun import bessel, hyper, u_ratio_z_evaluator
-from pseudoharm.errors import BracketError, DomainError
+from pseudoharm.errors import BracketError, DomainError, PseudoharmError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
 from pseudoharm.rootfind import brent
 from pseudoharm.unreg import PotentialSpec, make_label, nu_of_alpha, unreg_psi
@@ -707,6 +709,31 @@ def _psi_reference(spec, sol, wf, xs):
                     * hyperu_ref(a, b, ax * ax) / u0
             out.append(sign * val)
         return out
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(alpha=st.one_of(st.floats(-0.25, 3.0),
+                       st.sampled_from([-0.25, -0.25 + 1e-12, -1e-9, 0.0,
+                                        1e-9, 0.75, 2.0])),
+       delta=st.floats(-5.0, math.log10(0.2)).map(lambda t: 10.0 ** t),
+       state=st.sampled_from(["ground", "even", "odd"]),
+       n=st.integers(0, 30),
+       ends=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)))
+# the ground-state exterior that took the log of a negative number
+@example(alpha=-0.1, delta=0.005, state="ground", n=0, ends=(-12.0, 12.0))
+def test_wavefunction_raises_only_package_errors(alpha, delta, state, n,
+                                                 ends):
+    # solve, build and sample over any x range: finite samples or a
+    # PseudoharmError, never another exception or a warning
+    try:
+        spec = PotentialSpec(alpha, delta)
+        sol = (regspec.solve_ground_even(spec) if state == "ground"
+               else regspec.solve_excited(spec, state, n))
+        psi = regspec.build_wavefunction(spec, sol)(
+            np.linspace(min(ends), max(ends), 41))
+    except PseudoharmError:
+        return
+    assert np.all(np.isfinite(psi)), psi
 
 
 class TestWaveFunctionAgainstReference:
