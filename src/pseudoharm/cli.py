@@ -280,9 +280,12 @@ def cmd_wavefunction(args) -> RunRecord:
 
 def _norm_report(wf, spec):
     inner = integrate(lambda x: wf(x) ** 2, 0.0, spec.delta, rel_tol=1e-12)
+    # doubling panels from [delta, 2 delta]: each lies at least its own width
+    # from x = 0, where the exterior formula has a branch point, so the
+    # rounds need not bisect toward delta one level at a time
     outer = integrate_to_infinity(
         lambda x: wf(x) ** 2, spec.delta, rel_tol=1e-11,
-        first_width=min(1.0, 40.0 / math.sqrt(2.0 * abs(wf.solution.kappa) + 2.0)))
+        first_width=spec.delta)
     return {"norm": 2.0 * (inner + outer), "inner_mass": 2.0 * inner}
 
 

@@ -1,14 +1,25 @@
-"""Adaptive Gauss-Kronrod quadrature (G7/K15 pair) with interval bisection.
+"""Adaptive Gauss-Kronrod quadrature (G7/K15 pair), refined in rounds.
 
-Integrands take an array of abscissae and return their values: one call
-evaluates the 15 nodes of a panel, the 30 of a bisected panel's halves, or
-the probes of a few doublings of the tail search.
+Integrands take an array of abscissae and return their values; each value
+depends on its own abscissa only.  Every panel carries its K15 estimate and
+the error estimate |K15 - G7| (Piessens et al., QUADPACK, Springer 1983).
 
-Semi-infinite integrals are handled by growing the upper limit until the
-integrand falls below a fixed fraction of its observed peak.
+Refinement goes in rounds.  A round sorts the live panels by error
+estimate and bisects the largest ones until the panels left unsplit could
+meet the target on their own; the nodes of all the new halves go to the
+integrand in one call.  Refinement stops once the summed error estimate
+plus the float-resolution floor (the estimates of panels too narrow to
+bisect) is at most max(abs_tol, rel_tol |total|), and raises
+NonConvergenceError once no round can bisect without passing the panel
+budget.
+
+Semi-infinite integrals are handled by growing the upper limit in
+doubling panels until the integrand falls below a fixed fraction of its
+observed peak; refinement starts from those panels, the probes of a few
+doublings going to the integrand in one call.
 """
 
-import heapq
+import math
 
 import numpy as np
 
@@ -42,95 +53,112 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# node offsets [0, -x_j..., +x_j...] on [-1, 1]; the weights of the centre
+# and of the node pairs j = 0..6 (K15), of the centre and pairs 1, 3, 5 (G7)
+_UNIT_NODES = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
+_K_WEIGHTS = np.array((_WGK[7],) + _WGK[:7])
+_G_WEIGHTS = np.array((_WG[3],) + _WG[:3])
 
 
 # doublings of the tail search whose probes share one integrand call
-_PROBE_DOUBLINGS = 4
+_PROBE_DOUBLINGS = 8
+# panel budget of a refinement
+_MAX_PANELS = 2000
 
 
-def _kronrod_nodes(a: float, b: float):
-    """The 15 nodes [c, c - x_j..., c + x_j...] of [a, b] and the half-width."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    offsets = [h * x for x in _XGK[:7]]
-    return [c] + [c - x for x in offsets] + [c + x for x in offsets], h
+def _kronrod_panels(f, lo, hi):
+    """(K15 estimates, |K15 - G7| error estimates) of f over the panels
+    [lo[i], hi[i]] (1-d arrays), f called once on all their nodes.
 
-
-def _kronrod_sums(values, h: float):
-    """(K15, |K15 - G7|) from the 15 values at _kronrod_nodes, summed in the
-    order of the scalar rule."""
-    fc = values[0]
-    result_k = _WGK[7] * fc
-    result_g = _WG[3] * fc
-    for j in range(7):
-        f1 = values[1 + j]
-        f2 = values[8 + j]
-        result_k += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            result_g += _WG[j // 2] * (f1 + f2)
-    return result_k * h, abs((result_k - result_g) * h)
+    A panel's nodes are [c, c - h x_j..., c + h x_j...], and its sums
+    accumulate in the order of the scalar rule (centre, then node pairs),
+    so a scalar integrand mapped over the nodes gives its bits, whatever
+    other panels share the call.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    nodes = c[:, None] + h[:, None] * _UNIT_NODES
+    values = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
+    terms = values[:, :8].copy()
+    terms[:, 1:] += values[:, 8:]
+    result_k = np.add.accumulate(terms * _K_WEIGHTS, axis=1)[:, -1]
+    result_g = np.add.accumulate(terms[:, ::2] * _G_WEIGHTS, axis=1)[:, -1]
+    return result_k * h, np.abs((result_k - result_g) * h)
 
 
 def gauss_kronrod_15(f, a: float, b: float):
-    """Return (K15 estimate, |K15 - G7| error estimate) of f over [a, b].
-
-    f is called once, on the 15 nodes as an array, and returns their 15
-    values; the sums run in the order of the scalar rule, so a scalar
-    integrand mapped over the nodes gives its bits.
-    """
-    nodes, h = _kronrod_nodes(a, b)
-    return _kronrod_sums(np.asarray(f(np.array(nodes)), dtype=float).tolist(),
-                         h)
+    """Return (K15 estimate, |K15 - G7| error estimate) of f over [a, b],
+    f called once on the 15 nodes as an array."""
+    val, err = _kronrod_panels(f, np.array([float(a)]), np.array([float(b)]))
+    return float(val[0]), float(err[0])
 
 
-def _gauss_kronrod_15_halves(f, lo: float, mid: float, hi: float):
-    """gauss_kronrod_15 on [lo, mid] and on [mid, hi], f called once on the
-    30 nodes."""
-    nodes_lo, h_lo = _kronrod_nodes(lo, mid)
-    nodes_hi, h_hi = _kronrod_nodes(mid, hi)
-    values = np.asarray(f(np.array(nodes_lo + nodes_hi)),
-                        dtype=float).tolist()
-    return _kronrod_sums(values[:15], h_lo), _kronrod_sums(values[15:], h_hi)
+def _refine(f, edges, rel_tol, abs_tol, max_intervals):
+    """Integrate f over [edges[0], edges[-1]] from the panels between
+    consecutive edges, refining in rounds (module docstring); rounds counts
+    the integrand calls."""
+    lo = np.asarray(edges[:-1], dtype=float)
+    hi = np.asarray(edges[1:], dtype=float)
+    val, err = _kronrod_panels(f, lo, hi)
+    narrow = []  # (error, lo, hi, value) of the panels at float resolution
+    rounds = 1
+    while True:
+        floor_err = math.fsum(p[0] for p in narrow)
+        total = math.fsum(val.tolist() + [p[3] for p in narrow])
+        target = max(abs_tol, rel_tol * abs(total))
+        total_err = float(err.sum()) + floor_err
+        if total_err <= target:
+            return total
+        # largest estimate first, a NaN one as infinite; left[k] is the
+        # error left on the live panels after the k largest
+        key = np.where(np.isnan(err), math.inf, err)
+        order = np.argsort(-key, kind="stable")
+        left = np.cumsum(key[order][::-1])[::-1]
+        count = max(1, int(np.count_nonzero(left + floor_err > target)))
+        count = min(count, max_intervals - lo.size - len(narrow))
+        if count <= 0 or not lo.size:
+            worst = max(list(zip(key.tolist(), lo.tolist(), hi.tolist()))
+                        + [p[:3] for p in narrow])
+            raise NonConvergenceError(
+                "integrate: interval budget exhausted",
+                achieved=total_err / abs(total) if total else total_err,
+                requested=rel_tol, intervals=lo.size + len(narrow),
+                worst_interval=worst[1:], rounds=rounds)
+        split = order[:count]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        at_floor = (mid == lo[split]) | (mid == hi[split])
+        if at_floor.any():
+            gone = split[at_floor]
+            narrow += zip(err[gone].tolist(), lo[gone].tolist(),
+                          hi[gone].tolist(), val[gone].tolist())
+            split, mid = split[~at_floor], mid[~at_floor]
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
+        if new_lo.size:
+            new_val, new_err = _kronrod_panels(f, new_lo, new_hi)
+            lo = np.concatenate((lo, new_lo))
+            hi = np.concatenate((hi, new_hi))
+            val = np.concatenate((val, new_val))
+            err = np.concatenate((err, new_err))
+            rounds += 1
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
-              abs_tol: float = 0.0, max_intervals: int = 2000):
+              abs_tol: float = 0.0, max_intervals: int = _MAX_PANELS):
     """Adaptive quadrature of f over the finite interval [a, b].
 
-    Bisects the interval with the largest local error estimate until the
-    summed estimate meets rel_tol (relative to the accumulated integral) or
-    abs_tol.  Raises NonConvergenceError if the interval budget is exhausted,
-    reporting the tolerance actually achieved.
+    Refines in rounds from the one panel [a, b] until the summed error
+    estimate meets rel_tol (relative to the integral) or abs_tol.  Raises
+    NonConvergenceError when the panel budget is exhausted, reporting the
+    tolerance achieved, the panel with the largest error estimate
+    (worst_interval) and the number of rounds.
     """
     if a == b:
         return 0.0
-    val, err = gauss_kronrod_15(f, a, b)
-    heap = [(-err, a, b, val)]
-    total = val
-    total_err = err
-    floor_err = 0.0  # irreducible error from intervals at float resolution
-    n = 1
-    while n < max_intervals and heap:
-        if total_err + floor_err <= max(abs_tol, rel_tol * abs(total)):
-            return total
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        total_err += neg_err  # remove the parent's error estimate
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # interval at floating-point resolution
-            floor_err -= neg_err
-            continue
-        (v1, e1), (v2, e2) = _gauss_kronrod_15_halves(f, lo, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        n += 1
-    if total_err + floor_err <= max(abs_tol, rel_tol * abs(total)):
-        return total
-    raise NonConvergenceError(
-        "integrate: interval budget exhausted",
-        achieved=(total_err + floor_err) / abs(total) if total else total_err,
-        requested=rel_tol, intervals=n)
+    return _refine(f, [a, b], rel_tol, abs_tol, max_intervals)
 
 
 def integrate_to_infinity(f, a: float, rel_tol: float = 1e-10,
@@ -140,12 +168,14 @@ def integrate_to_infinity(f, a: float, rel_tol: float = 1e-10,
     """Integrate f over [a, inf) for integrands with eventual rapid decay.
 
     The upper limit grows in doubling panels [a + w, a + 2w] until the panel
-    contribution falls below tail_cutoff times the peak panel, then the
-    retained range is refined adaptively.  The probes of _PROBE_DOUBLINGS
-    doublings go to f in one call.
+    contribution falls below tail_cutoff times the peak panel; refinement
+    then starts from [a, a + first_width] and the doubling panels, all in
+    one integrand call.  The probes of _PROBE_DOUBLINGS doublings go to f
+    in one call.
     """
     width = first_width
     upper = a + width
+    edges = [a, upper]
     xs = [upper, a + 0.5 * width]
     peak = 0.0
     for start in range(0, max_doublings, _PROBE_DOUBLINGS):
@@ -166,9 +196,10 @@ def integrate_to_infinity(f, a: float, rel_tol: float = 1e-10,
             peak = max(peak, mid_val, end_val)
             upper = a + 2.0 * width
             width *= 2.0
+            edges.append(upper)
             if max(mid_val, end_val) <= tail_cutoff * peak and peak > 0.0:
-                return integrate(f, a, upper, rel_tol=rel_tol,
-                                 abs_tol=tail_cutoff * peak * (upper - a))
+                return _refine(f, edges, rel_tol,
+                               tail_cutoff * peak * (upper - a), _MAX_PANELS)
         xs = []
     raise NonConvergenceError(
         "integrate_to_infinity: integrand does not decay",

@@ -570,6 +570,16 @@ def u_ratio_z_evaluator(a: float, b: float, z_den: float):
     downward recurrence from it (_log_abs_u).  The ratio is formed in log
     form, so a far tail where U underflows gives 0.0.  Each point's value
     depends on that point alone, not on the others of the call.
+
+    Tested region: against 20 to 40 digits the ratio keeps 1e-12 of the
+    wave function's scale max |U(z) z^(b/2-1/4) e^(-z/2)| for a in
+    [-30, 1e4], b in [1, 3], z in [1e-8, 160].  Above b = 3, for a <= 0,
+    the error grows with b in the oscillatory bulk z in [b, 4|a| + 2b].
+    Against 40 digits on 241 points there, relative to the largest scaled
+    value within ten points, it is 2.6e-9 at (a, b) = (-30, 10.74),
+    1.3e-10 at (-20, 10.7), 5.5e-12 at (-30, 7) and 1.5e-13 at
+    (-30, 4.5).  A plain three-term recurrence in a from two Laplace
+    values keeps 1.6e-13 or better at those four points.
     """
     if not z_den > 0.0:
         raise DomainError("u_ratio_z_evaluator: requires z_den > 0")
