@@ -44,10 +44,7 @@ def _emit_json(obj) -> str:
                          for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        # rows of plain floats, the bulk of a wave-function record, skip the
-        # recursive call
-        return "[" + ",".join(_fmt_float(v) if type(v) is float
-                              else _emit_json(v) for v in obj) + "]"
+        return "[" + ",".join(_emit_item(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -59,6 +56,21 @@ def _emit_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _emit_item(v) -> str:
+    """One list item.  Plain floats and [x, y] rows of finite floats, the
+    bulk of a wave-function record, skip the recursive call: %.17g gives the
+    bytes of _fmt_float for a finite float, and NaN or an infinity, which
+    %-format spells with an n, goes the generic way."""
+    if type(v) is float:
+        return _fmt_float(v)
+    if type(v) is list and len(v) == 2 and type(v[0]) is float \
+            and type(v[1]) is float:
+        text = "[%.17g,%.17g]" % (v[0], v[1])
+        if "n" not in text:
+            return text
+    return _emit_json(v)
 
 
 @dataclass
@@ -111,6 +123,9 @@ def _write_output(record: RunRecord, out, fmt: str):
         "wall-time-s": record.wall_time_s,
         "written-at-unix": time.time(),
     }
+    # diagnostics go to the sidecar too, never into the CSV payload
+    if "normalization" in record.extras:
+        meta["normalization"] = record.extras["normalization"]
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_emit_json(meta) + "\n")
 
@@ -279,6 +294,10 @@ def cmd_wavefunction(args) -> RunRecord:
 
 
 def _norm_report(wf, spec):
+    """The norm by quadrature of the samples, an independent check of the
+    energy-slope normalization of regspec.build_wavefunction:
+    exterior_rel_diff is this exterior integral over wf.outer_integral,
+    minus 1."""
     inner = integrate(lambda x: wf(x) ** 2, 0.0, spec.delta, rel_tol=1e-12)
     # doubling panels from [delta, 2 delta]: each lies at least its own width
     # from x = 0, where the exterior formula has a branch point, so the
@@ -286,7 +305,8 @@ def _norm_report(wf, spec):
     outer = integrate_to_infinity(
         lambda x: wf(x) ** 2, spec.delta, rel_tol=1e-11,
         first_width=spec.delta)
-    return {"norm": 2.0 * (inner + outer), "inner_mass": 2.0 * inner}
+    return {"norm": 2.0 * (inner + outer), "inner_mass": 2.0 * inner,
+            "exterior_rel_diff": outer / wf.outer_integral - 1.0}
 
 
 def cmd_table1(args) -> RunRecord:

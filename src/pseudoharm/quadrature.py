@@ -64,6 +64,9 @@ _G_WEIGHTS = np.array((_WG[3],) + _WG[:3])
 _PROBE_DOUBLINGS = 8
 # panel budget of a refinement
 _MAX_PANELS = 2000
+# a semi-infinite integral's upper limit stops growing where the integrand
+# has fallen below this fraction of its observed peak
+_TAIL_CUTOFF = 1e-18
 
 
 def _kronrod_panels(f, lo, hi):
@@ -162,13 +165,12 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
 
 
 def integrate_to_infinity(f, a: float, rel_tol: float = 1e-10,
-                          tail_cutoff: float = 1e-18,
                           first_width: float = 1.0,
                           max_doublings: int = 60):
     """Integrate f over [a, inf) for integrands with eventual rapid decay.
 
     The upper limit grows in doubling panels [a + w, a + 2w] until the panel
-    contribution falls below tail_cutoff times the peak panel; refinement
+    contribution falls below _TAIL_CUTOFF times the peak panel; refinement
     then starts from [a, a + first_width] and the doubling panels, all in
     one integrand call.  The probes of _PROBE_DOUBLINGS doublings go to f
     in one call.
@@ -197,9 +199,9 @@ def integrate_to_infinity(f, a: float, rel_tol: float = 1e-10,
             upper = a + 2.0 * width
             width *= 2.0
             edges.append(upper)
-            if max(mid_val, end_val) <= tail_cutoff * peak and peak > 0.0:
+            if max(mid_val, end_val) <= _TAIL_CUTOFF * peak and peak > 0.0:
                 return _refine(f, edges, rel_tol,
-                               tail_cutoff * peak * (upper - a), _MAX_PANELS)
+                               _TAIL_CUTOFF * peak * (upper - a), _MAX_PANELS)
         xs = []
     raise NonConvergenceError(
         "integrate_to_infinity: integrand does not decay",

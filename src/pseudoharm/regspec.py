@@ -29,10 +29,9 @@ import numpy as np
 from .asymptotics import (_cos_family, _interior_log_derivative,
                           _interior_norm, _sinc_family, c0_self_consistent,
                           epsilon_n)
-from .errors import BracketError, DomainError
-from .quadrature import integrate_to_infinity
+from .errors import BracketError, DomainError, NonConvergenceError
 from .rootfind import brent, scan_outward
-from .specfun import u_pair_shift_a, u_ratio_z_evaluator
+from .specfun import u_pair_shift_a, u_ratio_slope_a, u_ratio_z_evaluator
 from .unreg import (BranchLabel, EigenSolution, PotentialSpec, make_label,
                     nu_of_alpha)
 
@@ -246,6 +245,8 @@ class PiecewiseWaveFunction:
     amplitude of the exterior closure expressed relative to its value at
     x = delta (the raw multiplier of U alone is not representable in double
     precision for the runaway ground state).  outer_rel takes an array.
+    outer_integral is the integral of psi^2 over x > delta that the
+    amplitude was taken from (the energy-slope route of build_wavefunction).
     """
 
     spec: PotentialSpec
@@ -255,6 +256,7 @@ class PiecewiseWaveFunction:
     matching_point: float
     inner_wave: Callable[[float], float]
     outer_rel: Callable[[np.ndarray], np.ndarray]
+    outer_integral: float
 
     def __call__(self, x):
         """psi at x (scalar or array): the exterior points in one array
@@ -274,7 +276,24 @@ class PiecewiseWaveFunction:
 
 def build_wavefunction(spec: PotentialSpec,
                        solution: EigenSolution) -> PiecewiseWaveFunction:
-    """Assemble and normalize the piecewise closure for a converged state."""
+    """Assemble and normalize the piecewise closure for a converged state.
+
+    The norm needs no quadrature.  The interior integral is closed-form
+    (asymptotics._interior_norm).  The exterior one comes from the energy
+    slope of the exterior log-derivative L = f'/f at the cutoff, f the
+    exterior solution: for -f''/2 + V f = E f, (f' df/dE - f df'/dE)' =
+    2 f^2, and E = kappa + 1/2, so
+
+        int_delta^inf (f/f(delta))^2 dx = (1/2) dL/dkappa at x = delta
+
+    (the Wronskian identity behind Wigner's bound on the phase-shift
+    slope, Phys. Rev. 98 (1955) 145, and R-matrix theory, Lane & Thomas,
+    Rev. Mod. Phys. 30 (1958) 257).  With delta L = delta^2 - kappa - 1 -
+    2 R, R = U(a-1, b, delta^2)/U(a, b, delta^2) and a = (nu - kappa)/2,
+    that is (dR/da - 1)/(2 delta), from one pass of
+    specfun.u_ratio_slope_a.  cli's norm report integrates psi^2 by
+    quadrature, an independent check of the identity.
+    """
     _require_regularized(spec, "build_wavefunction")
     kappa = solution.kappa
     parity = solution.label.parity
@@ -290,7 +309,8 @@ def build_wavefunction(spec: PotentialSpec,
 
     # U(a, b, x^2) / U(a, b, delta^2), with everything that does not depend
     # on x computed once for the state
-    u_ratio = u_ratio_z_evaluator(*_hyper_args(spec, kappa))
+    args = _hyper_args(spec, kappa)
+    u_ratio = u_ratio_z_evaluator(*args)
 
     def outer_rel(x):
         # region II relative to its value at the matching point; 1-d arrays
@@ -305,16 +325,17 @@ def build_wavefunction(spec: PotentialSpec,
         return rel
 
     match_val = inner_wave(delta)
-    # 1e-11: at 1e-10 the Kronrod estimate missed up to 1.5e-10 of the
-    # integral (alpha 0.1, delta 1e-3, even n 3), which the amplitude carries
-    outer_int = integrate_to_infinity(
-        lambda x: outer_rel(x) ** 2, delta,
-        rel_tol=1e-11, tail_cutoff=1e-18,
-        first_width=min(1.0, 4.0 / math.sqrt(2.0 * abs(kappa) + 2.0)))
-    norm_sq = 2.0 * (delta * _interior_norm(s2, parity)
-                     + match_val * match_val * outer_int)
+    outer_int = u_ratio_slope_a(*args)[1] / (2.0 * delta)
+    outer_sq = match_val * match_val * outer_int
+    norm_sq = 2.0 * (delta * _interior_norm(s2, parity) + outer_sq)
+    if not (outer_int > 0.0 and math.isfinite(norm_sq)):
+        raise NonConvergenceError(
+            "build_wavefunction: the exterior integral from the energy slope "
+            "is not positive and finite", exterior=outer_int,
+            alpha=spec.alpha, delta=delta, kappa=kappa)
     amp = 1.0 / math.sqrt(norm_sq)
     return PiecewiseWaveFunction(
         spec=spec, solution=solution,
         inner_coeff=amp, outer_coeff=amp * match_val,
-        matching_point=delta, inner_wave=inner_wave, outer_rel=outer_rel)
+        matching_point=delta, inner_wave=inner_wave, outer_rel=outer_rel,
+        outer_integral=amp * amp * outer_sq)

@@ -6,7 +6,8 @@ unlimited concurrent invocation.
 
 from .bessel import bessel_k, bessel_k_pair
 from .gammafn import gamma, lgamma, rgamma, sinpi
-from .hyper import tricomi_u, u_pair_shift_a, u_ratio_z_evaluator
+from .hyper import (tricomi_u, u_pair_shift_a, u_ratio_slope_a,
+                    u_ratio_z_evaluator)
 from .laguerre import laguerre
 from .sine_integral import sine_integral, sine_integral_array
 
@@ -22,5 +23,6 @@ __all__ = [
     "sinpi",
     "tricomi_u",
     "u_pair_shift_a",
+    "u_ratio_slope_a",
     "u_ratio_z_evaluator",
 ]

@@ -28,6 +28,25 @@ wave function's scale, max |U(z) z^(b/2-1/4) e^(-z/2)|, for a in
 [-30, 1e4], b in [1, 3], z from 1e-8 to 160 (2.2e-14 at worst in 840
 random draws).
 
+u_ratio_slope_a gives R = U(a-1, b, z)/U(a, b, z) and dR/da - 1 at one z
+from one pass of the same algorithm; a wave function's exterior norm is
+(dR/da - 1)/(2 delta) at z = delta^2, by the Wronskian identity
+int_delta^inf (f/f(delta))^2 dx = (1/2) dL/dkappa for the exterior
+log-derivative L (E. P. Wigner, Phys. Rev. 98 (1955) 145; Lane & Thomas,
+Rev. Mod. Phys. 30 (1958) 257).  An a-derivative of a Laplace expectation
+is its covariance with log(t/(1+t)):
+  * for a > 4 (ground states), dR/da - 1 = E[1/t] + (a-1) Cov(1/t,
+    log(t/(1+t))) from centred values of one window, with no cancellation
+    against the 1 (a finite difference of R errs by 5e-10 at a = 54);
+  * for a <= 4 (excited states, and ground states of small |kappa|), the
+    downward recurrence carries the a-derivatives forward-mode next to the
+    values, from the Laplace moments' covariances at a_top.
+Against 40 digits it keeps dR/da - 1 to 1.2e-13 relative on the excited
+states alpha in [-1/4, 3.5], delta in [1e-4, 1e-2], n <= 30, both
+parities, and to 3e-14 on the ground states of alpha in [-1/4, -0.001],
+delta in [1e-4, 5e-2] (see tests); where dR/da - 1 is a difference of two
+terms some 300 times larger, 1e-16 in a Laplace moment becomes 1e-13.
+
 The large-a expansion's coefficient polynomials were generated from its
 defining recurrences and verified against 40-digit reference values; they
 are tested constants (see tests).
@@ -416,12 +435,13 @@ def _log_slope(a, b, z, t):
     return (a + (b - 1.0 - z) * t - z * t * t) / (1.0 + t)
 
 
-def _laplace_window(a, b, z, left_lift):
+def _laplace_window(a, b, z, left_lift, left_extra=0.0):
     """Per point: (s_lo, s_hi, h, log-integrand at the peak), a window in
     s = log t whose ends lie _TAIL_DROP below the integrand's peak, and a
     step for the trapezoidal rule.  The left end lies left_lift * log1p(t_pk)
-    further down, for moments weighted by up to (1+t)^-left_lift, which
-    raise the left tail against the peak by that much.
+    + left_extra further down, for moments weighted by up to
+    (1+t)^-left_lift, which raise the left tail against the peak by that
+    much, or by 1/t (left_extra).
 
     The peak t_pk is the positive root of a + (b-1-z) t - z t^2.  The width
     w1 = arccosh(1 + L/(2 z t_pk)) solves the drop of the large-a
@@ -443,7 +463,7 @@ def _laplace_window(a, b, z, left_lift):
     h = (2.0 * math.pi) / (np.sqrt(78.0 * disc / (1.0 + 1.0 / t_pk)) + 25.0)
     phi_pk = _log_integrand(a, b, z, s_pk, t_pk)
     log1p_pk = np.log1p(t_pk)
-    left_drop = _TAIL_DROP + left_lift * log1p_pk
+    left_drop = _TAIL_DROP + left_extra + left_lift * log1p_pk
     w1 = np.arccosh(1.0 + _TAIL_DROP / (2.0 * z * t_pk))
     # the right (row 0) and left (row 1) start points s_pk +- w1 together
     s_side = s_pk + np.array([[1.0], [-1.0]]) * w1
@@ -559,6 +579,91 @@ def _log_abs_u(a, b, z, count=1):
             if j <= 1:
                 out.append((log_gu + np.log(np.abs(w[0])), np.sign(w[0])))
     return out
+
+
+def _laplace_point(a, b, z, left_lift, left_extra=0.0):
+    """(t, weight) at the nodes of one point's trapezoidal rule (as in
+    _laplace_rule), the weight relative to the integrand's peak."""
+    z1 = np.array([float(z)])
+    s_lo, s_hi, h, phi_pk = _laplace_window(a, b, z1, left_lift, left_extra)
+    count = _NODE_STEP * math.ceil(((s_hi[0] - s_lo[0]) / h[0] + 1.0)
+                                   / _NODE_STEP)
+    if not count <= _MAX_NODES:
+        raise NonConvergenceError(
+            "Laplace rule: window needs more nodes than the bound",
+            a=a, b=b, nodes=count, bound=_MAX_NODES)
+    s = s_lo + (s_hi - s_lo) / (count - 1) * np.arange(count, dtype=float)
+    t = np.exp(s)
+    return t, np.exp(_log_integrand(a, b, z, s, t) - phi_pk)
+
+
+def u_ratio_slope_a(a: float, b: float, z: float) -> tuple[float, float]:
+    """(R, dR/da - 1) for R = U(a-1, b, z)/U(a, b, z) at one z > 0, from
+    one pass of the array evaluator's algorithm.
+
+    Under the Laplace weight t^(a-1) (1+t)^(b-a-1) e^(-zt) (DLMF 13.4.4),
+    d/da of an expectation is its covariance with lam = log(t/(1+t)).
+      * a > _LAPLACE_A: R = (a-1)(1 + E[1/t]) and
+        dR/da - 1 = E[1/t] + (a-1) Cov(1/t, lam), from centred values.
+        For the ground state's large a, dR/da is 1 + O(sqrt(z/a)); the
+        difference is formed without that cancellation.  The window's left
+        end lies _TAIL_DROP/(a-1) further down for the weight 1/t.
+      * a <= _LAPLACE_A: the downward recurrence of _log_abs_u, carried
+        forward-mode in a: it starts from W_l = E[(1+t)^-l] and
+        dW_l = Cov((1+t)^-l, lam) at a_top, and differentiates each step
+        next to its value.  Gamma(a_top), its derivative E[lam] and the
+        rescaling factors multiply every W_l alike and cancel in R, so they
+        are held constant.
+
+    Stated region: the excited and ground states of the module docstring,
+    dR/da - 1 within 1.2e-13 relative of 40 digits.
+    """
+    if not z > 0.0:
+        raise DomainError(f"u_ratio_slope_a: requires z > 0, got z={z}")
+    m = _recurrence_steps(a)
+    if m == 0:
+        t, weight = _laplace_point(a, b, z, 0, _TAIL_DROP / (a - 1.0))
+        total = weight.sum()
+        inv_t = 1.0 / t
+        lam = -np.log1p(inv_t)
+        e_inv = float(weight @ inv_t) / total
+        lam_c = lam - float(weight @ lam) / total
+        cov = float(weight @ ((inv_t - e_inv) * lam_c)) / total
+        return (a - 1.0) * (1.0 + e_inv), e_inv + (a - 1.0) * cov
+    if m + 1 > _MAX_STEPS:
+        raise DomainError(
+            f"u_ratio_slope_a: a={a} needs {m + 1} recurrence steps, more "
+            f"than {_MAX_STEPS}")
+    levels = max(1, math.ceil(b - 1.0))
+    t, weight = _laplace_point(a + m, b, z, levels)
+    total = weight.sum()
+    lam = -np.log1p(1.0 / t)
+    lam_c = lam - float(weight @ lam) / total
+    damp = 1.0 / (1.0 + t)
+    w, dw = [1.0], [0.0]
+    for _ in range(levels):
+        weight = weight * damp
+        w.append(float(weight.sum()) / total)
+        dw.append(float(weight @ lam_c) / total)
+    for j in range(m, -1, -1):
+        # w, dw hold W_l(a + j) and its a-derivative; step to a + j - 1
+        c = a + j - (b - levels)
+        dw[levels] = z * dw[levels - 1] + w[levels] + c * dw[levels]
+        w[levels] = z * w[levels - 1] + c * w[levels]
+        c = a + (j - 1)
+        for lev in range(levels - 1, -1, -1):
+            dw[lev] = w[lev] + c * dw[lev] + dw[lev + 1]
+            w[lev] = c * w[lev] + w[lev + 1]
+        if j == 1:
+            u0, du0 = w[0], dw[0]
+        if j % _RESCALE_STEPS == 0:
+            scale = abs(w[0]) + abs(w[levels])
+            w = [v / scale for v in w]
+            dw = [v / scale for v in dw]
+            if j == 0:
+                u0, du0 = u0 / scale, du0 / scale
+    ratio = w[0] / u0
+    return ratio, (dw[0] - ratio * du0) / u0 - 1.0
 
 
 def u_ratio_z_evaluator(a: float, b: float, z_den: float):

@@ -37,6 +37,32 @@ class TestPlumbing:
         assert back["x"] == obj["x"]  # lossless float round-trip
         assert back["list"][1] == 2.5e-300
 
+    @staticmethod
+    def _generic_item(v):
+        # the emitter without its row fast path: every float by _fmt_float
+        return cli._fmt_float(v) if type(v) is float else _emit_json(v)
+
+    def test_json_rows_match_the_generic_path(self, monkeypatch):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   1e308, -1e308, 2.5e-300, 1.0 / 3.0]
+        rows = [[x, y] for x in special for y in special]
+        fast = _emit_json(rows)
+        monkeypatch.setattr(cli, "_emit_item", self._generic_item)
+        assert fast == _emit_json(rows)
+        assert "[NaN,Infinity]" in fast and "[-0,4.9406564584124654e-324]" \
+            in fast
+
+    def test_json_wavefunction_record_matches_the_generic_path(
+            self, monkeypatch):
+        argv = ["wavefunction", "--alpha", "0.1", "--delta", "1e-3", "--n",
+                "1", "--format", "json"]
+        args = cli._PARSER.parse_args(argv)
+        record = args.fn(args)
+        fast = record.to_json()
+        monkeypatch.setattr(cli, "_emit_item", self._generic_item)
+        assert fast == record.to_json()
+        assert len(json.loads(fast)["rows"]) == 601
+
     def test_runrecord_roundtrip(self):
         rec = RunRecord(command="spectrum", parameters={"alpha": -0.1},
                         settings={}, units="hw",
@@ -135,6 +161,22 @@ class TestDeterminismAndFiles:
         assert "wall-time-s" in meta and "written-at-unix" in meta
         # timestamps live only in the sidecar
         assert "unix" not in out1.read_text()
+
+    def test_wavefunction_sidecar_carries_the_norm_report(self, tmp_path):
+        # the normalization block goes to the sidecar; the CSV payload is
+        # the stdout CSV, byte for byte
+        out = tmp_path / "w.csv"
+        argv = ["wavefunction", "--alpha", "-0.1", "--delta", "0.01",
+                "--parity", "odd", "--n", "1", "--samples", "41"]
+        r = run_cli(argv + ["--out", str(out)])
+        assert r.returncode == 0
+        assert out.read_bytes() == run_cli(argv).stdout.encode()
+        meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
+        rec = json.loads(run_cli(argv + ["--format", "json"]).stdout)
+        assert meta["normalization"] == rec["normalization"]
+        assert set(meta["normalization"]) == {"norm", "inner_mass",
+                                              "exterior_rel_diff"}
+        assert "normalization" not in out.read_text()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -782,3 +783,100 @@ class TestWaveFunctionAgainstReference:
             + [s * k * decay for k in (0.5, 1, 2, 4, 8, 16, 30)
                for s in (1.0, -1.0)]
         self._check(spec, sol, xs)
+
+
+def _check_slope(spec, sol, bound):
+    """build_wavefunction's exterior integral int_delta^inf (f/f(delta))^2
+    dx = (dR/da - 1)/(2 delta) within bound, relative, of 40 digits, with
+    R = U(a-1, b, delta^2)/U(a, b, delta^2) and dR/da by mpmath's numerical
+    derivative of mpmath's U; and R from the same pass within 2e-15."""
+    import mpmath as mp
+
+    a, b, z = regspec._hyper_args(spec, sol.kappa)
+    ratio, _ = hyper.u_ratio_slope_a(a, b, z)
+    wf = regspec.build_wavefunction(spec, sol)
+    got = wf.outer_integral / wf.outer_coeff ** 2
+    with mp.workdps(40):
+        b, z = mp.mpf(b), mp.mpf(z)
+
+        def ratio_ref(x):
+            return mp.hyperu(x - 1, b, z, maxprec=2000) \
+                / mp.hyperu(x, b, z, maxprec=2000)
+
+        a = mp.mpf(a)
+        ref = (mp.diff(ratio_ref, a) - 1) / (2 * mp.mpf(spec.delta))
+        assert abs(float((got - ref) / ref)) <= bound, (spec, sol.label)
+        assert abs(float(ratio / ratio_ref(a) - 1)) <= 2e-15, \
+            (spec, sol.label)
+
+
+class TestExteriorNormFromSlope:
+    """build_wavefunction's exterior integral, from the energy slope of the
+    exterior log-derivative, against 40 digits.  The bounds are about twice
+    the largest errors measured on these grids: 1.2e-13 on the excited
+    states (alpha -0.1, delta 1e-4, even n 30, where dR/da - 1 is the
+    difference of two terms 300 times larger) and 2.9e-14 on the ground
+    states (alpha -0.001, delta 2e-3, a = 0.91, on the recurrence).  R
+    itself erred by 8.9e-16 at most (alpha -0.25, delta 1e-4, even n 0)."""
+
+    @pytest.mark.parametrize("alpha", [-0.25, -0.2, -0.1, 0.1, 0.6, 3.5])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2])
+    def test_excited(self, alpha, delta):
+        spec = PotentialSpec(alpha, delta)
+        for parity in ("even", "odd"):
+            for n in (0, 1, 12, 30):
+                _check_slope(spec, regspec.solve_excited(spec, parity, n),
+                             2.5e-13)
+
+    @pytest.mark.parametrize("alpha", [-0.25, -0.25 + 2.5e-11, -0.2499,
+                                       -0.2, -0.15, -0.1, -0.05, -0.01,
+                                       -0.001])
+    def test_ground(self, alpha):
+        # solve_ground_even's grid; where a <= 4 (alpha -0.001 from delta
+        # 2e-3, -0.01 from 1e-2, -0.05 and -0.1 at 5e-2) the slope comes
+        # from the recurrence
+        for delta in (1e-4, 2e-3, 1e-2, 5e-2):
+            spec = PotentialSpec(alpha, delta)
+            _check_slope(spec, regspec.solve_ground_even(spec), 6e-14)
+
+    def test_build_calls_no_quadrature(self, monkeypatch):
+        from pseudoharm import quadrature
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_wavefunction called the quadrature")
+
+        # every function of the module, at every name it has in the package
+        entry = {id(obj) for obj in vars(quadrature).values()
+                 if callable(obj)
+                 and getattr(obj, "__module__", None) == quadrature.__name__}
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("pseudoharm"):
+                for name, obj in list(vars(mod).items()):
+                    if id(obj) in entry:
+                        monkeypatch.setattr(mod, name, refuse)
+        assert quadrature.integrate_to_infinity is refuse
+        for spec, parity, n in [(PotentialSpec(0.1, 1e-3), "odd", 1),
+                                (PotentialSpec(-0.2, 1e-2), "even", 30),
+                                (PotentialSpec(-0.1, 1e-3), "even", None)]:
+            sol = (regspec.solve_ground_even(spec) if n is None
+                   else regspec.solve_excited(spec, parity, n))
+            wf = regspec.build_wavefunction(spec, sol)
+            assert np.all(np.isfinite(wf(np.linspace(-6.0, 6.0, 61))))
+
+    @pytest.mark.parametrize("alpha,delta,state,n", [
+        (-0.2, 1e-4, "even", 1), (-0.1, 1e-4, "even", 30),
+        (0.1, 1e-4, "even", 30), (0.1, 1e-2, "odd", 12),
+        (0.6, 1e-3, "odd", 0), (3.5, 1e-2, "even", 30),
+        (-0.25, 1e-3, "odd", 1), (-0.25, 1e-4, "ground", 0),
+        (-0.1, 1e-2, "ground", 0), (-0.001, 2e-3, "ground", 0)])
+    def test_cli_norm_report_agrees(self, alpha, delta, state, n):
+        # the CLI's quadrature of psi^2 against the slope route: at most
+        # 1.2e-13 apart over the 180 states of the two grids above
+        from pseudoharm import cli
+
+        spec = PotentialSpec(alpha, delta)
+        sol = (regspec.solve_ground_even(spec) if state == "ground"
+               else regspec.solve_excited(spec, state, n))
+        report = cli._norm_report(regspec.build_wavefunction(spec, sol), spec)
+        assert abs(report["exterior_rel_diff"]) <= 2.5e-13
+        assert abs(report["norm"] - 1.0) <= 2.5e-13
