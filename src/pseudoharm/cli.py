@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -102,12 +103,29 @@ class RunRecord:
         return _emit_json(payload)
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(
-                _fmt_float(v) if isinstance(v, (float, np.floating))
-                else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return ",".join(self.columns) + "\n" + _csv_body(self.rows)
+
+
+def _csv_body(rows) -> str:
+    """The rows as CSV lines, each ending in LF.  A table of plain-float rows
+    of one length, such as a wave-function table, takes one %.17g format a
+    row, which gives the bytes of _fmt_float for a finite float; the type
+    check runs over the whole table at once, because a check per row costs
+    most of what the format saves.  NaN or an infinity, which %-format
+    spells with an n, sends the table the generic way, as does any int,
+    string or numpy float."""
+    if len(set(map(len, rows))) == 1 \
+            and set(map(type, chain.from_iterable(rows))) == {float}:
+        row_format = ",".join(["%.17g"] * len(rows[0]))
+        text = "\n".join(map(row_format.__mod__, map(tuple, rows)))
+        if "n" not in text:
+            return text + "\n"
+    return "".join(_csv_cells(row) + "\n" for row in rows)
+
+
+def _csv_cells(row) -> str:
+    return ",".join(_fmt_float(v) if isinstance(v, (float, np.floating))
+                    else str(v) for v in row)
 
 
 def _write_output(record: RunRecord, out, fmt: str):
@@ -313,6 +331,7 @@ def cmd_table1(args) -> RunRecord:
     alphas = args.alpha_list or sorted(refdata.TABLE1)
     scale = _energy_scale(args.units, args.rho)
     eps = matmech.epsilon_from_delta(args.delta, args.rho)
+    assemble = matmech.assembler(args.rho, eps, args.nmax)
 
     def one(alpha):
         spec = PotentialSpec(alpha, args.delta)
@@ -321,7 +340,8 @@ def cmd_table1(args) -> RunRecord:
                                                       "self_consistent")
         cf = asymptotics.ground_state_energy_estimate(alpha, args.delta,
                                                       "closed_form")
-        model = matmech.assemble(alpha, args.rho, eps, args.nmax)
+        # one model at a time: each is solved and dropped before the next
+        model = assemble(alpha)
         vals, _ = eigh_lowest(model.blocks["even"], 1, want_vectors=False)
         mat = vals[0] / args.rho
         return alpha, mat, tric, sc, cf

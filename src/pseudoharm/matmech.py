@@ -16,6 +16,12 @@ diagonal and the two FFT symbols of a circulant embedding, in O(n_max)
 memory, and applies the block to vectors in O(n_max log n_max) operations;
 ``eigensolver.eigh_lowest`` needs nothing else.
 
+The g, h, k tables, with their 2 n_max + 1 sine integrals, depend on
+(eps, n_max) only; alpha and rho enter F and the diagonal as weights.
+``assembler(rho, eps, n_max)`` builds the tables once and returns
+alpha -> MatrixModel, so a run over several couplings at one cutoff (the
+CLI's ``table1``) computes them once; ``assemble`` is its one-coupling case.
+
 ``reconstruct_wavefunction`` sums a pair's n sines at each sample by
 blocked angle addition over the powers of e^{2i theta}: three complex
 exponentials and about 2 sqrt(n) complex multiplications a sample, plus
@@ -136,10 +142,11 @@ def _sinc(x):
     return out
 
 
-def _coupling_tables(alpha, rho, epsilon, n_max):
-    """g, h, k tables over even j = |n -/+ m| in [0, 2 n_max].
+def _coupling_tables(epsilon, n_max):
+    """g, h, k tables over even j = |n -/+ m| in [0, 2 n_max], read-only.
 
-    Index by j//2.  cos(p/2) for even j is exactly (-1)^(j/2); the
+    Index by j//2.  They depend on the cutoff and the basis size only, not
+    on alpha or rho.  cos(p/2) for even j is exactly (-1)^(j/2); the
     1 - cos(p eps/2) piece of l is evaluated as 2 sin^2(p eps/4) to dodge
     cancellation at small arguments.
     """
@@ -169,6 +176,8 @@ def _coupling_tables(alpha, rho, epsilon, n_max):
                 - 2.0 * one_minus_cos_half[nzp]
                 + pnz * (si_big[nzp] - si_small))
     k = cos_half_p * (2.0 / epsilon * (1.0 - epsilon) - ell)
+    for table in (g, h, k):
+        table.flags.writeable = False
     return g, h, k
 
 
@@ -183,36 +192,56 @@ def _diagonal(idx, alpha, rho, epsilon, veps, h, k):
             + 2.0 * alpha / math.pi ** 2 * (k[0] - k[idx]))
 
 
-def assemble(alpha: float, rho: float, epsilon: float,
-             n_max: int) -> MatrixModel:
-    """Build the two parity-block operators of H / E1.
+def assembler(rho: float, epsilon: float, n_max: int):
+    """The function alpha -> assemble(alpha, rho, epsilon, n_max).
 
-    The coupling table F = eps v_eps g + (pi^2 rho^2 / 2) h
-    + (2 alpha / pi^2) k gives every off-diagonal element as
-    F[|n-m|/2] - F[(n+m)/2].
+    The g, h, k tables are built here, once; each call weights them into
+    its coupling table F = eps v_eps g + (pi^2 rho^2 / 2) h
+    + (2 alpha / pi^2) k, which gives every off-diagonal element as
+    F[|n-m|/2] - F[(n+m)/2], and into the diagonal.  The per-coupling
+    arithmetic is that of a one-coupling ``assemble``, so the blocks carry
+    the same bits however many couplings share the tables.  Only the
+    tables are kept: the alpha-free parts of the diagonal would save about
+    0.1 ms a coupling at n_max 2000 and hold four more arrays per block
+    while the assembler lives.
+
+    Raises DomainError for n_max < 4, epsilon outside (0, 0.5) or a rho
+    that is not finite and positive, and, from a call, for a non-finite
+    alpha.
     """
-    if not math.isfinite(alpha):
-        raise DomainError(f"assemble: alpha must be finite, got {alpha}")
     if n_max < 4:
         raise DomainError(f"assemble: n_max must be >= 4, got {n_max}")
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"assemble: epsilon must lie in (0, 0.5), got {epsilon}")
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"assemble: rho must be finite and positive, got {rho}")
-    veps = v_epsilon(alpha, rho, epsilon)
-    g, h, k = _coupling_tables(alpha, rho, epsilon, n_max)
-    table = (epsilon * veps * g
-             + 2.0 * math.pi ** 2 * rho ** 2 / 4.0 * h
-             + 2.0 * alpha / math.pi ** 2 * k)
-    blocks, indices = {}, {}
-    # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity, i+j+2
-    for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
-        idx = np.arange(first, n_max + 1, 2)
-        blocks[block] = BlockOperator(
-            table, shift, _diagonal(idx, alpha, rho, epsilon, veps, h, k))
-        indices[block] = idx
-    return MatrixModel(alpha=alpha, rho=rho, epsilon=epsilon, n_max=n_max,
-                       blocks=blocks, indices=indices)
+    g, h, k = _coupling_tables(epsilon, n_max)
+
+    def build(alpha: float) -> MatrixModel:
+        if not math.isfinite(alpha):
+            raise DomainError(f"assemble: alpha must be finite, got {alpha}")
+        veps = v_epsilon(alpha, rho, epsilon)
+        table = (epsilon * veps * g
+                 + 2.0 * math.pi ** 2 * rho ** 2 / 4.0 * h
+                 + 2.0 * alpha / math.pi ** 2 * k)
+        blocks, indices = {}, {}
+        # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity,
+        # i+j+2
+        for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
+            idx = np.arange(first, n_max + 1, 2)
+            blocks[block] = BlockOperator(
+                table, shift, _diagonal(idx, alpha, rho, epsilon, veps, h, k))
+            indices[block] = idx
+        return MatrixModel(alpha=alpha, rho=rho, epsilon=epsilon,
+                           n_max=n_max, blocks=blocks, indices=indices)
+
+    return build
+
+
+def assemble(alpha: float, rho: float, epsilon: float,
+             n_max: int) -> MatrixModel:
+    """Build the two parity-block operators of H / E1 (see ``assembler``)."""
+    return assembler(rho, epsilon, n_max)(alpha)
 
 
 def eigensolve(model: MatrixModel, k: int, want_vectors: bool = True):

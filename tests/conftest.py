@@ -84,7 +84,7 @@ def element(n, m, alpha, rho, epsilon):
     """Single Hamiltonian element H_nm / E1; pure in (n, m, parameters)."""
     if (n + m) % 2 == 1:
         return 0.0
-    g, h, k = matmech._coupling_tables(alpha, rho, epsilon, max(n, m))
+    g, h, k = matmech._coupling_tables(epsilon, max(n, m))
     veps = matmech.v_epsilon(alpha, rho, epsilon)
     dm = abs(n - m) // 2
     sm = (n + m) // 2
@@ -110,7 +110,7 @@ def dense_block(alpha, rho, epsilon, n_max, block):
     first, step = {"even": (1, 2), "odd": (2, 2), "full": (1, 1)}[block]
     idx = np.arange(first, n_max + 1, step)
     veps = matmech.v_epsilon(alpha, rho, epsilon)
-    g, h, k = matmech._coupling_tables(alpha, rho, epsilon, n_max)
+    g, h, k = matmech._coupling_tables(epsilon, n_max)
     pr2 = math.pi ** 2 * rho ** 2 / 4.0
     api2 = alpha / math.pi ** 2
     half_d = np.abs(idx[:, None] - idx[None, :]) // 2

@@ -7,9 +7,11 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-from pseudoharm import cli
+from pseudoharm import cli, matmech
+from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.cli import (RunRecord, _emit_json, _parse_float_list,
                             _parse_n_range, main)
 
@@ -21,6 +23,11 @@ def run_cli(args, module="pseudoharm.cli", **env):
     return subprocess.run(
         [sys.executable, "-m", module] + args,
         capture_output=True, text=True, env=e)
+
+
+# floats whose %.17g text must equal _fmt_float's: signed zeros, the
+# smallest subnormal, the largest magnitudes
+FINITE = [-0.0, 0.0, 5e-324, 1e308, -1e308, 2.5e-300, 1.0 / 3.0, 1.5]
 
 
 class TestPlumbing:
@@ -62,6 +69,52 @@ class TestPlumbing:
         monkeypatch.setattr(cli, "_emit_item", self._generic_item)
         assert fast == record.to_json()
         assert len(json.loads(fast)["rows"]) == 601
+
+    @staticmethod
+    def _generic_csv(record):
+        # the CSV without its table fast path: every cell by _csv_cells
+        return "".join(cli._csv_cells(row) + "\n"
+                       for row in [record.columns] + record.rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[x, y] for x in FINITE for y in FINITE],
+        [[x, y, 1.0] for x in FINITE for y in (math.nan, math.inf,
+                                                  -math.inf)],
+        [[0.5, 1.5], [np.float64(0.1), 1.5]],
+        [[0.5, 1.5], [3, 0.25], ["odd", 1e-17]],
+        [[0.5, 1.5], [0.5, 1.5, 2.5]],
+        # spectrum rows without --delta: an empty delta cell
+        [[0.1, "", "even", 2, 0.5, 3.5, "closed"]],
+        [[]],
+        [],
+    ])
+    def test_csv_rows_match_the_generic_path(self, rows):
+        rec = RunRecord(command="t", parameters={}, settings={}, units="hw",
+                        columns=["a", "b"], rows=rows)
+        assert rec.to_csv() == self._generic_csv(rec)
+
+    def test_csv_finite_float_table_takes_the_fast_path(self, monkeypatch):
+        rows = [[x, y] for x in FINITE for y in FINITE]
+        rec = RunRecord(command="t", parameters={}, settings={}, units="hw",
+                        columns=["a", "b"], rows=rows)
+        want = self._generic_csv(rec)
+
+        def no_cells(row):
+            raise AssertionError("finite float rows must not go per cell")
+
+        monkeypatch.setattr(cli, "_csv_cells", no_cells)
+        text = rec.to_csv()
+        assert text == want
+        assert "\n-0,4.9406564584124654e-324\n" in text
+        assert "\n1e+308,-1e+308\n" in text
+
+    def test_csv_wavefunction_record_matches_the_generic_path(self):
+        args = cli._PARSER.parse_args(["wavefunction", "--alpha", "0.1",
+                                       "--delta", "1e-3", "--n", "1"])
+        record = args.fn(args)
+        text = record.to_csv()
+        assert text == self._generic_csv(record)
+        assert text.count("\n") == 602
 
     def test_runrecord_roundtrip(self):
         rec = RunRecord(command="spectrum", parameters={"alpha": -0.1},
@@ -269,6 +322,34 @@ class TestOtherCommands:
         assert tric == pytest.approx(-828.4898894, rel=1e-6)
         assert mat > tric  # Ritz value lies above at finite basis
         assert row[cols.index("dev_tricomi")] < 1e-6
+
+    def test_table1_builds_the_tables_once(self, monkeypatch, capsys):
+        # the sine-integral kernel of the coupling tables runs once per
+        # table1 call, not once per coupling
+        calls = []
+        kernel = matmech.sine_integral_array
+
+        def counted(x):
+            calls.append(np.size(x))
+            return kernel(x)
+
+        monkeypatch.setattr(matmech, "sine_integral_array", counted)
+        assert main(["table1", "--nmax", "200"]) == 0
+        assert capsys.readouterr().out.count("\n") == 6
+        assert calls == [401]
+
+    def test_table1_matrix_column_matches_one_coupling_assembly(self):
+        # table1's matrix energies are those of a one-coupling assemble and
+        # eigh_lowest, bit for bit
+        args = cli._PARSER.parse_args(["table1", "--nmax", "200"])
+        record = args.fn(args)
+        eps = matmech.epsilon_from_delta(args.delta, args.rho)
+        assert len(record.rows) == 5
+        for row in record.rows:
+            model = matmech.assemble(row[0], args.rho, eps, 200)
+            vals, _ = eigh_lowest(model.blocks["even"], 1,
+                                  want_vectors=False)
+            assert row[1] == vals[0] / args.rho
 
     def test_matmech_guard_and_experimental_flag(self):
         r = run_cli(["matmech", "--alpha", "-0.3", "--delta", "0.01",

@@ -29,7 +29,7 @@ class TestElements:
 
     def test_l_table_vanishes_at_zero_index(self):
         # l_eps(0) = 0 means k_eps(0) = (2/eps)(1-eps)
-        g, h, k = matmech._coupling_tables(0.3, 25.0, 0.01, 8)
+        g, h, k = matmech._coupling_tables(0.01, 8)
         assert k[0] == pytest.approx((2.0 / 0.01) * (1.0 - 0.01), rel=1e-14)
 
     def test_element_matches_assembled_matrix(self):
@@ -103,7 +103,7 @@ class TestElements:
         # the x-dependent harmonic element against direct quadrature of
         # (pi^2 rho^2/4) (u-1/2)^2 (2 sin^2(n pi u)) outside the strip
         rho, eps = 25.0, 1e-3
-        g, h, k = matmech._coupling_tables(0.0, rho, eps, 12)
+        g, h, k = matmech._coupling_tables(eps, 12)
         pr2 = math.pi ** 2 * rho ** 2 / 4.0
         for n in (1, 2, 5):
             analytic = 2.0 * pr2 * ((1.0 - eps ** 3) / 24.0 - h[n])
@@ -137,6 +137,43 @@ class TestElements:
         for rho in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="rho must be finite"):
                 matmech.assemble(0.1, rho, 0.01, 40)
+
+    def test_assembler_validation(self):
+        # rho, epsilon and n_max are checked when the assembler is built,
+        # alpha when it is called
+        for rho, eps, n_max in ((25.0, 0.6, 40), (25.0, 0.0, 40),
+                                (25.0, 0.01, 3), (0.0, 0.01, 40),
+                                (math.nan, 0.01, 40), (math.inf, 0.01, 40)):
+            with pytest.raises(DomainError):
+                matmech.assembler(rho, eps, n_max)
+        build = matmech.assembler(25.0, 0.01, 40)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="alpha must be finite"):
+                build(alpha)
+        assert build(0.1).alpha == 0.1
+
+    @pytest.mark.parametrize("alpha", [-0.25, -0.05, 0.0, 0.3])
+    def test_assembler_matches_assemble_bitwise(self, alpha):
+        # one assembler serves every coupling with the blocks that a
+        # one-coupling assemble gives, bit for bit
+        rho, n_max = 5.0, 301
+        eps = matmech.epsilon_from_delta(0.002, rho)
+        build = matmech.assembler(rho, eps, n_max)
+        build(0.6)                      # earlier calls leave no trace
+        shared, alone = build(alpha), matmech.assemble(alpha, rho, eps, n_max)
+        x = np.random.default_rng(7).standard_normal((n_max // 2 + 1, 2))
+        for block in ("even", "odd"):
+            a, b = shared.blocks[block], alone.blocks[block]
+            assert np.array_equal(a.table, b.table)
+            assert np.array_equal(a.diagonal(), b.diagonal())
+            assert np.array_equal(a @ x[:a.shape[0]], b @ x[:b.shape[0]])
+            assert np.array_equal(shared.indices[block],
+                                  alone.indices[block])
+
+    def test_coupling_tables_read_only(self):
+        for table in matmech._coupling_tables(0.01, 8):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
     def test_epsilon_from_delta_validation(self, rho):
