@@ -7,8 +7,8 @@ the space by the residuals of the unconverged pairs, preconditioned by
 (diag - theta)^-1 (Davidson 1975, J. Comput. Phys. 17:87).  The space
 starts from the unit vectors at the smallest diagonal entries, so a run is
 deterministic; it restarts from the lowest Ritz vectors when it reaches
-its size cap, and becomes the whole space, an exact solve, once it would
-reach the operator's dimension.
+its size cap.  When the cap is not below the operator's dimension the
+space is the whole space from the start, an exact solve.
 
 Every returned pair has residual ||A x - lambda x|| at most residual_tol
 times a lower bound on ||A||_2 <= ||A||_1: the largest of max |a_ii| and
@@ -26,30 +26,34 @@ _PRECONDITION_FLOOR = 1e-8  # smallest |diag - theta| relative to the scale
 _DROP = 1e-8                # corrections with less new norm are discarded
 
 
+def _column_norms(a):
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
 def _orthonormalize(basis, vectors):
     """Columns of vectors made orthonormal to basis and to each other.
 
-    Two passes of classical Gram-Schmidt against the basis, then modified
-    Gram-Schmidt within the block; columns that keep under _DROP of their
-    norm are dropped.
+    Block Gram-Schmidt, twice: each pass projects the unit columns off the
+    basis as one block, then makes them orthonormal among themselves by
+    modified Gram-Schmidt, dropping columns that keep under _DROP of their
+    norm.  Repeating the whole pass keeps a column that lost most of its
+    norm to the others orthogonal to the basis too.
     """
-    kept = []
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j]
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        v = v / norm0
-        for _ in range(2):
-            v = v - basis @ (basis.T @ v)
+    norms = _column_norms(vectors)
+    nonzero = norms > 0.0
+    block = vectors[:, nonzero] / norms[nonzero]
+    for _ in range(2):
+        block = block - basis @ (basis.T @ block)
+        kept = []
+        for v in block.T:
             for w in kept:
                 v = v - (w @ v) * w
-        norm = np.linalg.norm(v)
-        if norm > _DROP:
-            kept.append(v / norm)
-    if not kept:
-        return np.empty((basis.shape[0], 0))
-    return np.column_stack(kept)
+            norm = np.sqrt(v @ v)
+            if norm > _DROP:
+                kept.append(v / norm)
+        block = (np.array(kept).T if kept
+                 else np.empty((basis.shape[0], 0)))
+    return block
 
 
 def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
@@ -59,6 +63,16 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
     orthonormal columns; vectors is None when want_vectors is False.  Raises
     NonConvergenceError, with the residuals reached, when the iteration
     budget runs out or the search space stops growing.
+
+    The search space V, its image AV = op @ V and the projection V^T AV
+    live in arrays allocated once, max_dim columns wide: each iteration
+    writes its new columns after the m in use and fills in only the
+    projection's new columns, whose upper triangle is all the symmetric
+    eigensolver reads.  The space never outgrows them: it grows only while
+    it stays within max_dim, and a restart keeps block columns and adds at
+    most block more, with max_dim >= 6 block.  For the same reason the
+    space reaches the whole dimension n only when max_dim >= n, and then
+    it starts there.
     """
     if k < 1:
         raise DomainError(f"eigh_lowest: k must be >= 1, got {k}")
@@ -68,46 +82,54 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
     block = min(n, k + _GUARD_VECTORS)
     max_dim = max(_MAX_SUBSPACE, 6 * block)
     if max_dim >= n:
-        basis = np.eye(n)
+        # the exact space from the start: one Rayleigh-Ritz solve
+        m = width = n
+        space = np.eye(n)
     else:
-        basis = np.zeros((n, block))
+        m, width = block, max_dim
+        space = np.zeros((n, width))
         start = np.argsort(diag, kind="stable")[:block]
-        basis[start, np.arange(block)] = 1.0
-    images = op @ basis
+        space[start, np.arange(block)] = 1.0
+    images = np.empty((n, width))
+    proj = np.empty((width, width))
+    images[:, :m] = op @ space[:, :m]
+    proj[:m, :m] = space[:, :m].T @ images[:, :m]
     scale = max(np.max(np.abs(diag)),
-                np.max(np.linalg.norm(images, axis=0)))
+                np.max(_column_norms(images[:, :m])))
     bound = residual_tol * scale
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        proj = basis.T @ images
-        theta, coeff = np.linalg.eigh(0.5 * (proj + proj.T))
-        x = basis @ coeff[:, :block]
-        ax = images @ coeff[:, :block]
+        theta, coeff = np.linalg.eigh(proj[:m, :m], UPLO="U")
+        x = space[:, :m] @ coeff[:, :block]
+        ax = images[:, :m] @ coeff[:, :block]
         resid = ax - x * theta[:block]
-        res = np.linalg.norm(resid[:, :k], axis=0)
+        res = _column_norms(resid[:, :k])
         if np.all(res <= bound):
             return theta[:k], (x[:, :k] if want_vectors else None)
-        if basis.shape[1] == n:
+        if m == n:
             break                   # exact space: rounding left above bound
-        active = np.linalg.norm(resid, axis=0) > bound
+        active = _column_norms(resid) > bound
         denom = diag[:, None] - theta[:block][active]
         floor = _PRECONDITION_FLOOR * scale
         denom = np.where(np.abs(denom) < floor,
                          np.where(denom < 0.0, -floor, floor), denom)
         corrections = resid[:, active] / denom
-        if basis.shape[1] + corrections.shape[1] > max_dim:
-            basis, images = x, ax
-        new = _orthonormalize(basis, corrections)
-        if basis.shape[1] + new.shape[1] >= n:
-            basis = np.eye(n)
-            images = op @ basis
-        elif new.shape[1] == 0:
+        if m + corrections.shape[1] > max_dim:
+            m = block               # restart from the Ritz vectors
+            space[:, :m] = x
+            images[:, :m] = ax
+            proj[:m, :m] = x.T @ ax
+        new = _orthonormalize(space[:, :m], corrections)
+        added = new.shape[1]
+        if added == 0:
             break                   # no direction left to add
-        else:
-            new_images = op @ new
-            scale = max(scale, np.max(np.linalg.norm(new_images, axis=0)))
-            bound = residual_tol * scale
-            basis = np.hstack([basis, new])
-            images = np.hstack([images, new_images])
+        grown = m + added
+        space[:, m:grown] = new
+        images[:, m:grown] = op @ new
+        proj[:grown, m:grown] = space[:, :grown].T @ images[:, m:grown]
+        scale = max(scale,
+                    np.max(_column_norms(images[:, m:grown])))
+        bound = residual_tol * scale
+        m = grown
     raise NonConvergenceError(
         "eigh_lowest: residuals above bound", iterations=iteration, n=n, k=k,
         residuals=[float(r) for r in res], bound=float(bound))

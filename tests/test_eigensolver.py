@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudoharm import eigensolver, matmech, refdata
 from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.errors import DomainError, NonConvergenceError
 
@@ -9,6 +10,35 @@ def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return a + a.T
+
+
+class CountingOperator:
+    """An operator that counts the columns it is applied to."""
+
+    def __init__(self, op):
+        self.op = op
+        self.shape = op.shape
+        self.columns = 0
+
+    def diagonal(self):
+        return np.array(self.op.diagonal())
+
+    def __matmul__(self, x):
+        self.columns += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+        return self.op @ x
+
+
+def max_subspace(k):
+    return max(eigensolver._MAX_SUBSPACE,
+               6 * (k + eigensolver._GUARD_VECTORS))
+
+
+def assert_residual_contract(a, vals, vecs, tol=1e-10):
+    norm_a = np.max(np.abs(a).sum(axis=1))
+    for j in range(len(vals)):
+        r = np.linalg.norm(a @ vecs[:, j] - vals[j] * vecs[:, j])
+        assert r <= tol * norm_a
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(vals)))) < 1e-12
 
 
 def test_input_not_modified():
@@ -88,3 +118,61 @@ def test_budget_exhaustion_raises_with_context():
         eigh_lowest(a, 2, residual_tol=1e-30)
     assert info.value.context["n"] == 12
     assert len(info.value.context["residuals"]) == 2
+
+
+def test_restart_path():
+    # a strong perturbation of a wide diagonal: six pairs take more search
+    # directions than the space holds, so the space restarts
+    n, k = 300, 6
+    rng = np.random.default_rng(7)
+    a = np.diag(np.arange(1, n + 1, dtype=float) ** 2)
+    a[0, 0] = -4000.0
+    pert = rng.standard_normal((n, n))
+    a += 20.0 * (pert + pert.T)
+    op = CountingOperator(a)
+    vals, vecs = eigh_lowest(op, k)
+    assert max_subspace(k) < n
+    assert op.columns > max_subspace(k)
+    ref = np.linalg.eigvalsh(a)[:k]
+    assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert_residual_contract(a, vals, vecs)
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_exact_space_path(n):
+    # n <= max_dim: one Rayleigh-Ritz solve on the whole space
+    k = 3
+    assert n <= max_subspace(k)
+    a = random_symmetric(n, 13)
+    op = CountingOperator(a)
+    vals, vecs = eigh_lowest(op, k)
+    assert op.columns == n
+    ref = np.linalg.eigvalsh(a)[:k]
+    assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert_residual_contract(a, vals, vecs)
+
+
+def test_table1_solves_apply_no_more_columns():
+    # the parent of the preallocated search space applied 24, 24, 24, 21
+    # and 21 columns at alpha = -0.25 .. -0.05 (table1 defaults)
+    parent = [24, 24, 24, 21, 21]
+    build = matmech.assembler(5.0, matmech.epsilon_from_delta(
+        refdata.TABLE1_DELTA, 5.0), 2000)
+    for alpha, most in zip(sorted(refdata.TABLE1), parent):
+        op = CountingOperator(build(alpha).blocks["even"])
+        eigh_lowest(op, 1, want_vectors=False)
+        assert op.columns <= most
+
+
+def test_excited_matrix_solves_apply_no_more_columns():
+    # the parent applied 29, 27 (alpha = -0.1) and 25, 27 (alpha = 0.1)
+    # columns to the even and odd blocks at rho 25, delta 0.01, n_max 1600
+    parent = {(-0.1, "even"): 29, (-0.1, "odd"): 27,
+              (0.1, "even"): 25, (0.1, "odd"): 27}
+    eps = matmech.epsilon_from_delta(0.01, 25.0)
+    for alpha in (-0.1, 0.1):
+        model = matmech.assemble(alpha, 25.0, eps, 1600)
+        for block in ("even", "odd"):
+            op = CountingOperator(model.blocks[block])
+            eigh_lowest(op, 3)
+            assert op.columns <= parent[alpha, block]

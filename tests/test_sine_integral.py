@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import simpson
+from pseudoharm import matmech, refdata
 from pseudoharm.errors import DomainError
 from pseudoharm.specfun import sine_integral, sine_integral_array
+from pseudoharm.specfun.sine_integral import _PIECES
+from si_coefficients import all_pieces
 
 mp.mp.dps = 30
 
@@ -48,13 +51,21 @@ def test_rejects_negative():
         sine_integral(-0.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_rejects_non_finite(z):
+    with pytest.raises(DomainError, match="finite"):
+        sine_integral_array([1.0, z])
+
+
 def test_array_kernel_sweep_across_seams():
-    # the series/continued-fraction seam at 4, the old quadrature/asymptotic
-    # seam at 40, and the continued fraction out to 1e6
+    # the series/Chebyshev seam at 4, the Chebyshev pieces' seams at 8, 16
+    # and 32 (u = 1/2, 1/4, 1/8), the old quadrature/asymptotic seam at 40,
+    # and the Chebyshev form out to 1e6
+    seams = np.array([4.0, 8.0, 16.0, 32.0])
     zs = np.concatenate([
         np.linspace(0.0, 8.0, 801),
         np.linspace(3.99, 4.01, 41),
-        np.nextafter(4.0, [0.0, 8.0]),
+        seams, np.nextafter(seams, 0.0), np.nextafter(seams, 64.0),
         np.linspace(38.0, 42.0, 201),
         np.geomspace(8.0, 1e6, 400),
     ])
@@ -69,3 +80,36 @@ def test_array_kernel_keeps_shape_and_rejects_negative():
     assert sine_integral_array(zs).shape == (2, 2)
     with pytest.raises(DomainError):
         sine_integral_array([1.0, -1e-9])
+
+
+def _table_arguments(monkeypatch, rho, delta, n_max):
+    """The arguments p/2 and p eps/2 the coupling tables pass to Si."""
+    seen = []
+
+    def capture(z):
+        seen.append(np.array(z))
+        return sine_integral_array(z)
+
+    monkeypatch.setattr(matmech, "sine_integral_array", capture)
+    matmech._coupling_tables(matmech.epsilon_from_delta(delta, rho), n_max)
+    (args,) = seen
+    return args
+
+
+@pytest.mark.parametrize("rho, delta, n_max", [
+    (5.0, refdata.TABLE1_DELTA, 2000),      # table1 defaults
+    (25.0, 0.01, 1600),                     # the excited-matrix benchmark
+    (refdata.TABLE1_MATRIX_RHO, refdata.TABLE1_DELTA,
+     refdata.TABLE1_MATRIX_NMAX),           # the paper's matrix settings
+])
+def test_table_arguments_against_reference(monkeypatch, rho, delta, n_max):
+    zs = _table_arguments(monkeypatch, rho, delta, n_max)
+    assert zs.size == 2 * n_max + 1
+    got = sine_integral_array(zs)
+    want = np.array([float(mp.si(z)) for z in zs])
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_chebyshev_coefficients_rebuild_from_mpmath():
+    # the literals in the module are what tests/si_coefficients.py gives
+    assert _PIECES == all_pieces()
