@@ -102,12 +102,12 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
         x = space[:, :m] @ coeff[:, :block]
         ax = images[:, :m] @ coeff[:, :block]
         resid = ax - x * theta[:block]
-        res = _column_norms(resid[:, :k])
-        if np.all(res <= bound):
+        res = _column_norms(resid)
+        if np.all(res[:k] <= bound):
             return theta[:k], (x[:, :k] if want_vectors else None)
         if m == n:
             break                   # exact space: rounding left above bound
-        active = _column_norms(resid) > bound
+        active = res > bound
         denom = diag[:, None] - theta[:block][active]
         floor = _PRECONDITION_FLOOR * scale
         denom = np.where(np.abs(denom) < floor,
@@ -132,4 +132,4 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10):
         m = grown
     raise NonConvergenceError(
         "eigh_lowest: residuals above bound", iterations=iteration, n=n, k=k,
-        residuals=[float(r) for r in res], bound=float(bound))
+        residuals=[float(r) for r in res[:k]], bound=float(bound))
