@@ -412,12 +412,11 @@ def test_wavefunction_blocks_match_pointwise_sums():
         assert per_block < xs.size
         psi = matmech.reconstruct_wavefunction(pair, model, xs)
         scale = np.max(np.abs(psi))
-        sign = math.copysign(1.0, psi[600] * matmech._sine_series(
-            theta[600:601], first, c)[0])
-        one = norm * sign * np.array(
-            [matmech._sine_series(theta[i:i + 1], first, c)[0]
-             for i in range(xs.size)])
-        assert np.max(np.abs(psi - one)) <= 2e-15 * scale
+        one = norm * np.array([matmech._sine_series(theta[i:i + 1], first,
+                                                    c)[0]
+                               for i in range(xs.size)])
+        sign = math.copysign(1.0, psi @ one)    # the sign psi was given
+        assert np.max(np.abs(psi - sign * one)) <= 2e-15 * scale
         split = norm * sign * np.concatenate([
             matmech._sine_series(theta[:per_block + 1], first, c),
             matmech._sine_series(theta[per_block + 1:], first, c)])
