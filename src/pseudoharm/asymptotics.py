@@ -1,6 +1,6 @@
 """Small-cutoff expansions: excited-state corrections epsilon_n, the
-ground-state coefficient c0 (self-consistent and closed form), the energy
-estimate -2 c0 / delta^2, and the limiting ground-state wave function.
+ground-state coefficient c0 (self-consistent and closed form) and the
+energy estimate -2 c0 / delta^2.
 
 All in oscillator units.  The energy of the runaway even ground state for
 -1/4 <= alpha < 0 behaves as E = -2 c0/delta^2 + O(delta^2): the expansion
@@ -10,8 +10,6 @@ coefficient (c1) vanishes identically.
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .rootfind import brent
@@ -247,20 +245,3 @@ def ground_state_energy_estimate(alpha: float, delta: float,
         raise ValueError(f"unknown c0 method {method!r}") from None
     return -2.0 * c0 / (delta * delta)
 
-
-def limiting_ground_wavefunction(kappa: float, x):
-    """Limiting normalized ground state (2|k|)^(1/4) exp(-sqrt(2|k|)|x|).
-
-    Valid once |kappa| is large; its square integrates to one exactly and
-    concentrates to a point as |kappa| grows.
-    """
-    if not kappa < 0.0 or abs(kappa) < 10.0:
-        raise DomainError(
-            f"limiting_ground_wavefunction: requires kappa <= -10, got {kappa}")
-    s = math.sqrt(2.0 * abs(kappa))
-    xa = np.asarray(x, dtype=float)
-    val = s ** 0.5 * np.exp(-s * np.abs(xa))
-    # peak value (2|kappa|)^(1/4) = sqrt(s)
-    if np.ndim(x) == 0:
-        return float(val)
-    return val

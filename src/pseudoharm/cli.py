@@ -17,7 +17,6 @@ from itertools import chain
 import numpy as np
 
 from . import asymptotics, matmech, refdata, regspec
-from .eigensolver import eigh_lowest
 from .errors import DomainError, PseudoharmError
 from .quadrature import integrate, integrate_to_infinity
 from .unreg import (EigenSolution, PotentialSpec, label_from_display,
@@ -342,7 +341,7 @@ def cmd_table1(args) -> RunRecord:
                                                       "closed_form")
         # one model at a time: each is solved and dropped before the next
         model = assemble(alpha)
-        vals, _ = eigh_lowest(model.blocks["even"], 1, want_vectors=False)
+        vals, _ = matmech.ground_state(model, want_vectors=False)
         mat = vals[0] / args.rho
         return alpha, mat, tric, sc, cf
 
@@ -407,9 +406,9 @@ def cmd_matmech(args) -> RunRecord:
             "alpha < -1/4 is experimental; pass "
             "--experimental-alpha-below-quarter to proceed (no accuracy claim)")
     model = matmech.assemble(args.alpha, args.rho, eps, args.nmax)
-    scale = 1.0 / args.rho if args.units == "hw" else 1.0
     pairs = matmech.eigensolve(model, args.k, want_vectors=False)
-    rows = [[args.alpha, eps, p.block, i, p.energy * scale]
+    rows = [[args.alpha, eps, p.block, i,
+             p.energy_hw(args.rho) if args.units == "hw" else p.energy]
             for i, p in enumerate(pairs)]
     extras = {}
     if args.alpha < -0.25:

@@ -22,6 +22,14 @@ The g, h, k tables, with their 2 n_max + 1 sine integrals, depend on
 alpha -> MatrixModel, so a run over several couplings at one cutoff (the
 CLI's ``table1``) computes them once; ``assemble`` is its one-coupling case.
 
+``ground_state`` solves for the even block's lowest pair, which ``table1``
+and ``eigensolve`` with k = 1 take from it.  For an attractive cutoff the
+strip term is close to rank one, and when the rank-one model's root lies
+deep below the diagonal the solve gives ``eigh_lowest`` the model's
+eigenvector as its start and the model's Sherman-Morrison inverse as its
+preconditioner; otherwise, and for excited pairs, eigh_lowest runs with its
+own start and diagonal preconditioner.
+
 ``reconstruct_wavefunction`` sums a pair's n sines at each sample by
 blocked angle addition over the powers of e^{2i theta}: three complex
 exponentials and about 2 sqrt(n) complex multiplications a sample, plus
@@ -35,8 +43,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError
-from .eigensolver import eigh_lowest
+from .eigensolver import eigh_lowest, rank_one_preconditioner, rank_one_root
 from .specfun.sine_integral import sine_integral_array
+
+# The strip-model start serves the even ground state when the model's root
+# lies more than this many times the gap between the two smallest model
+# diagonal entries below the smallest.  Over 540 cases (rho 5, 25, 50;
+# delta 0.1 to 1e-4; n_max 100 to 8000; alpha -1 to 2) the 204 it admitted
+# all applied fewer operator columns (979 against 4112) and none took more
+# iterations; factors 1 and 4 let 24 and 9 cases take more iterations.
+_STRIP_GATE = 16.0
 
 # powers x points in one block of _sine_series: 128 kB of complex
 # temporaries.  Counted with getrusage over repeated n_max 1600 calls on
@@ -251,8 +267,58 @@ def assemble(alpha: float, rho: float, epsilon: float,
     return assembler(rho, epsilon, n_max)(alpha)
 
 
+def _strip_start(model: MatrixModel) -> dict:
+    """eigh_lowest's start and preconditioner for the even ground state.
+
+    The strip term eps v_eps g of the even block is close to sigma u u^T,
+    with u_i = (-1)^i sinc(pi n_i eps / 2) over the basis indices
+    n_i = 2i + 1 and sigma = 2 eps v_eps.  With d0 = diag - sigma u^2 the
+    model diag(d0) + sigma u u^T has the block's diagonal, and for
+    sigma < 0 its lowest eigenvalue t0 lies below min d0
+    (``rank_one_root``).  When t0 is deep, more than _STRIP_GATE times the
+    gap between the two smallest d0 below min d0, the model's eigenvector
+    u / (d0 - t0) is close to the block's ground state: the search starts
+    from it alone and corrects by the model's inverse
+    (``rank_one_preconditioner``).  Otherwise, and for sigma >= 0, returns
+    {}: eigh_lowest's own start and diagonal correction.
+    """
+    sigma = 2.0 * model.epsilon * v_epsilon(model.alpha, model.rho,
+                                            model.epsilon)
+    if not sigma < 0.0:
+        return {}
+    u = _sinc(0.5 * math.pi * model.epsilon
+              * model.indices["even"].astype(float))
+    u[1::2] = -u[1::2]
+    d0 = model.blocks["even"].diagonal() - sigma * u * u
+    t0 = rank_one_root(d0, u, sigma)
+    lowest, second = np.partition(d0, 1)[:2]
+    if not lowest - t0 > _STRIP_GATE * (second - lowest):
+        return {}
+    return {"start": u / (d0 - t0),
+            "precondition": rank_one_preconditioner(d0, u, sigma)}
+
+
+def ground_state(model: MatrixModel, want_vectors: bool = True):
+    """Lowest even-block eigenpair: (values, vectors) as from eigh_lowest.
+
+    An attractive cutoff (alpha < 0) makes the even block's ground state
+    deep and close to the strip's rank-one model; then the solve starts
+    from the model's eigenvector, one search column an iteration, with the
+    model's Sherman-Morrison preconditioner (see ``_strip_start``).
+    Otherwise it is eigh_lowest(block, 1).  Either way the residual
+    contract is eigh_lowest's.
+    """
+    return eigh_lowest(model.blocks["even"], 1, want_vectors=want_vectors,
+                       **_strip_start(model))
+
+
 def eigensolve(model: MatrixModel, k: int, want_vectors: bool = True):
-    """Lowest k eigenpairs per parity block, merged and sorted by energy."""
+    """Lowest k eigenpairs per parity block, merged and sorted by energy.
+
+    With k = 1 the even block goes through ``ground_state``.  Excited pairs
+    (k > 1) keep eigh_lowest's own start and preconditioner: with them the
+    strip model's applied more operator columns on some inputs.
+    """
     if k < 1:
         raise DomainError(f"eigensolve: k must be >= 1, got {k}")
     if k > model.n_max:
@@ -260,7 +326,10 @@ def eigensolve(model: MatrixModel, k: int, want_vectors: bool = True):
     pairs = []
     for block, mat in model.blocks.items():
         kk = min(k, mat.shape[0])
-        vals, vecs = eigh_lowest(mat, kk, want_vectors=want_vectors)
+        if block == "even" and kk == 1:
+            vals, vecs = ground_state(model, want_vectors)
+        else:
+            vals, vecs = eigh_lowest(mat, kk, want_vectors=want_vectors)
         for j in range(kk):
             pairs.append(MatrixEigenpair(
                 energy=float(vals[j]),

@@ -76,7 +76,7 @@ def test_criterion_3_matrix_mechanics_cross_check():
     for n_max in (1000, 2000, 4000):
         t0 = time.perf_counter()
         model = matmech.assemble(-0.05, rho, eps, n_max)
-        v, _ = eigh_lowest(model.blocks["even"], 1, want_vectors=False)
+        v, _ = matmech.ground_state(model, want_vectors=False)
         vals[n_max] = v[0] / rho
         if n_max == 2000:
             desk_time = time.perf_counter() - t0
@@ -91,7 +91,7 @@ def test_criterion_3_long_reference_value():
     rho = 5.0
     eps = matmech.epsilon_from_delta(0.002, rho)
     model = matmech.assemble(-0.05, rho, eps, 10000)
-    v, _ = eigh_lowest(model.blocks["even"], 1, want_vectors=False)
+    v, _ = matmech.ground_state(model, want_vectors=False)
     got = v[0] / rho
     ok = abs(got - (-828.489881)) / 828.489881 < 1e-5
     assert report("3-long", ok, f"E={got:.6f}")

@@ -266,44 +266,3 @@ class TestGroundStateStructure:
                                     rel_tol=1e-11))
         assert inside > 0.99
 
-
-class TestLimitingWaveFunction:
-    def test_peak_value(self):
-        kappa = -500.0
-        peak = asymptotics.limiting_ground_wavefunction(kappa, 0.0)
-        assert peak == pytest.approx((2.0 * abs(kappa)) ** 0.25, rel=1e-14)
-
-    def test_exact_unit_norm(self):
-        kappa = -123.0
-        s = math.sqrt(2.0 * abs(kappa))
-        # closed form: integral of s*exp(-2 s |x|) over the line = 1
-        val = integrate(lambda x: asymptotics.limiting_ground_wavefunction(
-            kappa, x) ** 2, -1.0, 1.0, rel_tol=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_matches_exact_ground_state(self):
-        # outside the collapsing core (x beyond ~0.5/sqrt(2|kappa|)) the
-        # limiting exponential tracks the exact state to 2% of the peak;
-        # at the origin the mismatch saturates near 13% of the peak, set by
-        # the delta-independent scale 2 sqrt(c0) of the Bessel-tail shape
-        spec = PotentialSpec(-0.1, 1e-4)
-        sol = regspec.solve_ground_even(spec)
-        wf = regspec.build_wavefunction(spec, sol)
-        s = math.sqrt(2.0 * abs(sol.kappa))
-        peak = (2.0 * abs(sol.kappa)) ** 0.25
-        xs = np.linspace(0.5 / s, 6.0 / s, 120)
-        exact = wf(xs)
-        approx = asymptotics.limiting_ground_wavefunction(sol.kappa, xs)
-        assert np.max(np.abs(exact - approx)) < 0.03 * peak
-        far = np.linspace(2.0 / s, 6.0 / s, 80)
-        assert np.max(np.abs(wf(far)
-                             - asymptotics.limiting_ground_wavefunction(
-                                 sol.kappa, far))) < 0.01 * peak
-        origin_gap = abs(wf(0.0) - peak) / peak
-        assert 0.10 < origin_gap < 0.15
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            asymptotics.limiting_ground_wavefunction(-5.0, 0.0)
-        with pytest.raises(DomainError):
-            asymptotics.limiting_ground_wavefunction(12.0, 0.0)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from pseudoharm import cli, matmech
-from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.cli import (RunRecord, _emit_json, _parse_float_list,
                             _parse_n_range, main)
 
@@ -340,16 +339,33 @@ class TestOtherCommands:
 
     def test_table1_matrix_column_matches_one_coupling_assembly(self):
         # table1's matrix energies are those of a one-coupling assemble and
-        # eigh_lowest, bit for bit
+        # matmech.ground_state, bit for bit
         args = cli._PARSER.parse_args(["table1", "--nmax", "200"])
         record = args.fn(args)
         eps = matmech.epsilon_from_delta(args.delta, args.rho)
         assert len(record.rows) == 5
         for row in record.rows:
             model = matmech.assemble(row[0], args.rho, eps, 200)
-            vals, _ = eigh_lowest(model.blocks["even"], 1,
-                                  want_vectors=False)
+            vals, _ = matmech.ground_state(model, want_vectors=False)
             assert row[1] == vals[0] / args.rho
+
+    @pytest.mark.parametrize("alpha", ["-0.25", "-0.1", "-0.05"])
+    def test_matmech_k1_prints_table1_matrix_energy(self, alpha, capsys):
+        # both commands send the even block through matmech.ground_state
+        # and print the same bits for its energy
+        assert main(["table1", f"--alpha-list={alpha}", "--nmax", "200",
+                     "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        table = row.split(",")[header.split(",").index("matrix_hw")]
+        assert main(["matmech", f"--alpha={alpha}", "--delta", "0.002",
+                     "--rho", "5", "--nmax", "200", "--k", "1",
+                     "--units", "hw", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        columns = lines[0].split(",")
+        even = [line.split(",") for line in lines[1:]
+                if line.split(",")[columns.index("block")] == "even"]
+        assert len(even) == 1
+        assert even[0][columns.index("energy_hw")] == table
 
     def test_matmech_guard_and_experimental_flag(self):
         r = run_cli(["matmech", "--alpha", "-0.3", "--delta", "0.01",

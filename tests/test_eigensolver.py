@@ -164,6 +164,22 @@ def test_table1_solves_apply_no_more_columns():
         assert op.columns <= most
 
 
+def test_table1_ground_state_solves_apply_five_columns_each():
+    # matmech.ground_state starts from the strip model's eigenvector and
+    # adds one column an iteration: 25 columns in all where the generic
+    # start above applies 114
+    build = matmech.assembler(5.0, matmech.epsilon_from_delta(
+        refdata.TABLE1_DELTA, 5.0), 2000)
+    columns = []
+    for alpha in sorted(refdata.TABLE1):
+        model = build(alpha)
+        op = model.blocks["even"] = CountingOperator(model.blocks["even"])
+        matmech.ground_state(model, want_vectors=False)
+        columns.append(op.columns)
+    assert max(columns) <= 5
+    assert sum(columns) <= 25
+
+
 def test_excited_matrix_solves_apply_no_more_columns():
     # the parent applied 29, 27 (alpha = -0.1) and 25, 27 (alpha = 0.1)
     # columns to the even and odd blocks at rho 25, delta 0.01, n_max 1600
@@ -176,3 +192,95 @@ def test_excited_matrix_solves_apply_no_more_columns():
             op = CountingOperator(model.blocks[block])
             eigh_lowest(op, 3)
             assert op.columns <= parent[alpha, block]
+
+
+def test_start_block_from_the_caller():
+    # an exact eigenvector as the start: the first Ritz pair converges
+    a = random_symmetric(200, 5)
+    w, v = np.linalg.eigh(a)
+    op = CountingOperator(a)
+    vals, vecs = eigh_lowest(op, 1, start=3.0 * v[:, 0])
+    assert op.columns == 1
+    assert vals[0] == pytest.approx(w[0], rel=1e-12)
+    assert_residual_contract(a, vals, vecs)
+
+
+def test_start_block_narrower_than_k_rejected():
+    a = random_symmetric(60, 1)
+    with pytest.raises(DomainError, match="start spans 1"):
+        eigh_lowest(a, 2, start=np.ones(60))
+
+
+def rank_one_model(n, seed, sigma):
+    """diag(d0) + sigma u u^T with spread, shuffled d0, and its parts."""
+    rng = np.random.default_rng(seed)
+    d0 = (2.0 * np.arange(n) + 1.0) ** 2 + rng.uniform(-0.5, 0.5, n)
+    rng.shuffle(d0)
+    u = rng.standard_normal(n)
+    return d0, u, np.diag(d0) + sigma * np.outer(u, u)
+
+
+@pytest.mark.parametrize("n", [5, 60, 400])
+@pytest.mark.parametrize("sigma", [-1e-3, -1.0, -50.0, -1e4])
+def test_rank_one_root_matches_dense(n, sigma):
+    d0, u, model = rank_one_model(n, n, sigma)
+    want = np.linalg.eigvalsh(model)[0]
+    got = eigensolver.rank_one_root(d0, u, sigma)
+    assert got < np.min(d0)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_rank_one_root_of_the_strip_model():
+    # the even block's own strip model at alpha -1/4, table1's cutoff,
+    # n_max 400
+    model = matmech.assemble(-0.25, 5.0, matmech.epsilon_from_delta(
+        refdata.TABLE1_DELTA, 5.0), 400)
+    sigma = 2.0 * model.epsilon * matmech.v_epsilon(
+        model.alpha, model.rho, model.epsilon)
+    u = matmech._sinc(0.5 * np.pi * model.epsilon * model.indices["even"])
+    u[1::2] = -u[1::2]
+    d0 = model.blocks["even"].diagonal() - sigma * u * u
+    want = np.linalg.eigvalsh(np.diag(d0) + sigma * np.outer(u, u))[0]
+    got = eigensolver.rank_one_root(d0, u, sigma)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("sigma,u", [(0.0, np.ones(4)), (2.0, np.ones(4)),
+                                     (-1.0, np.zeros(4))])
+def test_rank_one_root_domain(sigma, u):
+    with pytest.raises(DomainError):
+        eigensolver.rank_one_root(np.arange(4.0), u, sigma)
+
+
+def test_rank_one_preconditioner_matches_dense_solve():
+    n, sigma = 120, -50.0
+    d0, u, model = rank_one_model(n, 3, sigma)
+    values = np.linalg.eigvalsh(model)
+    # below the spectrum, between two eigenvalues, far above
+    theta = np.array([values[0] - 3.0, 0.5 * (values[4] + values[5]),
+                      2.0 * values[-1]])
+    resid = np.random.default_rng(4).standard_normal((n, 3))
+    got = eigensolver.rank_one_preconditioner(d0, u, sigma)(
+        resid, theta, 0.0)
+    for j in range(3):
+        want = np.linalg.solve(model - theta[j] * np.eye(n), resid[:, j])
+        assert np.max(np.abs(got[:, j] - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_rank_one_preconditioner_falls_back_at_the_model_root():
+    # at the model's own eigenvalue 1 + sigma u^T (d0 - theta)^-1 u
+    # vanishes: that column takes the diagonal correction, the other
+    # column still the Sherman-Morrison one
+    n, sigma = 80, -50.0
+    d0, u, model = rank_one_model(n, 8, sigma)
+    root = np.linalg.eigvalsh(model)[0]
+    secular = 1.0 + sigma * np.sum(u * u / (d0 - root))
+    assert abs(secular) < eigensolver._RANK_ONE_FLOOR
+    theta = np.array([root, root - 10.0])
+    resid = np.random.default_rng(9).standard_normal((n, 2))
+    got = eigensolver.rank_one_preconditioner(d0, u, sigma)(
+        resid, theta, 0.0)
+    assert np.array_equal(got[:, 0],
+                          resid[:, 0] / ((d0 + sigma * u * u) - root))
+    want = np.linalg.solve(model - theta[1] * np.eye(n), resid[:, 1])
+    assert np.max(np.abs(got[:, 1] - want)) < 1e-10 * np.max(np.abs(want))

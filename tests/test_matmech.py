@@ -260,6 +260,71 @@ class TestSpectra:
             refdata.COMPACT_BOX_GROUND_HW, rel=1e-5)
 
 
+class TestGroundState:
+    @pytest.mark.parametrize("rho,n_max", [(5.0, 2000), (50.0, 10000)])
+    def test_gate_on_for_table1_couplings(self, rho, n_max):
+        build = matmech.assembler(rho, matmech.epsilon_from_delta(
+            refdata.TABLE1_DELTA, rho), n_max)
+        for alpha in sorted(refdata.TABLE1):
+            start = matmech._strip_start(build(alpha))
+            assert set(start) == {"start", "precondition"}, alpha
+
+    @pytest.mark.parametrize("alpha,rho,delta,n_max", [
+        (0.0, 5.0, 0.002, 2000),
+        (0.1, 5.0, 0.002, 2000),
+        (1.0, 25.0, 0.01, 400),
+        # attractive, but the model's root lies within a few diagonal gaps
+        (-0.001, 25.0, 0.1, 400),
+        (-0.001, 25.0, 0.1, 2000),
+    ])
+    def test_gate_off(self, alpha, rho, delta, n_max):
+        model = matmech.assemble(
+            alpha, rho, matmech.epsilon_from_delta(delta, rho), n_max)
+        assert matmech._strip_start(model) == {}
+        vals, vecs = matmech.ground_state(model)
+        want, want_vecs = eigh_lowest(model.blocks["even"], 1)
+        assert np.array_equal(vals, want)
+        assert np.array_equal(vecs, want_vecs)
+
+    def test_gate_off_for_excited_pairs(self, monkeypatch):
+        # only k = 1 sends the even block through ground_state
+        model = matmech.assemble(-0.25, 5.0, matmech.epsilon_from_delta(
+            refdata.TABLE1_DELTA, 5.0), 400)
+        calls = []
+        strip_start = matmech._strip_start
+
+        def counted(m):
+            calls.append(m)
+            return strip_start(m)
+
+        monkeypatch.setattr(matmech, "_strip_start", counted)
+        pairs = matmech.eigensolve(model, 3, want_vectors=False)
+        assert calls == []
+        want, _ = eigh_lowest(model.blocks["even"], 3, want_vectors=False)
+        assert [p.energy for p in pairs if p.block == "even"] == list(want)
+        ground = matmech.eigensolve(model, 1, want_vectors=False)
+        assert calls == [model]
+        assert [p.energy for p in ground if p.block == "even"] == list(
+            matmech.ground_state(model, want_vectors=False)[0])
+
+    @pytest.mark.parametrize("n_max", [200, 301, 400])
+    @pytest.mark.parametrize("rho", [5.0, 50.0])
+    def test_gated_values_match_dense_eigh(self, rho, n_max):
+        eps = matmech.epsilon_from_delta(refdata.TABLE1_DELTA, rho)
+        build = matmech.assembler(rho, eps, n_max)
+        for alpha in sorted(refdata.TABLE1):
+            model = build(alpha)
+            assert matmech._strip_start(model)
+            vals, vecs = matmech.ground_state(model)
+            mat = dense_block(alpha, rho, eps, n_max, "even")
+            want = np.linalg.eigvalsh(mat)[0]
+            assert abs(vals[0] - want) < 1e-13 * abs(want), alpha
+            resid = np.linalg.norm(mat @ vecs[:, 0] - vals[0] * vecs[:, 0])
+            assert resid <= 1e-10 * np.max(np.abs(mat).sum(axis=1))
+            assert np.linalg.norm(vecs[:, 0]) == pytest.approx(1.0,
+                                                               abs=1e-14)
+
+
 class TestReconstruction:
     def _ground(self, alpha=-0.1, delta=0.01, rho=5.0, n_max=1200):
         eps = matmech.epsilon_from_delta(delta, rho)
