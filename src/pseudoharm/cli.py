@@ -372,13 +372,15 @@ def cmd_groundstate_scan(args) -> RunRecord:
         raise PseudoharmError("groundstate-scan: alphas must lie in [-0.25, 0)")
     deltas = args.delta_list or [0.002]
     tasks = [(a, d) for a in alphas for d in deltas]
+    # c0 depends on alpha only: one pair of solves per coupling
+    c0 = {alpha: (asymptotics.c0_self_consistent(alpha),
+                  asymptotics.c0_closed_form(alpha)) for alpha in alphas}
 
     def one(task):
         alpha, delta = task
         spec = PotentialSpec(alpha, delta)
         exact = regspec.solve_ground_even(spec).energy
-        sc = asymptotics.c0_self_consistent(alpha)
-        cf = asymptotics.c0_closed_form(alpha)
+        sc, cf = c0[alpha]
         d2 = delta * delta
         return [alpha, delta, exact, -2.0 * sc.c0 / d2, -2.0 * cf.c0 / d2,
                 sc.c0, cf.c0]

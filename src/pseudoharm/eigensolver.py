@@ -29,6 +29,7 @@ from .errors import DomainError, NonConvergenceError
 _MAX_ITERATIONS = 300
 _GUARD_VECTORS = 2          # block size is k plus these
 _MAX_SUBSPACE = 40          # restart cap, raised to 6 blocks for large k
+_FIRST_WIDTH = 8            # workspace columns per block before it grows
 _PRECONDITION_FLOOR = 1e-8  # smallest |diag - theta| relative to the scale
 _DROP = 1e-8                # corrections with less new norm are discarded
 _RANK_ONE_FLOOR = 1e-8      # smallest |1 + sigma u^T (d0 - theta)^-1 u|
@@ -38,6 +39,13 @@ _SECULAR_ITERATIONS = 100
 
 def _column_norms(a):
     return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
+def _widened(a, rows, width, m):
+    """A C-order rows x width array holding the first m columns of a."""
+    out = np.empty((rows, width))
+    out[:a.shape[0], :m] = a[:, :m]
+    return out
 
 
 def _orthonormalize(basis, vectors):
@@ -166,14 +174,16 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10, start=None,
     same either way.
 
     The search space V, its image AV = op @ V and the projection V^T AV
-    live in arrays allocated once, max_dim columns wide: each iteration
-    writes its new columns after the m in use and fills in only the
-    projection's new columns, whose upper triangle is all the symmetric
-    eigensolver reads.  The space never outgrows them: it grows only while
-    it stays within max_dim, and a restart keeps block columns and adds at
-    most block more, with max_dim >= 6 block.  For the same reason the
-    space reaches the whole dimension n only when max_dim >= n, and then
-    it starts there.
+    live in arrays that start min(max_dim, 8 block) columns wide: each
+    iteration writes its new columns after the m in use and fills in only
+    the projection's new columns, whose upper triangle is all the
+    symmetric eigensolver reads.  When the new columns would not fit, the
+    arrays are copied into ones twice as wide, up to max_dim; a solve that
+    converges early never touches a max_dim-wide workspace.  The space
+    itself grows only while it stays within max_dim, and a restart keeps
+    block columns and adds at most block more, with max_dim >= 6 block.
+    For the same reason the space reaches the whole dimension n only when
+    max_dim >= n, and then it starts there.
     """
     if k < 1:
         raise DomainError(f"eigh_lowest: k must be >= 1, got {k}")
@@ -197,7 +207,7 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10, start=None,
         m = width = n
         space = np.eye(n)
     else:
-        m, width = block, max_dim
+        m, width = block, min(max_dim, _FIRST_WIDTH * block)
         space = np.zeros((n, width))
         if start is None:
             first = np.argsort(diag, kind="stable")[:block]
@@ -234,6 +244,11 @@ def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10, start=None,
         if added == 0:
             break                   # no direction left to add
         grown = m + added
+        if grown > width:
+            width = min(max_dim, 2 * width)
+            space = _widened(space, n, width, m)
+            images = _widened(images, n, width, m)
+            proj = _widened(proj, width, width, m)
         space[:, m:grown] = new
         images[:, m:grown] = op @ new
         proj[:grown, m:grown] = space[:, :grown].T @ images[:, m:grown]

@@ -14,11 +14,14 @@ block, s = 2 for the odd block): a Toeplitz matrix minus a Hankel matrix.
 No matrix is stored.  Each block is a ``BlockOperator`` that holds F, the
 diagonal and the two FFT symbols of a circulant embedding, in O(n_max)
 memory, and applies the block to vectors in O(n_max log n_max) operations;
-``eigensolver.eigh_lowest`` needs nothing else.
+``eigensolver.eigh_lowest`` needs nothing else.  The symbols are built on
+the block's first application, so a block that is only assembled (the odd
+block in ``table1``) costs no FFT.
 
 The g, h, k tables, with their 2 n_max + 1 sine integrals, depend on
 (eps, n_max) only; alpha and rho enter F and the diagonal as weights.
-``assembler(rho, eps, n_max)`` builds the tables once and returns
+``assembler(rho, eps, n_max)`` builds the tables, and the parts of F and
+of the diagonal that do not depend on alpha, once and returns
 alpha -> MatrixModel, so a run over several couplings at one cutoff (the
 CLI's ``table1``) computes them once; ``assemble`` is its one-coupling case.
 
@@ -56,8 +59,13 @@ _STRIP_GATE = 16.0
 
 # powers x points in one block of _sine_series: 128 kB of complex
 # temporaries.  Counted with getrusage over repeated n_max 1600 calls on
-# 801 points, blocks up to 12288 took no minor page faults, while 16384
-# took 98 a call and the whole grid 147.
+# 801 points and nothing else, blocks up to 12288 took no minor page
+# faults, while 16384 took 98 a call and the whole grid 147.  Between
+# eigensolves, as in the benchmark's excited-matrix passes, the calls do
+# take faults: 260-740 a pass for the twelve calls and 530-590 for the
+# four solves, moving with the heap's history (the same code took 679 or
+# 1241 faults a pass from checkouts at paths of two lengths).  A block of
+# 7680 moved faults into the solves: 813 -> 868 a pass.
 _SERIES_CHUNK = 1 << 13
 
 
@@ -76,21 +84,17 @@ class BlockOperator:
     parts are embedded in circulants of length 2n and applied with one real
     FFT pair: the Hankel product is the circular cross-correlation of
     F[s:s+2n-1] with x, whose transform is conj(rfft(x)) times the symbol.
+    The two symbols are built on the first application and kept, so a
+    block that is never applied costs no FFT.
     """
 
     def __init__(self, table, shift, diagonal):
         n = diagonal.size
-        length = 2 * n
-        toeplitz = np.zeros(length)
-        toeplitz[:n] = table[:n]
-        toeplitz[length - n + 1:] = table[1:n][::-1]
-        hankel = np.zeros(length)
-        hankel[:2 * n - 1] = table[shift:shift + 2 * n - 1]
         self.table = table
         self.shape = (n, n)
-        self._length = length
-        self._toeplitz_symbol = np.fft.rfft(toeplitz).real
-        self._hankel_symbol = np.fft.rfft(hankel)
+        self._shift = shift
+        self._length = 2 * n
+        self._symbols = None
         self._diagonal = diagonal
         # the Toeplitz-minus-Hankel part carries F[0] - F[2i+s] on the
         # diagonal; the rest of each diagonal entry is applied pointwise
@@ -100,12 +104,23 @@ class BlockOperator:
     def diagonal(self):
         return self._diagonal.copy()
 
+    def _build_symbols(self):
+        n, length, table = self.shape[0], self._length, self.table
+        toeplitz = np.zeros(length)
+        toeplitz[:n] = table[:n]
+        toeplitz[length - n + 1:] = table[1:n][::-1]
+        hankel = np.zeros(length)
+        hankel[:2 * n - 1] = table[self._shift:self._shift + 2 * n - 1]
+        return np.fft.rfft(toeplitz).real, np.fft.rfft(hankel)
+
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.shape[0]:
             raise ValueError(f"BlockOperator: cannot apply {self.shape} "
                              f"to shape {x.shape}")
-        toe, han = self._toeplitz_symbol, self._hankel_symbol
+        if self._symbols is None:
+            self._symbols = self._build_symbols()
+        toe, han = self._symbols
         pointwise = self._pointwise
         if x.ndim == 2:
             toe, han = toe[:, None], han[:, None]
@@ -204,29 +219,21 @@ def _coupling_tables(epsilon, n_max):
     return g, h, k
 
 
-def _diagonal(idx, alpha, rho, epsilon, veps, h, k):
-    """Diagonal elements H_nn / E1 for basis indices idx."""
-    nn = idx.astype(float)
-    return (nn ** 2
-            + epsilon * veps * (1.0 - (-1.0) ** idx
-                                * _sinc(math.pi * epsilon * nn))
-            + 2.0 * math.pi ** 2 * rho ** 2 / 4.0
-            * ((1.0 - epsilon ** 3) / 24.0 - h[idx])
-            + 2.0 * alpha / math.pi ** 2 * (k[0] - k[idx]))
-
-
 def assembler(rho: float, epsilon: float, n_max: int):
     """The function alpha -> assemble(alpha, rho, epsilon, n_max).
 
     The g, h, k tables are built here, once; each call weights them into
     its coupling table F = eps v_eps g + (pi^2 rho^2 / 2) h
     + (2 alpha / pi^2) k, which gives every off-diagonal element as
-    F[|n-m|/2] - F[(n+m)/2], and into the diagonal.  The per-coupling
-    arithmetic is that of a one-coupling ``assemble``, so the blocks carry
-    the same bits however many couplings share the tables.  Only the
-    tables are kept: the alpha-free parts of the diagonal would save about
-    0.1 ms a coupling at n_max 2000 and hold four more arrays per block
-    while the assembler lives.
+    F[|n-m|/2] - F[(n+m)/2], and into the diagonal
+    H_nn / E1 = n^2 + eps v_eps (1 - (-1)^n sinc(pi eps n))
+    + (pi^2 rho^2 / 2) ((1 - eps^3) / 24 - h[n]) + (2 alpha / pi^2)
+    (k[0] - k[n]).  The parts that do not depend on alpha are built here
+    too: the oscillator term of F, and per block n^2, the strip factor,
+    the oscillator term and k[0] - k[n], four arrays of n_max / 2 entries.
+    A call weights and adds them with the arithmetic of a one-coupling
+    ``assemble``, in the same order, so the blocks carry the same bits
+    however many couplings share the tables.
 
     Raises DomainError for n_max < 4, epsilon outside (0, 0.5) or a rho
     that is not finite and positive, and, from a call, for a non-finite
@@ -239,21 +246,31 @@ def assembler(rho: float, epsilon: float, n_max: int):
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"assemble: rho must be finite and positive, got {rho}")
     g, h, k = _coupling_tables(epsilon, n_max)
+    oscillator_weight = 2.0 * math.pi ** 2 * rho ** 2 / 4.0
+    oscillator_table = oscillator_weight * h
+    # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity,
+    # i+j+2
+    parts = []
+    for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
+        idx = np.arange(first, n_max + 1, 2)
+        nn = idx.astype(float)
+        parts.append((block, shift, idx, nn ** 2,
+                      1.0 - (-1.0) ** idx * _sinc(math.pi * epsilon * nn),
+                      oscillator_weight * ((1.0 - epsilon ** 3) / 24.0
+                                           - h[idx]),
+                      k[0] - k[idx]))
 
     def build(alpha: float) -> MatrixModel:
         if not math.isfinite(alpha):
             raise DomainError(f"assemble: alpha must be finite, got {alpha}")
-        veps = v_epsilon(alpha, rho, epsilon)
-        table = (epsilon * veps * g
-                 + 2.0 * math.pi ** 2 * rho ** 2 / 4.0 * h
-                 + 2.0 * alpha / math.pi ** 2 * k)
+        strip_weight = epsilon * v_epsilon(alpha, rho, epsilon)
+        coupling_weight = 2.0 * alpha / math.pi ** 2
+        table = strip_weight * g + oscillator_table + coupling_weight * k
         blocks, indices = {}, {}
-        # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity,
-        # i+j+2
-        for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
-            idx = np.arange(first, n_max + 1, 2)
+        for block, shift, idx, square, strip, oscillator, coupling in parts:
             blocks[block] = BlockOperator(
-                table, shift, _diagonal(idx, alpha, rho, epsilon, veps, h, k))
+                table, shift, square + strip_weight * strip + oscillator
+                + coupling_weight * coupling)
             indices[block] = idx
         return MatrixModel(alpha=alpha, rho=rho, epsilon=epsilon,
                            n_max=n_max, blocks=blocks, indices=indices)

@@ -104,6 +104,19 @@ def element(n, m, alpha, rho, epsilon):
     return val
 
 
+def diagonal_elements(idx, alpha, rho, epsilon, veps, h, k):
+    """Diagonal elements H_nn / E1 for basis indices idx, one coupling at
+    a time: the expression matmech.assembler splits into its alpha-free
+    parts and recombines in the same order."""
+    nn = idx.astype(float)
+    return (nn ** 2
+            + epsilon * veps * (1.0 - (-1.0) ** idx
+                                * matmech._sinc(math.pi * epsilon * nn))
+            + 2.0 * math.pi ** 2 * rho ** 2 / 4.0
+            * ((1.0 - epsilon ** 3) / 24.0 - h[idx])
+            + 2.0 * alpha / math.pi ** 2 * (k[0] - k[idx]))
+
+
 def dense_block(alpha, rho, epsilon, n_max, block):
     """Dense H / E1 over the basis indices of one parity block ("even":
     odd n, "odd": even n), or over all indices 1..n_max ("full")."""

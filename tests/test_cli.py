@@ -10,9 +10,10 @@ import threading
 import numpy as np
 import pytest
 
-from pseudoharm import cli, matmech
+from pseudoharm import asymptotics, cli, matmech, regspec
 from pseudoharm.cli import (RunRecord, _emit_json, _parse_float_list,
                             _parse_n_range, main)
+from pseudoharm.unreg import PotentialSpec
 
 
 def run_cli(args, module="pseudoharm.cli", **env):
@@ -308,6 +309,34 @@ class TestOtherCommands:
         # self-consistent estimate tracks the exact energy closely
         row = by_alpha[-0.05][0]
         assert abs(float(row[2]) - float(row[3])) / abs(float(row[2])) < 2e-6
+
+    def test_groundstate_scan_rows_match_single_solves(self, monkeypatch):
+        # c0 is solved once per coupling and shared by its deltas; every
+        # row still equals the values of its own task computed alone
+        alphas, deltas = [-0.25, -0.2, -0.05], [0.002, 0.01]
+        calls = []
+        for name in ("c0_self_consistent", "c0_closed_form"):
+            def counted(alpha, _f=getattr(asymptotics, name), _name=name):
+                calls.append((_name, alpha))
+                return _f(alpha)
+            monkeypatch.setattr(asymptotics, name, counted)
+        record = cli.cmd_groundstate_scan(argparse.Namespace(
+            alpha_list=alphas, delta_list=deltas))
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(
+            (name, a) for a in alphas
+            for name in ("c0_self_consistent", "c0_closed_form"))
+        assert len(record.rows) == len(alphas) * len(deltas)
+        for row, (alpha, delta) in zip(record.rows,
+                                       [(a, d) for a in alphas
+                                        for d in deltas]):
+            exact = regspec.solve_ground_even(
+                PotentialSpec(alpha, delta)).energy
+            sc = asymptotics.c0_self_consistent(alpha).c0
+            cf = asymptotics.c0_closed_form(alpha).c0
+            d2 = delta * delta
+            assert row == [alpha, delta, exact, -2.0 * sc / d2,
+                           -2.0 * cf / d2, sc, cf]
 
     def test_table1_small_basis(self):
         r = run_cli(["table1", "--alpha-list=-0.05", "--nmax", "600",

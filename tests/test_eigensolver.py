@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense_block
 from pseudoharm import eigensolver, matmech, refdata
 from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.errors import DomainError, NonConvergenceError
@@ -192,6 +193,88 @@ def test_excited_matrix_solves_apply_no_more_columns():
             op = CountingOperator(model.blocks[block])
             eigh_lowest(op, 3)
             assert op.columns <= parent[alpha, block]
+
+
+def spy_on_widening(monkeypatch):
+    """The (rows, width) of every array eigh_lowest widens, in order."""
+    widened = []
+    copy = eigensolver._widened
+
+    def spy(a, rows, width, m):
+        widened.append((rows, width))
+        return copy(a, rows, width, m)
+
+    monkeypatch.setattr(eigensolver, "_widened", spy)
+    return widened
+
+
+def assert_operator_residual_contract(op, vals, vecs, tol=1e-10):
+    # the contract's scale is at least the largest diagonal entry
+    resid = op @ vecs - vecs * vals
+    assert np.all(np.linalg.norm(resid, axis=0)
+                  <= tol * np.max(np.abs(op.diagonal())))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(vals)))) < 1e-12
+
+
+def even_block(alpha, rho, delta, n_max):
+    eps = matmech.epsilon_from_delta(delta, rho)
+    return matmech.assemble(alpha, rho, eps, n_max), eps
+
+
+def test_solve_that_outgrows_the_first_workspace(monkeypatch):
+    # k = 2 is a block of 4: the workspace starts 32 columns wide, and at
+    # alpha -1/4, delta 0.002, rho 5, n_max 2000 the solve applies 37
+    # columns, so it widens once, to max_dim, and never restarts
+    k, block = 2, 2 + eigensolver._GUARD_VECTORS
+    first = eigensolver._FIRST_WIDTH * block
+    model, eps = even_block(-0.25, 5.0, 0.002, 2000)
+    n = model.blocks["even"].shape[0]
+    widened = spy_on_widening(monkeypatch)
+    op = CountingOperator(model.blocks["even"])
+    vals, vecs = eigh_lowest(op, k)
+    assert first < op.columns <= max_subspace(k)
+    wide = max_subspace(k)
+    assert widened == [(n, wide), (n, wide), (wide, wide)]
+    ref = np.linalg.eigvalsh(dense_block(-0.25, 5.0, eps, 2000, "even"))[:k]
+    assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert_operator_residual_contract(model.blocks["even"], vals, vecs)
+
+
+def test_solve_that_outgrows_the_workspace_and_restarts(monkeypatch):
+    # at rho 50, n_max 10000 the same solve applies 107 columns: it widens
+    # once and then restarts within max_dim.  The dense block (5000 x 5000)
+    # is too large; the references are the k = 3 solve, whose workspace
+    # starts at max_dim, and the strip-model ground state
+    k = 2
+    model, _ = even_block(-0.25, 50.0, 0.002, 10000)
+    n = model.blocks["even"].shape[0]
+    widened = spy_on_widening(monkeypatch)
+    op = CountingOperator(model.blocks["even"])
+    vals, vecs = eigh_lowest(op, k)
+    assert op.columns > max_subspace(k)
+    wide = max_subspace(k)
+    assert widened == [(n, wide), (n, wide), (wide, wide)]
+    widened.clear()
+    wider, _ = eigh_lowest(model.blocks["even"], 3, want_vectors=False)
+    assert widened == []
+    ground, _ = matmech.ground_state(model, want_vectors=False)
+    assert vals == pytest.approx(wider[:k], rel=1e-12)
+    assert vals[0] == pytest.approx(ground[0], rel=1e-12)
+    assert_operator_residual_contract(model.blocks["even"], vals, vecs)
+
+
+def test_table1_generic_solves_keep_the_first_workspace(monkeypatch):
+    # k = 1 at the Table 1 couplings applies at most 24 columns, the
+    # starting width of a block of 3
+    widened = spy_on_widening(monkeypatch)
+    build = matmech.assembler(5.0, matmech.epsilon_from_delta(
+        refdata.TABLE1_DELTA, 5.0), 2000)
+    for alpha in sorted(refdata.TABLE1):
+        op = CountingOperator(build(alpha).blocks["even"])
+        eigh_lowest(op, 1, want_vectors=False)
+        assert op.columns <= eigensolver._FIRST_WIDTH * (
+            1 + eigensolver._GUARD_VECTORS)
+    assert widened == []
 
 
 def test_start_block_from_the_caller():

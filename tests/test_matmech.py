@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import dense_block, dense_wavefunction, element, simpson
+from conftest import (dense_block, dense_wavefunction,
+                      diagonal_elements, element, simpson)
 from pseudoharm import matmech, refdata, regspec
 from pseudoharm.eigensolver import eigh_lowest
 from pseudoharm.errors import DomainError
@@ -169,6 +170,43 @@ class TestElements:
             assert np.array_equal(a @ x[:a.shape[0]], b @ x[:b.shape[0]])
             assert np.array_equal(shared.indices[block],
                                   alone.indices[block])
+
+    @pytest.mark.parametrize("alpha", [-0.25, -0.1, 0.0, 0.3, -0.3])
+    def test_assembler_diagonal_matches_one_coupling_formula(self, alpha):
+        # the alpha-free parts are built once per assembler and added in
+        # the one-coupling order: the same bits
+        rho, n_max = 5.0, 301
+        eps = matmech.epsilon_from_delta(0.002, rho)
+        build = matmech.assembler(rho, eps, n_max)
+        build(0.6)
+        model = build(alpha)
+        _, h, k = matmech._coupling_tables(eps, n_max)
+        veps = matmech.v_epsilon(alpha, rho, eps)
+        for block in ("even", "odd"):
+            want = diagonal_elements(model.indices[block], alpha, rho, eps,
+                                     veps, h, k)
+            assert np.array_equal(model.blocks[block].diagonal(), want)
+
+    def test_symbols_built_on_first_application(self):
+        # ground_state applies the even block only; the odd block never
+        # pays for its FFT symbols
+        model = matmech.assemble(-0.25, 5.0, matmech.epsilon_from_delta(
+            refdata.TABLE1_DELTA, 5.0), 400)
+        matmech.ground_state(model, want_vectors=False)
+        assert model.blocks["even"]._symbols is not None
+        assert model.blocks["odd"]._symbols is None
+
+    def test_first_and_second_application_identical(self):
+        model = matmech.assemble(-0.1, 25.0, matmech.epsilon_from_delta(
+            0.01, 25.0), 301)
+        x = np.random.default_rng(3).standard_normal((151, 3))
+        for block in ("even", "odd"):
+            op = model.blocks[block]
+            n = op.shape[0]
+            first = op @ x[:n]
+            symbols = op._symbols
+            assert np.array_equal(op @ x[:n], first)
+            assert op._symbols is symbols
 
     def test_coupling_tables_read_only(self):
         for table in matmech._coupling_tables(0.01, 8):
