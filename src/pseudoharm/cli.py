@@ -330,7 +330,6 @@ def cmd_table1(args) -> RunRecord:
     alphas = args.alpha_list or sorted(refdata.TABLE1)
     scale = _energy_scale(args.units, args.rho)
     eps = matmech.epsilon_from_delta(args.delta, args.rho)
-    assemble = matmech.assembler(args.rho, eps, args.nmax)
 
     def one(alpha):
         spec = PotentialSpec(alpha, args.delta)
@@ -339,8 +338,9 @@ def cmd_table1(args) -> RunRecord:
                                                       "self_consistent")
         cf = asymptotics.ground_state_energy_estimate(alpha, args.delta,
                                                       "closed_form")
-        # one model at a time: each is solved and dropped before the next
-        model = assemble(alpha)
+        # one model at a time: each is solved and dropped before the next;
+        # the couplings share the cutoff's cached tables
+        model = matmech.assemble(alpha, args.rho, eps, args.nmax)
         vals, _ = matmech.ground_state(model, want_vectors=False)
         mat = vals[0] / args.rho
         return alpha, mat, tric, sc, cf

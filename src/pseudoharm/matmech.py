@@ -20,10 +20,14 @@ block in ``table1``) costs no FFT.
 
 The g, h, k tables, with their 2 n_max + 1 sine integrals, depend on
 (eps, n_max) only; alpha and rho enter F and the diagonal as weights.
-``assembler(rho, eps, n_max)`` builds the tables, and the parts of F and
-of the diagonal that do not depend on alpha, once and returns
-alpha -> MatrixModel, so a run over several couplings at one cutoff (the
-CLI's ``table1``) computes them once; ``assemble`` is its one-coupling case.
+``assemble`` takes the tables, and the parts of F and of the diagonal that
+do not depend on alpha, from ``_alpha_free_parts``, an LRU cache keyed on
+(rho, eps, n_max) that holds the last _PARTS_CACHE_SIZE cutoffs, about
+64 n_max bytes each, as read-only arrays.  Couplings solved one after
+another at one cutoff in one process (the CLI's ``table1``, the paper's
+excited-level comparison) build them once; a model built from a cached
+entry has the bits of one built cold.  A single CLI run of one coupling
+gains nothing.
 
 ``ground_state`` solves for the even block's lowest pair, which ``table1``
 and ``eigensolve`` with k = 1 take from it.  For an attractive cutoff the
@@ -40,7 +44,9 @@ one small real matrix product, and no trig table.  The samples go through
 in blocks of about _SERIES_CHUNK power-by-sample entries.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +62,11 @@ from .specfun.sine_integral import sine_integral_array
 # all applied fewer operator columns (979 against 4112) and none took more
 # iterations; factors 1 and 4 let 24 and 9 cases take more iterations.
 _STRIP_GATE = 16.0
+
+# Cutoffs (rho, epsilon, n_max) whose parts _alpha_free_parts keeps.  An
+# entry holds about 64 n_max bytes: 0.1 MB at n_max 1600 and 8 MB at
+# n_max 128000.
+_PARTS_CACHE_SIZE = 4
 
 # powers x points in one block of _sine_series: 128 kB of complex
 # temporaries.  Counted with getrusage over repeated n_max 1600 calls on
@@ -219,69 +230,87 @@ def _coupling_tables(epsilon, n_max):
     return g, h, k
 
 
-def assembler(rho: float, epsilon: float, n_max: int):
-    """The function alpha -> assemble(alpha, rho, epsilon, n_max).
+@functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
+def _alpha_free_parts(rho, epsilon, n_max):
+    """The parts of H / E1 that do not depend on alpha, read-only.
 
-    The g, h, k tables are built here, once; each call weights them into
-    its coupling table F = eps v_eps g + (pi^2 rho^2 / 2) h
-    + (2 alpha / pi^2) k, which gives every off-diagonal element as
-    F[|n-m|/2] - F[(n+m)/2], and into the diagonal
+    Returns (g, k, oscillator table, blocks): g and k from
+    ``_coupling_tables``, the oscillator term (pi^2 rho^2 / 2) h of F, and
+    per block (name, shift, basis indices, n^2, 1 - (-1)^n sinc(pi eps n),
+    the oscillator term (pi^2 rho^2 / 2) ((1 - eps^3) / 24 - h[n]) and
+    k[0] - k[n]).  Memoized on (rho, epsilon, n_max), which ``assemble``
+    passes as float, float, int; an entry holds about 64 n_max bytes.
+    """
+    g, h, k = _coupling_tables(epsilon, n_max)
+    oscillator_weight = 2.0 * math.pi ** 2 * rho ** 2 / 4.0
+    oscillator_table = oscillator_weight * h
+    oscillator_table.flags.writeable = False
+    # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity,
+    # i+j+2
+    blocks = []
+    for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
+        idx = np.arange(first, n_max + 1, 2)
+        nn = idx.astype(float)
+        parts = (idx, nn ** 2,
+                 1.0 - (-1.0) ** idx * _sinc(math.pi * epsilon * nn),
+                 oscillator_weight * ((1.0 - epsilon ** 3) / 24.0 - h[idx]),
+                 k[0] - k[idx])
+        for array in parts:
+            array.flags.writeable = False
+        blocks.append((block, shift) + parts)
+    return g, k, oscillator_table, tuple(blocks)
+
+
+def assemble(alpha: float, rho: float, epsilon: float,
+             n_max: int) -> MatrixModel:
+    """Build the two parity-block operators of H / E1.
+
+    Each block is weighted from the g, h, k tables: the coupling table
+    F = eps v_eps g + (pi^2 rho^2 / 2) h + (2 alpha / pi^2) k gives every
+    off-diagonal element as F[|n-m|/2] - F[(n+m)/2], and the diagonal is
     H_nn / E1 = n^2 + eps v_eps (1 - (-1)^n sinc(pi eps n))
     + (pi^2 rho^2 / 2) ((1 - eps^3) / 24 - h[n]) + (2 alpha / pi^2)
-    (k[0] - k[n]).  The parts that do not depend on alpha are built here
-    too: the oscillator term of F, and per block n^2, the strip factor,
-    the oscillator term and k[0] - k[n], four arrays of n_max / 2 entries.
-    A call weights and adds them with the arithmetic of a one-coupling
-    ``assemble``, in the same order, so the blocks carry the same bits
-    however many couplings share the tables.
+    (k[0] - k[n]).  Everything but the alpha and strip weights comes from
+    ``_alpha_free_parts``, a cache keyed on (float(rho), float(epsilon),
+    n_max) that keeps the last _PARTS_CACHE_SIZE cutoffs, about 64 n_max
+    bytes each (0.1 MB at n_max 1600).  Its arrays are read-only and shared
+    by every model built from them.  A model built warm carries the bits of
+    one built cold: the call weights and adds the parts in the same order
+    either way.  Repeated couplings at one cutoff in one process (the
+    CLI's ``table1``, or a library caller's sweep over alpha) skip the 2
+    n_max + 1 sine integrals and the alpha-free arithmetic; a single CLI
+    run of one coupling gains nothing.
 
-    Raises DomainError for n_max < 4, epsilon outside (0, 0.5) or a rho
-    that is not finite and positive, and, from a call, for a non-finite
-    alpha.
+    Raises DomainError for an n_max that is not an integer or is below 4,
+    epsilon outside (0, 0.5), a rho that is not finite and positive, or a
+    non-finite alpha.
     """
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise DomainError(f"assemble: n_max must be an integer, "
+                          f"got {n_max!r}") from None
     if n_max < 4:
         raise DomainError(f"assemble: n_max must be >= 4, got {n_max}")
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"assemble: epsilon must lie in (0, 0.5), got {epsilon}")
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"assemble: rho must be finite and positive, got {rho}")
-    g, h, k = _coupling_tables(epsilon, n_max)
-    oscillator_weight = 2.0 * math.pi ** 2 * rho ** 2 / 4.0
-    oscillator_table = oscillator_weight * h
-    # odd n give even parity, (n+m)/2 = i+j+1; even n give odd parity,
-    # i+j+2
-    parts = []
-    for block, first, shift in (("even", 1, 1), ("odd", 2, 2)):
-        idx = np.arange(first, n_max + 1, 2)
-        nn = idx.astype(float)
-        parts.append((block, shift, idx, nn ** 2,
-                      1.0 - (-1.0) ** idx * _sinc(math.pi * epsilon * nn),
-                      oscillator_weight * ((1.0 - epsilon ** 3) / 24.0
-                                           - h[idx]),
-                      k[0] - k[idx]))
-
-    def build(alpha: float) -> MatrixModel:
-        if not math.isfinite(alpha):
-            raise DomainError(f"assemble: alpha must be finite, got {alpha}")
-        strip_weight = epsilon * v_epsilon(alpha, rho, epsilon)
-        coupling_weight = 2.0 * alpha / math.pi ** 2
-        table = strip_weight * g + oscillator_table + coupling_weight * k
-        blocks, indices = {}, {}
-        for block, shift, idx, square, strip, oscillator, coupling in parts:
-            blocks[block] = BlockOperator(
-                table, shift, square + strip_weight * strip + oscillator
-                + coupling_weight * coupling)
-            indices[block] = idx
-        return MatrixModel(alpha=alpha, rho=rho, epsilon=epsilon,
-                           n_max=n_max, blocks=blocks, indices=indices)
-
-    return build
-
-
-def assemble(alpha: float, rho: float, epsilon: float,
-             n_max: int) -> MatrixModel:
-    """Build the two parity-block operators of H / E1 (see ``assembler``)."""
-    return assembler(rho, epsilon, n_max)(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError(f"assemble: alpha must be finite, got {alpha}")
+    strip_weight = epsilon * v_epsilon(alpha, rho, epsilon)
+    coupling_weight = 2.0 * alpha / math.pi ** 2
+    g, k, oscillator_table, parts = _alpha_free_parts(
+        float(rho), float(epsilon), n_max)
+    table = strip_weight * g + oscillator_table + coupling_weight * k
+    blocks, indices = {}, {}
+    for block, shift, idx, square, strip, oscillator, coupling in parts:
+        blocks[block] = BlockOperator(
+            table, shift, square + strip_weight * strip + oscillator
+            + coupling_weight * coupling)
+        indices[block] = idx
+    return MatrixModel(alpha=alpha, rho=rho, epsilon=epsilon,
+                       n_max=n_max, blocks=blocks, indices=indices)
 
 
 def _strip_start(model: MatrixModel) -> dict:

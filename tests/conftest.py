@@ -4,12 +4,20 @@ import sys
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pseudoharm import matmech  # noqa: E402
 from pseudoharm.specfun import u_pair_shift_a  # noqa: E402
 from pseudoharm.unreg import nu_of_alpha  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _cold_matmech_cache():
+    """Every test starts with no cutoff's tables cached, whatever ran
+    before it."""
+    matmech._alpha_free_parts.cache_clear()
 
 
 def simpson(f, a, b, n=4001):
@@ -106,8 +114,8 @@ def element(n, m, alpha, rho, epsilon):
 
 def diagonal_elements(idx, alpha, rho, epsilon, veps, h, k):
     """Diagonal elements H_nn / E1 for basis indices idx, one coupling at
-    a time: the expression matmech.assembler splits into its alpha-free
-    parts and recombines in the same order."""
+    a time: the expression matmech.assemble takes from its cached
+    alpha-free parts and recombines in the same order."""
     nn = idx.astype(float)
     return (nn ** 2
             + epsilon * veps * (1.0 - (-1.0) ** idx

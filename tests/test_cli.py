@@ -352,8 +352,9 @@ class TestOtherCommands:
         assert row[cols.index("dev_tricomi")] < 1e-6
 
     def test_table1_builds_the_tables_once(self, monkeypatch, capsys):
-        # the sine-integral kernel of the coupling tables runs once per
-        # table1 call, not once per coupling
+        # the sine-integral kernel of the coupling tables runs once for
+        # the five couplings of a table1 call, and not at all for a second
+        # call at the same cutoff in the same process
         calls = []
         kernel = matmech.sine_integral_array
 
@@ -363,17 +364,23 @@ class TestOtherCommands:
 
         monkeypatch.setattr(matmech, "sine_integral_array", counted)
         assert main(["table1", "--nmax", "200"]) == 0
-        assert capsys.readouterr().out.count("\n") == 6
+        first = capsys.readouterr().out
+        assert first.count("\n") == 6
+        assert calls == [401]
+        assert main(["table1", "--nmax", "200"]) == 0
+        assert capsys.readouterr().out == first
         assert calls == [401]
 
     def test_table1_matrix_column_matches_one_coupling_assembly(self):
-        # table1's matrix energies are those of a one-coupling assemble and
-        # matmech.ground_state, bit for bit
+        # table1's matrix energies, four of five from cached tables, are
+        # those of a cold one-coupling assemble and matmech.ground_state,
+        # bit for bit
         args = cli._PARSER.parse_args(["table1", "--nmax", "200"])
         record = args.fn(args)
         eps = matmech.epsilon_from_delta(args.delta, args.rho)
         assert len(record.rows) == 5
         for row in record.rows:
+            matmech._alpha_free_parts.cache_clear()
             model = matmech.assemble(row[0], args.rho, eps, 200)
             vals, _ = matmech.ground_state(model, want_vectors=False)
             assert row[1] == vals[0] / args.rho

@@ -157,10 +157,10 @@ def test_table1_solves_apply_no_more_columns():
     # the parent of the preallocated search space applied 24, 24, 24, 21
     # and 21 columns at alpha = -0.25 .. -0.05 (table1 defaults)
     parent = [24, 24, 24, 21, 21]
-    build = matmech.assembler(5.0, matmech.epsilon_from_delta(
-        refdata.TABLE1_DELTA, 5.0), 2000)
+    eps = matmech.epsilon_from_delta(refdata.TABLE1_DELTA, 5.0)
     for alpha, most in zip(sorted(refdata.TABLE1), parent):
-        op = CountingOperator(build(alpha).blocks["even"])
+        model = matmech.assemble(alpha, 5.0, eps, 2000)
+        op = CountingOperator(model.blocks["even"])
         eigh_lowest(op, 1, want_vectors=False)
         assert op.columns <= most
 
@@ -169,11 +169,10 @@ def test_table1_ground_state_solves_apply_five_columns_each():
     # matmech.ground_state starts from the strip model's eigenvector and
     # adds one column an iteration: 25 columns in all where the generic
     # start above applies 114
-    build = matmech.assembler(5.0, matmech.epsilon_from_delta(
-        refdata.TABLE1_DELTA, 5.0), 2000)
+    eps = matmech.epsilon_from_delta(refdata.TABLE1_DELTA, 5.0)
     columns = []
     for alpha in sorted(refdata.TABLE1):
-        model = build(alpha)
+        model = matmech.assemble(alpha, 5.0, eps, 2000)
         op = model.blocks["even"] = CountingOperator(model.blocks["even"])
         matmech.ground_state(model, want_vectors=False)
         columns.append(op.columns)
@@ -267,10 +266,10 @@ def test_table1_generic_solves_keep_the_first_workspace(monkeypatch):
     # k = 1 at the Table 1 couplings applies at most 24 columns, the
     # starting width of a block of 3
     widened = spy_on_widening(monkeypatch)
-    build = matmech.assembler(5.0, matmech.epsilon_from_delta(
-        refdata.TABLE1_DELTA, 5.0), 2000)
+    eps = matmech.epsilon_from_delta(refdata.TABLE1_DELTA, 5.0)
     for alpha in sorted(refdata.TABLE1):
-        op = CountingOperator(build(alpha).blocks["even"])
+        model = matmech.assemble(alpha, 5.0, eps, 2000)
+        op = CountingOperator(model.blocks["even"])
         eigh_lowest(op, 1, want_vectors=False)
         assert op.columns <= eigensolver._FIRST_WIDTH * (
             1 + eigensolver._GUARD_VECTORS)

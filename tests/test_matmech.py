@@ -139,53 +139,105 @@ class TestElements:
             with pytest.raises(DomainError, match="rho must be finite"):
                 matmech.assemble(0.1, rho, 0.01, 40)
 
-    def test_assembler_validation(self):
-        # rho, epsilon and n_max are checked when the assembler is built,
-        # alpha when it is called
-        for rho, eps, n_max in ((25.0, 0.6, 40), (25.0, 0.0, 40),
-                                (25.0, 0.01, 3), (0.0, 0.01, 40),
-                                (math.nan, 0.01, 40), (math.inf, 0.01, 40)):
-            with pytest.raises(DomainError):
-                matmech.assembler(rho, eps, n_max)
-        build = matmech.assembler(25.0, 0.01, 40)
-        for alpha in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="alpha must be finite"):
-                build(alpha)
-        assert build(0.1).alpha == 0.1
+    def test_assemble_validation_before_the_cache(self):
+        # every argument is checked on a cold and on a warm cache, and a
+        # call that fails adds no entry
+        matmech.assemble(0.1, 25.0, 0.01, 40)
+        for state in ("warm", "cold"):
+            if state == "cold":
+                matmech._alpha_free_parts.cache_clear()
+            for rho, eps, n_max in ((25.0, 0.6, 40), (25.0, 0.0, 40),
+                                    (25.0, 0.01, 3), (0.0, 0.01, 40),
+                                    (math.nan, 0.01, 40),
+                                    (math.inf, 0.01, 40)):
+                with pytest.raises(DomainError):
+                    matmech.assemble(0.1, rho, eps, n_max)
+            for alpha in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="alpha must be finite"):
+                    matmech.assemble(alpha, 25.0, 0.01, 40)
+            assert matmech._alpha_free_parts.cache_info().currsize == (
+                1 if state == "warm" else 0)
+        assert matmech.assemble(0.1, 25.0, 0.01, 40).alpha == 0.1
 
-    @pytest.mark.parametrize("alpha", [-0.25, -0.05, 0.0, 0.3])
-    def test_assembler_matches_assemble_bitwise(self, alpha):
-        # one assembler serves every coupling with the blocks that a
-        # one-coupling assemble gives, bit for bit
-        rho, n_max = 5.0, 301
-        eps = matmech.epsilon_from_delta(0.002, rho)
-        build = matmech.assembler(rho, eps, n_max)
-        build(0.6)                      # earlier calls leave no trace
-        shared, alone = build(alpha), matmech.assemble(alpha, rho, eps, n_max)
-        x = np.random.default_rng(7).standard_normal((n_max // 2 + 1, 2))
-        for block in ("even", "odd"):
-            a, b = shared.blocks[block], alone.blocks[block]
-            assert np.array_equal(a.table, b.table)
-            assert np.array_equal(a.diagonal(), b.diagonal())
-            assert np.array_equal(a @ x[:a.shape[0]], b @ x[:b.shape[0]])
-            assert np.array_equal(shared.indices[block],
-                                  alone.indices[block])
+    @pytest.mark.parametrize("n_max", [40.0, "40", 40.5, None])
+    def test_assemble_n_max_must_be_an_integer(self, n_max):
+        # 40.0 == 40 and both hash alike: unchecked, a float would hit the
+        # int entry on a warm cache and fail inside the tables on a cold
+        # one
+        for _ in ("cold", "warm"):
+            with pytest.raises(DomainError, match="n_max must be an integer"):
+                matmech.assemble(0.1, 25.0, 0.01, n_max)
+            matmech.assemble(0.1, 25.0, 0.01, 40)
+        model = matmech.assemble(0.1, 25.0, 0.01, np.int64(40))
+        assert type(model.n_max) is int and model.n_max == 40
+
+    def test_warm_assemble_matches_cold_bitwise(self):
+        # models built from a cached entry carry the bits of models built
+        # cold, over interleaved cutoffs and with rho as int and as float
+        x = np.random.default_rng(7).standard_normal((151, 2))
+        keys = [(-0.25, 5, 0.002, 301), (0.3, 25.0, 0.01, 200),
+                (-0.05, 5.0, 0.002, 301), (0.0, 25, 0.01, 200),
+                (0.6, 5.0, 0.002, 301), (-0.1, 25.0, 0.01, 200)]
+        cold = []
+        for alpha, rho, delta, n_max in keys:
+            matmech._alpha_free_parts.cache_clear()
+            cold.append(matmech.assemble(
+                alpha, rho, matmech.epsilon_from_delta(delta, rho), n_max))
+        for (alpha, rho, delta, n_max), alone in zip(keys, cold):
+            for rho_given in (float(rho), int(rho)):
+                warm = matmech.assemble(
+                    alpha, rho_given,
+                    matmech.epsilon_from_delta(delta, rho), n_max)
+                for block in ("even", "odd"):
+                    a, b = warm.blocks[block], alone.blocks[block]
+                    assert np.array_equal(a.table, b.table)
+                    assert np.array_equal(a.diagonal(), b.diagonal())
+                    assert np.array_equal(a @ x[:a.shape[0]],
+                                          b @ x[:b.shape[0]])
+                    assert np.array_equal(warm.indices[block],
+                                          alone.indices[block])
+        # cache_clear resets the counts: the last cold build, then one
+        # miss for the other cutoff and eleven hits
+        info = matmech._alpha_free_parts.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 11, 2)
 
     @pytest.mark.parametrize("alpha", [-0.25, -0.1, 0.0, 0.3, -0.3])
-    def test_assembler_diagonal_matches_one_coupling_formula(self, alpha):
-        # the alpha-free parts are built once per assembler and added in
-        # the one-coupling order: the same bits
+    def test_assemble_diagonal_matches_one_coupling_formula(self, alpha):
+        # the alpha-free parts are cached and added in the one-coupling
+        # order: the same bits, warm or cold
         rho, n_max = 5.0, 301
         eps = matmech.epsilon_from_delta(0.002, rho)
-        build = matmech.assembler(rho, eps, n_max)
-        build(0.6)
-        model = build(alpha)
         _, h, k = matmech._coupling_tables(eps, n_max)
         veps = matmech.v_epsilon(alpha, rho, eps)
-        for block in ("even", "odd"):
-            want = diagonal_elements(model.indices[block], alpha, rho, eps,
-                                     veps, h, k)
-            assert np.array_equal(model.blocks[block].diagonal(), want)
+        for _ in ("cold", "warm"):
+            model = matmech.assemble(alpha, rho, eps, n_max)
+            for block in ("even", "odd"):
+                want = diagonal_elements(model.indices[block], alpha, rho,
+                                         eps, veps, h, k)
+                assert np.array_equal(model.blocks[block].diagonal(), want)
+            matmech.assemble(0.6, rho, eps, n_max)
+
+    def test_cached_parts_read_only(self):
+        model = matmech.assemble(0.1, 25.0, 0.01, 40)
+        g, k, oscillator, blocks = matmech._alpha_free_parts(25.0, 0.01, 40)
+        arrays = [g, k, oscillator] + [a for b in blocks for a in b[2:]]
+        assert len(arrays) == 13
+        for array in arrays + list(model.indices.values()):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # the per-coupling table belongs to its model
+        assert model.blocks["even"].table.flags.writeable
+
+    def test_cache_holds_at_most_maxsize_cutoffs(self):
+        info = matmech._alpha_free_parts.cache_info
+        assert info().maxsize == matmech._PARTS_CACHE_SIZE == 4
+        for n_max in range(4, 16):
+            matmech.assemble(0.1, 25.0, 0.01, n_max)
+            assert info().currsize == min(n_max - 3, info().maxsize)
+        matmech.assemble(0.1, 25.0, 0.01, 15)
+        assert info().hits == 1
+        matmech.assemble(0.1, 25.0, 0.01, 4)
+        assert info().misses == 13
 
     def test_symbols_built_on_first_application(self):
         # ground_state applies the even block only; the odd block never
@@ -301,10 +353,10 @@ class TestSpectra:
 class TestGroundState:
     @pytest.mark.parametrize("rho,n_max", [(5.0, 2000), (50.0, 10000)])
     def test_gate_on_for_table1_couplings(self, rho, n_max):
-        build = matmech.assembler(rho, matmech.epsilon_from_delta(
-            refdata.TABLE1_DELTA, rho), n_max)
+        eps = matmech.epsilon_from_delta(refdata.TABLE1_DELTA, rho)
         for alpha in sorted(refdata.TABLE1):
-            start = matmech._strip_start(build(alpha))
+            start = matmech._strip_start(
+                matmech.assemble(alpha, rho, eps, n_max))
             assert set(start) == {"start", "precondition"}, alpha
 
     @pytest.mark.parametrize("alpha,rho,delta,n_max", [
@@ -349,9 +401,8 @@ class TestGroundState:
     @pytest.mark.parametrize("rho", [5.0, 50.0])
     def test_gated_values_match_dense_eigh(self, rho, n_max):
         eps = matmech.epsilon_from_delta(refdata.TABLE1_DELTA, rho)
-        build = matmech.assembler(rho, eps, n_max)
         for alpha in sorted(refdata.TABLE1):
-            model = build(alpha)
+            model = matmech.assemble(alpha, rho, eps, n_max)
             assert matmech._strip_start(model)
             vals, vecs = matmech.ground_state(model)
             mat = dense_block(alpha, rho, eps, n_max, "even")
