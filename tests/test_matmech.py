@@ -171,6 +171,26 @@ class TestElements:
         model = matmech.assemble(0.1, 25.0, 0.01, np.int64(40))
         assert type(model.n_max) is int and model.n_max == 40
 
+    @pytest.mark.parametrize("alpha", [-0.25, -0.05, 0.0, 0.3])
+    def test_assembler_matches_assemble_bitwise(self, alpha):
+        # the cutoff's cached tables serve every coupling with the blocks
+        # that a one-coupling assemble on a cold cache gives, bit for bit
+        rho, n_max = 5.0, 301
+        eps = matmech.epsilon_from_delta(0.002, rho)
+        alone = matmech.assemble(alpha, rho, eps, n_max)
+        matmech._alpha_free_parts.cache_clear()
+        matmech.assemble(0.6, rho, eps, n_max)   # earlier calls leave no trace
+        shared = matmech.assemble(alpha, rho, eps, n_max)
+        assert matmech._alpha_free_parts.cache_info().hits == 1
+        x = np.random.default_rng(7).standard_normal((n_max // 2 + 1, 2))
+        for block in ("even", "odd"):
+            a, b = shared.blocks[block], alone.blocks[block]
+            assert np.array_equal(a.table, b.table)
+            assert np.array_equal(a.diagonal(), b.diagonal())
+            assert np.array_equal(a @ x[:a.shape[0]], b @ x[:b.shape[0]])
+            assert np.array_equal(shared.indices[block],
+                                  alone.indices[block])
+
     def test_warm_assemble_matches_cold_bitwise(self):
         # models built from a cached entry carry the bits of models built
         # cold, over interleaved cutoffs and with rho as int and as float
