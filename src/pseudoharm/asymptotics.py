@@ -2,14 +2,14 @@
 ground-state coefficient c0 (self-consistent and closed form) and the
 energy estimate -2 c0 / delta^2.
 
-All in oscillator units.  The energy of the runaway even ground state for
--1/4 <= alpha < 0 behaves as E = -2 c0/delta^2 + O(delta^2): the expansion
-of kappa carries a constant -1/2 which cancels in E, and the next
-coefficient (c1) vanishes identically.
+All in oscillator units, and every result is a plain float.  The energy of
+the runaway even ground state for -1/4 <= alpha < 0 behaves as
+E = -2 c0/delta^2 + O(delta^2): the expansion of kappa carries a constant
+-1/2 which cancels in E, and the next coefficient (c1) vanishes
+identically, so no function returns it.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 from .rootfind import brent
@@ -17,26 +17,6 @@ from .specfun import bessel_k_pair, gamma, lgamma
 from .unreg import PotentialSpec, label_from_display, nu_of_alpha
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
-
-
-@dataclass(frozen=True)
-class CorrectionTerm:
-    """Leading small-delta correction: kappa ~ 2n + nu + 2 epsilon_n."""
-
-    parity: str
-    n: int           # display index
-    epsilon_n: float
-    leading_power: float  # 2 nu - 1
-
-
-@dataclass(frozen=True)
-class GroundStateExpansion:
-    """Ground-state coefficients: c0 > 0 and the identically-zero c1."""
-
-    c0: float
-    method: str  # self_consistent | closed_form | small_alpha
-    validity_ok: bool
-    c1: float = 0.0
 
 
 # --- the interior wave, cos(u t) (even) or sin(u t)/u (odd), t = |x|/delta,
@@ -121,8 +101,9 @@ def _interior_slope_factor(alpha: float, parity: str) -> float:
     return (nu - w) / (shift + w)
 
 
-def epsilon_n(spec: PotentialSpec, parity: str, n: int) -> CorrectionTerm:
-    """Correction epsilon_n for the state with display index n.
+def epsilon_n(spec: PotentialSpec, parity: str, n: int) -> float:
+    """Correction epsilon_n, kappa ~ 2 n_radial + nu + 2 epsilon_n, for the
+    state with display index n; it scales as delta^(2 nu - 1).
 
     The display-to-radial relabelling for the even branch at alpha < 0 is
     applied here, so callers pass display indices uniformly.  Requires a
@@ -148,18 +129,15 @@ def epsilon_n(spec: PotentialSpec, parity: str, n: int) -> CorrectionTerm:
     else:
         gam = math.exp(lgamma(nu + n_rad + 0.5) - lgamma(n_rad + 1.0)
                        - lgamma(nu + 0.5)) / gamma(nu - 0.5)
-    eps = -_interior_slope_factor(alpha, parity) * gam \
+    return -_interior_slope_factor(alpha, parity) * gam \
         * spec.delta ** (2.0 * nu - 1.0)
-    return CorrectionTerm(
-        parity=parity, n=n, epsilon_n=eps, leading_power=2.0 * nu - 1.0)
 
 
 def kappa_estimate(spec: PotentialSpec, parity: str, n: int) -> float:
     """Asymptotic kappa = 2 n_radial + nu + 2 epsilon_n for display index n."""
     label = label_from_display(spec.alpha, parity, n)
     nu = nu_of_alpha(spec.alpha)
-    eps = epsilon_n(spec, parity, n).epsilon_n
-    return 2.0 * label.n + nu + 2.0 * eps
+    return 2.0 * label.n + nu + 2.0 * epsilon_n(spec, parity, n)
 
 
 def _c0_rhs(alpha: float, nu: float, c: float, k_pair) -> float:
@@ -170,8 +148,8 @@ def _c0_rhs(alpha: float, nu: float, c: float, k_pair) -> float:
     return 0.25 * ((u * math.tan(u) + nu) * ratio) ** 2
 
 
-def c0_self_consistent(alpha: float) -> GroundStateExpansion:
-    """c0 from the transcendental fixed-point condition.
+def c0_self_consistent(alpha: float) -> float:
+    """c0 > 0 from the transcendental fixed-point condition.
 
     The bracket (0, |alpha|/4) is forced by realness of sqrt(|alpha|-4c0);
     Brent's method closes it to 1e-15 relative.  Against a 30-digit mpmath
@@ -195,14 +173,11 @@ def c0_self_consistent(alpha: float) -> GroundStateExpansion:
         raise NonConvergenceError(
             "c0_self_consistent: fixed-point bracket failed",
             alpha=alpha, g_lo=g_lo, g_hi=g_hi)
-    c0 = brent(g, lo, hi * (1.0 - 1e-12), xtol=0.0, rtol=1e-15,
-               f_lo=g_lo, f_hi=g_hi)
-    return GroundStateExpansion(
-        c0=c0, method="self_consistent",
-        validity_ok=4.0 * c0 / (1.0 + math.sqrt(0.25 + alpha)) < 0.1)
+    return brent(g, lo, hi * (1.0 - 1e-12), xtol=0.0, rtol=1e-15,
+                 f_lo=g_lo, f_hi=g_hi)
 
 
-def c0_closed_form(alpha: float) -> GroundStateExpansion:
+def c0_closed_form(alpha: float) -> float:
     """Closed-form c0; valid while 4 c0 is small next to 1 + sqrt(1/4+alpha)."""
     if not -0.25 <= alpha < 0.0:
         raise DomainError(f"c0_closed_form: requires -1/4 <= alpha < 0, got {alpha}")
@@ -211,22 +186,18 @@ def c0_closed_form(alpha: float) -> GroundStateExpansion:
     den = r * math.tan(r) + 0.5 + s
     if s < 1e-6:
         # alpha -> -1/4: 1^(1/s) limit taken analytically
-        c0 = math.exp(-2.0 / den - 2.0 * _EULER_GAMMA)
-    else:
-        bracket = 1.0 - 2.0 * s / den
-        log_c0 = (math.log(bracket) + lgamma(1.0 + s) - lgamma(1.0 - s)) / s
-        c0 = math.exp(log_c0)
-    return GroundStateExpansion(
-        c0=c0, method="closed_form",
-        validity_ok=4.0 * c0 / (1.0 + s) < 0.1)
+        return math.exp(-2.0 / den - 2.0 * _EULER_GAMMA)
+    bracket = 1.0 - 2.0 * s / den
+    return math.exp((math.log(bracket) + lgamma(1.0 + s) - lgamma(1.0 - s))
+                    / s)
 
 
-def c0_small_alpha(alpha: float) -> GroundStateExpansion:
-    """Small-|alpha| reduction c0 ~ |alpha|^(2/sqrt(1-4|alpha|))."""
+def c0_small_alpha(alpha: float) -> float:
+    """Small-|alpha| reduction c0 ~ |alpha|^(2/sqrt(1-4|alpha|)), meant for
+    |alpha| < 0.01."""
     if not -0.25 <= alpha < 0.0:
         raise DomainError(f"c0_small_alpha: requires -1/4 <= alpha < 0, got {alpha}")
-    c0 = abs(alpha) ** (2.0 / math.sqrt(1.0 - 4.0 * abs(alpha)))
-    return GroundStateExpansion(c0=c0, method="small_alpha", validity_ok=abs(alpha) < 0.01)
+    return abs(alpha) ** (2.0 / math.sqrt(1.0 - 4.0 * abs(alpha)))
 
 
 _C0_METHODS = {
@@ -240,7 +211,7 @@ def ground_state_energy_estimate(alpha: float, delta: float,
                                  method: str = "self_consistent") -> float:
     """Leading ground-state energy -2 c0 / delta^2 (units of hbar*omega)."""
     try:
-        c0 = _C0_METHODS[method](alpha).c0
+        c0 = _C0_METHODS[method](alpha)
     except KeyError:
         raise ValueError(f"unknown c0 method {method!r}") from None
     return -2.0 * c0 / (delta * delta)

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import asymptotics, matmech, refdata, regspec
+from . import asymptotics, eigensolver, matmech, refdata, regspec
 from .errors import DomainError, PseudoharmError
 from .quadrature import integrate, integrate_to_infinity
 from .unreg import (EigenSolution, PotentialSpec, label_from_display,
@@ -44,7 +44,8 @@ def _emit_json(obj) -> str:
                          for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit_item(v) for v in obj) + "]"
+        return "[" + (_float_table(obj, "[", "]", ",")
+                      or ",".join(map(_emit_json, obj))) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -58,19 +59,19 @@ def _emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit_item(v) -> str:
-    """One list item.  Plain floats and [x, y] rows of finite floats, the
-    bulk of a wave-function record, skip the recursive call: %.17g gives the
-    bytes of _fmt_float for a finite float, and NaN or an infinity, which
-    %-format spells with an n, goes the generic way."""
-    if type(v) is float:
-        return _fmt_float(v)
-    if type(v) is list and len(v) == 2 and type(v[0]) is float \
-            and type(v[1]) is float:
-        text = "[%.17g,%.17g]" % (v[0], v[1])
-        if "n" not in text:
-            return text
-    return _emit_json(v)
+def _float_table(rows, head, tail, sep):
+    """A nonempty table of plain-float list rows of one length, such as a
+    wave-function table, as sep.join(head + cells at %.17g + tail); None
+    for any other table.  %.17g gives _fmt_float's bytes for a finite
+    float; NaN or an infinity, which %-format spells with an n, returns
+    None.  The type checks run over the whole table at once: a check per
+    row costs most of what the format saves."""
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 \
+            or set(map(type, chain.from_iterable(rows))) != {float}:
+        return None
+    row_format = head + ",".join(["%.17g"] * len(rows[0])) + tail
+    text = sep.join(map(row_format.__mod__, map(tuple, rows)))
+    return None if "n" in text else text
 
 
 @dataclass
@@ -106,20 +107,9 @@ class RunRecord:
 
 
 def _csv_body(rows) -> str:
-    """The rows as CSV lines, each ending in LF.  A table of plain-float rows
-    of one length, such as a wave-function table, takes one %.17g format a
-    row, which gives the bytes of _fmt_float for a finite float; the type
-    check runs over the whole table at once, because a check per row costs
-    most of what the format saves.  NaN or an infinity, which %-format
-    spells with an n, sends the table the generic way, as does any int,
-    string or numpy float."""
-    if len(set(map(len, rows))) == 1 \
-            and set(map(type, chain.from_iterable(rows))) == {float}:
-        row_format = ",".join(["%.17g"] * len(rows[0]))
-        text = "\n".join(map(row_format.__mod__, map(tuple, rows)))
-        if "n" not in text:
-            return text + "\n"
-    return "".join(_csv_cells(row) + "\n" for row in rows)
+    """The rows as CSV lines, each ending in LF."""
+    return _float_table(rows, "", "\n", "") \
+        or "".join(_csv_cells(row) + "\n" for row in rows)
 
 
 def _csv_cells(row) -> str:
@@ -200,6 +190,7 @@ def cmd_spectrum(args) -> RunRecord:
     if args.ground:
         _check_ground_flags(args)
         method = "transcendental"
+        settings = {"kappa_rel_tol": regspec.GROUND_KAPPA_REL_TOL}
         spec = PotentialSpec(args.alpha, args.delta)
         sol = regspec.solve_ground_even(spec)
         rows.append([args.alpha, args.delta, "even", sol.label.n_display,
@@ -207,7 +198,9 @@ def cmd_spectrum(args) -> RunRecord:
     else:
         if args.n is None:
             raise PseudoharmError("spectrum requires --n (or --ground)")
-        method = args.method or "closed"
+        settings = {"kappa_abs_tol": regspec.KAPPA_ABS_TOL}
+        method = args.method or ("closed" if args.delta is None
+                                 else "transcendental")
         tasks = [(p, n) for p in parities for n in args.n]
 
         def solve(task):
@@ -246,8 +239,7 @@ def cmd_spectrum(args) -> RunRecord:
         parameters={"alpha": args.alpha, "delta": args.delta,
                     "parity": "even" if args.ground else args.parity,
                     "n": args.n, "method": method, "ground": args.ground},
-        settings={"kappa_abs_tol": 1e-12},
-        units=unit_tag, columns=columns, rows=rows)
+        settings=settings, units=unit_tag, columns=columns, rows=rows)
 
 
 def _check_ground_flags(args):
@@ -382,14 +374,13 @@ def cmd_groundstate_scan(args) -> RunRecord:
         exact = regspec.solve_ground_even(spec).energy
         sc, cf = c0[alpha]
         d2 = delta * delta
-        return [alpha, delta, exact, -2.0 * sc.c0 / d2, -2.0 * cf.c0 / d2,
-                sc.c0, cf.c0]
+        return [alpha, delta, exact, -2.0 * sc / d2, -2.0 * cf / d2, sc, cf]
 
     rows = _parallel_map(one, tasks)
     return RunRecord(
         command="groundstate-scan",
         parameters={"alpha_list": alphas, "delta_list": deltas},
-        settings={"kappa_rel_tol": 1e-9},
+        settings={"kappa_rel_tol": regspec.GROUND_KAPPA_REL_TOL},
         units="hw",
         columns=["alpha", "delta", "E_exact_hw", "E_estimate_selfconsistent_hw",
                  "E_estimate_closedform_hw", "c0_sc", "c0_cf"],
@@ -397,12 +388,7 @@ def cmd_groundstate_scan(args) -> RunRecord:
 
 
 def cmd_matmech(args) -> RunRecord:
-    if args.delta is not None:
-        eps = matmech.epsilon_from_delta(args.delta, args.rho)
-    elif args.epsilon is not None:
-        eps = args.epsilon
-    else:
-        raise PseudoharmError("matmech requires --delta or --epsilon")
+    eps = matmech.epsilon_from_delta(args.delta, args.rho)
     if args.alpha < -0.25 and not args.experimental_alpha_below_quarter:
         raise PseudoharmError(
             "alpha < -1/4 is experimental; pass "
@@ -421,7 +407,7 @@ def cmd_matmech(args) -> RunRecord:
                     "epsilon": eps, "rho": args.rho, "nmax": args.nmax,
                     "k": args.k},
         settings={"eigensolver": "block-davidson+fft-toeplitz-hankel",
-                  "residual_tol": 1e-10},
+                  "residual_tol": eigensolver.RESIDUAL_TOL},
         units=args.units,
         columns=["alpha", "epsilon", "block", "rank", f"energy_{args.units}"],
         rows=rows, extras=extras)
@@ -450,11 +436,13 @@ def _build_parser():
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--parity", choices=("even", "odd", "both"), default="both")
     sp.add_argument("--n", type=_parse_n_range, default=None,
-                    help="display indices, e.g. 0..3 or 0,2,5")
+                    help="radial indices n (kappa ~ 2n + nu), e.g. 0..3 or "
+                         "0,2,5; the n_display column is n + 1 for even "
+                         "states at alpha < 0")
     sp.add_argument("--method", choices=("closed", "transcendental",
                                          "asymptotic"),
                     default=None,
-                    help="default: closed, or transcendental with --ground; "
+                    help="default: closed, or transcendental with --delta; "
                          "matrix-mechanics runs use the matmech command")
     sp.add_argument("--ground", action="store_true",
                     help="solve the runaway even ground state (alpha < 0)")
@@ -466,7 +454,9 @@ def _build_parser():
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--parity", choices=("even", "odd"), default=None,
                     help="default: odd, or even with --ground")
-    sp.add_argument("--n", type=_parse_n_range, default=None)
+    sp.add_argument("--n", type=_parse_n_range, default=None,
+                    help="display index (default 0); even states at "
+                         "alpha < 0 start at 1")
     sp.add_argument("--ground", action="store_true")
     sp.add_argument("--x-min", type=float, default=-6.0)
     sp.add_argument("--x-max", type=float, default=6.0)
@@ -490,8 +480,8 @@ def _build_parser():
 
     sp = sub.add_parser("matmech", help="raw sine-basis matrix run")
     common(sp)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
+    sp.add_argument("--delta", type=float, required=True,
+                    help="cutoff; the box-relative epsilon follows with --rho")
     sp.add_argument("--rho", type=float, default=5.0)
     sp.add_argument("--nmax", type=int, default=2000)
     sp.add_argument("--k", type=int, default=4,
@@ -502,7 +492,7 @@ def _build_parser():
 
 
 # Built once per process: parse_args keeps no state between calls, and the
-# build (5 subparsers, 47 arguments) costs more than a short request.
+# build (5 subparsers, 46 arguments) costs more than a short request.
 _PARSER = _build_parser()
 
 

@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
+# the stop: residual at most this times a lower bound on ||A|| (see above)
+RESIDUAL_TOL = 1e-10
 _MAX_ITERATIONS = 300
 _GUARD_VECTORS = 2          # block size is k plus these
 _MAX_SUBSPACE = 40          # restart cap, raised to 6 blocks for large k
@@ -154,8 +156,8 @@ def rank_one_preconditioner(d0, u, sigma):
     return precondition
 
 
-def eigh_lowest(op, k, want_vectors=True, residual_tol=1e-10, start=None,
-                precondition=None):
+def eigh_lowest(op, k, want_vectors=True, residual_tol=RESIDUAL_TOL,
+                start=None, precondition=None):
     """Lowest k eigenpairs of the symmetric operator op.
 
     Returns (values, vectors) with values ascending and vectors as

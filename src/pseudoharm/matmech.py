@@ -170,6 +170,10 @@ class MatrixEigenpair:
     epsilon: float
 
     def energy_hw(self, rho: float) -> float:
+        """Energy in units of hbar omega; rho must be the pair's own."""
+        if rho != self.rho:
+            raise DomainError(f"energy_hw: pair has rho={self.rho}, "
+                              f"got {rho}")
         return self.energy / rho
 
 

@@ -89,13 +89,6 @@ def _kronrod_panels(f, lo, hi):
     return result_k * h, np.abs((result_k - result_g) * h)
 
 
-def gauss_kronrod_15(f, a: float, b: float):
-    """Return (K15 estimate, |K15 - G7| error estimate) of f over [a, b],
-    f called once on the 15 nodes as an array."""
-    val, err = _kronrod_panels(f, np.array([float(a)]), np.array([float(b)]))
-    return float(val[0]), float(err[0])
-
-
 def _refine(f, edges, rel_tol, abs_tol, max_intervals):
     """Integrate f over [edges[0], edges[-1]] from the panels between
     consecutive edges, refining in rounds (module docstring); rounds counts

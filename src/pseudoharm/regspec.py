@@ -36,6 +36,10 @@ from .unreg import (BranchLabel, EigenSolution, PotentialSpec, make_label,
                     nu_of_alpha)
 
 MAX_EXCITED_N = 50
+# Brent's stops: an excited root to this absolute width in kappa, the
+# ground root to this width relative to max(1, |seed|)
+KAPPA_ABS_TOL = 1e-12
+GROUND_KAPPA_REL_TOL = 1e-12
 
 
 def signed_q_squared(spec: PotentialSpec, kappa: float) -> float:
@@ -125,7 +129,7 @@ _MAX_SEED_MISS = 0.25
 def _seeded_root(spec, parity, n, n_display):
     shift = 0.0
     if spec.alpha != 0.0 and spec.delta < 0.1:
-        shift = 2.0 * epsilon_n(spec, parity, n_display).epsilon_n
+        shift = 2.0 * epsilon_n(spec, parity, n_display)
         shift = max(-0.45, min(0.45, shift))  # distrust exploding corrections
     seed = 2.0 * n + nu_of_alpha(spec.alpha) + shift
     g = _entire_residual(spec, parity)
@@ -174,7 +178,8 @@ def _scan_for_root(g, seed, windows, step, context):
         bracket = scan_outward(g, seed, lo, hi, step)
         if bracket is not None:
             b_lo, b_hi, g_lo, g_hi = bracket
-            return brent(g, b_lo, b_hi, xtol=1e-12, f_lo=g_lo, f_hi=g_hi)
+            return brent(g, b_lo, b_hi, xtol=KAPPA_ABS_TOL, f_lo=g_lo,
+                         f_hi=g_hi)
     raise BracketError(
         f"no sign change of the eigenvalue condition in "
         f"[{lo:.6g}, {hi:.6g}] (step {step})", seed=seed, **context)
@@ -185,11 +190,11 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
 
     Seeded by kappa = -2 c0/delta^2 - 1/2.  Brent's method roots the
     excited states' entire residual on seed +- 0.5, the window doubling
-    until it brackets a sign change, and stops at 1e-12 |seed|: a stopping
-    tolerance, not the accuracy.  The root amplifies the relative error of
-    the ratio U(a-1)/U(a) by 1e3 to 1e4.  Against a 40-digit mpmath solve
-    of the condition, kappa agrees to 1.3e-11 relative at the Table 1
-    couplings (delta = 0.002).
+    until it brackets a sign change, and stops at GROUND_KAPPA_REL_TOL
+    max(1, |seed|): a stopping tolerance, not the accuracy.  The root
+    amplifies the relative error of the ratio U(a-1)/U(a) by 1e3 to 1e4.
+    Against a 40-digit mpmath solve of the condition, kappa agrees to
+    1.3e-11 relative at the Table 1 couplings (delta = 0.002).
     On the 36-point grid alpha in {-1/4, -1/4 + 2.5e-11, -0.2499, -0.2,
     -0.15, -0.1, -0.05, -0.01, -0.001}, delta in {1e-4, 2e-3, 1e-2, 5e-2}
     it agrees to 1.6e-7, worst at alpha = -0.001, delta = 1e-4, where the
@@ -206,7 +211,7 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
         raise DomainError(
             f"solve_ground_even: requires delta <= 0.05, got {spec.delta}")
     nu = nu_of_alpha(spec.alpha)
-    c0 = c0_self_consistent(spec.alpha).c0
+    c0 = c0_self_consistent(spec.alpha)
     d2 = spec.delta * spec.delta
     seed = -2.0 * c0 / d2 - 0.5
     g = _entire_residual(spec, "even")
@@ -214,7 +219,8 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     scale = max(1.0, abs(seed))
     while half <= 16.0:
         try:
-            kappa = brent(g, seed - half, seed + half, xtol=1e-12 * scale)
+            kappa = brent(g, seed - half, seed + half,
+                          xtol=GROUND_KAPPA_REL_TOL * scale)
             break
         except BracketError:
             half *= 2.0

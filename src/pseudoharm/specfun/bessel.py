@@ -32,11 +32,6 @@ _EPS = 1e-17
 _MAX_TERMS = 10_000
 
 
-def bessel_k(lam: float, z: float) -> float:
-    """Modified Bessel function of the second kind K_lam(z), z > 0."""
-    return bessel_k_pair(lam)(z)[0]
-
-
 def bessel_k_pair(lam: float):
     """The function z -> (K_lam(z), K_(lam+1)(z)), z > 0, for a fixed order.
 
@@ -53,7 +48,7 @@ def bessel_k_pair(lam: float):
 
     def pair(z):
         if not z > 0.0:
-            raise DomainError(f"bessel_k: requires z > 0, got z={z}")
+            raise DomainError(f"bessel_k_pair: requires z > 0, got z={z}")
         if z < _TEMME_Z:
             k_lo, k_hi = _temme(mu, temme, z)
         else:
@@ -103,7 +98,7 @@ def _temme(mu, constants, z):
         if abs(term) <= _EPS * abs(k_mu) \
                 and abs(term_next) <= _EPS * abs(k_next):
             return k_mu, k_next / h
-    raise NonConvergenceError("bessel_k: Temme series did not converge",
+    raise NonConvergenceError("bessel_k_pair: Temme series did not converge",
                               mu=mu, z=z)
 
 
@@ -136,7 +131,7 @@ def _steed(mu, z):
         if abs(dels) <= _EPS * abs(s):
             break
     else:
-        raise NonConvergenceError("bessel_k: continued fraction CF2 did not "
-                                  "converge", mu=mu, z=z)
+        raise NonConvergenceError("bessel_k_pair: continued fraction CF2 "
+                                  "did not converge", mu=mu, z=z)
     k_mu = math.sqrt(math.pi / (2.0 * z)) / s * math.exp(-z)
     return k_mu, k_mu * (mu + z + 0.5 - a1 * h) / z

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pseudoharm import matmech  # noqa: E402
-from pseudoharm.specfun import u_pair_shift_a  # noqa: E402
+from pseudoharm.specfun import bessel_k_pair, u_pair_shift_a  # noqa: E402
 from pseudoharm.unreg import nu_of_alpha  # noqa: E402
 
 
@@ -18,6 +18,11 @@ def _cold_matmech_cache():
     """Every test starts with no cutoff's tables cached, whatever ran
     before it."""
     matmech._alpha_free_parts.cache_clear()
+
+
+def bessel_k(lam, z):
+    """K_lam(z), the first of the pair evaluator's two orders."""
+    return bessel_k_pair(lam)(z)[0]
 
 
 def simpson(f, a, b, n=4001):

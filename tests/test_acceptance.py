@@ -98,8 +98,8 @@ def test_criterion_3_long_reference_value():
 
 
 def test_criterion_4_c0_endpoint_values():
-    sc = 4.0 * asymptotics.c0_self_consistent(-0.25).c0
-    cf = 4.0 * asymptotics.c0_closed_form(-0.25).c0
+    sc = 4.0 * asymptotics.c0_self_consistent(-0.25)
+    cf = 4.0 * asymptotics.c0_closed_form(-0.25)
     ok = abs(sc - 0.0904) < 5e-4 and abs(cf - 0.0949) < 5e-4
     assert report(4, ok, f"4c0 sc={sc:.5f}, cf={cf:.5f}")
 
@@ -116,7 +116,7 @@ def _criterion_5_data():
                     sol = regspec.solve_excited(spec, parity, n)
                     lbl = make_label(alpha, parity, n)
                     eps = asymptotics.epsilon_n(spec, parity,
-                                                lbl.n_display).epsilon_n
+                                                lbl.n_display)
                     row[delta] = (sol.kappa - (2.0 * n + nu), 2.0 * eps)
                 out.append(row)
     return out
@@ -160,7 +160,7 @@ def test_criterion_5_even_attractive_deviation_bound():
 
 def test_criterion_6_no_constant_energy_term():
     alpha = -0.1
-    c0 = asymptotics.c0_self_consistent(alpha).c0
+    c0 = asymptotics.c0_self_consistent(alpha)
     deltas = np.array([5e-4, 1e-3, 2e-3, 3e-3, 5e-3])
     # the kappa expansion carries the exact constant -1/2, cancelled in the
     # energy: fit E + 2 c0/delta^2 = kappa + 1/2 + 2 c0/delta^2

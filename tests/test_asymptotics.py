@@ -107,12 +107,12 @@ class TestEpsilonN:
     def test_vanishes_as_alpha_to_zero_minus(self):
         # odd prefactor (nu - r cot r)/(...) -> 0 with alpha
         spec = PotentialSpec(-1e-8, 1e-3)
-        assert abs(asymptotics.epsilon_n(spec, "odd", 0).epsilon_n) < 1e-9
+        assert abs(asymptotics.epsilon_n(spec, "odd", 0)) < 1e-9
 
     def test_pure_power_law_scaling(self):
         nu = nu_of_alpha(-0.1)
-        e3 = asymptotics.epsilon_n(PotentialSpec(-0.1, 1e-3), "odd", 0).epsilon_n
-        e4 = asymptotics.epsilon_n(PotentialSpec(-0.1, 1e-4), "odd", 0).epsilon_n
+        e3 = asymptotics.epsilon_n(PotentialSpec(-0.1, 1e-3), "odd", 0)
+        e4 = asymptotics.epsilon_n(PotentialSpec(-0.1, 1e-4), "odd", 0)
         assert e3 / e4 == pytest.approx(10.0 ** (2.0 * nu - 1.0), rel=1e-12)
 
     def test_matches_exact_solver(self):
@@ -121,21 +121,16 @@ class TestEpsilonN:
         spec = PotentialSpec(-0.05, 1e-3)
         sol = regspec.solve_excited(spec, "odd", 0)
         ka = asymptotics.kappa_estimate(spec, "odd", 0)
-        eps = asymptotics.epsilon_n(spec, "odd", 0).epsilon_n
+        eps = asymptotics.epsilon_n(spec, "odd", 0)
         assert abs(sol.kappa - ka) < 1e-2 * abs(eps)
 
     def test_display_relabelling_for_even_attractive(self):
         spec = PotentialSpec(-0.1, 1e-3)
-        ct = asymptotics.epsilon_n(spec, "even", 1)  # display 1 = radial 0
+        eps = asymptotics.epsilon_n(spec, "even", 1)  # display 1 = radial 0
         k_est = asymptotics.kappa_estimate(spec, "even", 1)
-        assert k_est == pytest.approx(nu_of_alpha(-0.1) + 2.0 * ct.epsilon_n)
+        assert k_est == pytest.approx(nu_of_alpha(-0.1) + 2.0 * eps)
         with pytest.raises(DomainError):
             asymptotics.epsilon_n(spec, "even", 0)  # no display-0 even state
-
-    def test_leading_power_field(self):
-        spec = PotentialSpec(0.3, 1e-3)
-        ct = asymptotics.epsilon_n(spec, "even", 2)
-        assert ct.leading_power == pytest.approx(2.0 * nu_of_alpha(0.3) - 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -148,28 +143,28 @@ class TestEpsilonN:
             for parity in ("even", "odd"):
                 spec = PotentialSpec(alpha, 1e-3)
                 n = 1 if (parity == "even" and alpha < 0) else 0
-                ct = asymptotics.epsilon_n(spec, parity, n)
-                assert math.isfinite(ct.epsilon_n)
+                eps = asymptotics.epsilon_n(spec, parity, n)
+                assert math.isfinite(eps)
 
     def test_half_integer_nu_is_pole_free(self):
         # nu = 3/2 at alpha = 3/4: the reflected gamma pair stays finite
-        ct = asymptotics.epsilon_n(PotentialSpec(0.75, 1e-3), "odd", 0)
-        assert math.isfinite(ct.epsilon_n) and ct.epsilon_n != 0.0
+        eps = asymptotics.epsilon_n(PotentialSpec(0.75, 1e-3), "odd", 0)
+        assert math.isfinite(eps) and eps != 0.0
 
 
 class TestC0:
     def test_self_consistent_reference_values(self):
         # leading-coefficient values recovered from the published
         # ground-state table at delta = 0.002
-        assert asymptotics.c0_self_consistent(-0.05).c0 == pytest.approx(
+        assert asymptotics.c0_self_consistent(-0.05) == pytest.approx(
             1.656980047e-3, rel=1e-6)
         est = asymptotics.ground_state_energy_estimate(-0.10, 0.002)
         assert est == pytest.approx(-2679.724730, rel=1e-6)
 
     def test_endpoint_values(self):
-        assert 4.0 * asymptotics.c0_self_consistent(-0.25).c0 == pytest.approx(
+        assert 4.0 * asymptotics.c0_self_consistent(-0.25) == pytest.approx(
             0.0904, abs=5e-4)
-        assert 4.0 * asymptotics.c0_closed_form(-0.25).c0 == pytest.approx(
+        assert 4.0 * asymptotics.c0_closed_form(-0.25) == pytest.approx(
             0.0949, abs=5e-4)
 
     def test_closed_form_reference_value(self):
@@ -178,36 +173,24 @@ class TestC0:
         assert est == pytest.approx(-831.9802335, rel=1e-6)
 
     def test_small_alpha_reduction(self):
-        cf = asymptotics.c0_closed_form(-1e-3).c0
-        small = asymptotics.c0_small_alpha(-1e-3).c0
+        cf = asymptotics.c0_closed_form(-1e-3)
+        small = asymptotics.c0_small_alpha(-1e-3)
         assert cf == pytest.approx(small, rel=2e-2)
 
     def test_methods_agree_at_moderate_coupling(self):
         # agreement tightens towards small coupling; at the -0.10 endpoint
         # the measured gap is 1.31%
         for alpha in np.linspace(-0.10, -0.01, 7):
-            sc = asymptotics.c0_self_consistent(float(alpha)).c0
-            cf = asymptotics.c0_closed_form(float(alpha)).c0
+            sc = asymptotics.c0_self_consistent(float(alpha))
+            cf = asymptotics.c0_closed_form(float(alpha))
             assert cf == pytest.approx(sc, rel=1.4e-2), alpha
             if alpha > -0.085:
                 assert cf == pytest.approx(sc, rel=1e-2), alpha
 
     def test_methods_diverge_at_critical_coupling(self):
-        sc = 4.0 * asymptotics.c0_self_consistent(-0.25).c0
-        cf = 4.0 * asymptotics.c0_closed_form(-0.25).c0
+        sc = 4.0 * asymptotics.c0_self_consistent(-0.25)
+        cf = 4.0 * asymptotics.c0_closed_form(-0.25)
         assert cf - sc > 3e-3  # 0.0949 vs 0.0904
-
-    def test_c1_identically_zero(self):
-        assert asymptotics.c0_self_consistent(-0.1).c1 == 0.0
-        assert asymptotics.c0_closed_form(-0.1).c1 == 0.0
-
-    def test_validity_flag(self):
-        assert asymptotics.c0_self_consistent(-0.05).validity_ok
-        # the 0.1-threshold flag stays on even at the critical coupling,
-        # where the ratio 4c0/(1+sqrt(1/4+alpha)) = 0.0904 grazes it
-        ge = asymptotics.c0_self_consistent(-0.25)
-        assert ge.validity_ok
-        assert 4.0 * ge.c0 / 1.0 > 0.09
 
     def test_estimate_scaling_in_delta(self):
         e1 = asymptotics.ground_state_energy_estimate(-0.1, 1e-3)
@@ -233,7 +216,7 @@ class TestGroundStateStructure:
         for delta in (1e-2, 1e-3, 1e-4):
             spec = PotentialSpec(alpha, delta)
             sol = regspec.solve_excited(spec, "odd", 0)
-            eps = asymptotics.epsilon_n(spec, "odd", 0).epsilon_n
+            eps = asymptotics.epsilon_n(spec, "odd", 0)
             ratios.append((sol.kappa - nu) / (2.0 * eps))
         devs = [abs(r - 1.0) for r in ratios]
         assert devs[0] > devs[1] > devs[2]
@@ -243,7 +226,7 @@ class TestGroundStateStructure:
         # E_exact(delta) + 2 c0/delta^2 fits a0 + a2 delta^2 with |a0| tiny;
         # equivalently kappa carries the exact constant -1/2
         alpha = -0.1
-        c0 = asymptotics.c0_self_consistent(alpha).c0
+        c0 = asymptotics.c0_self_consistent(alpha)
         deltas = np.array([5e-4, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         ys = []
         for d in deltas:

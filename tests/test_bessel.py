@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simpson
+from conftest import bessel_k, simpson
 from pseudoharm.errors import DomainError
-from pseudoharm.specfun import bessel_k, bessel_k_pair
+from pseudoharm.specfun import bessel_k_pair
 
 mp.mp.dps = 40
 

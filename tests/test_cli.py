@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from pseudoharm import asymptotics, cli, matmech, regspec
+from pseudoharm import asymptotics, cli, eigensolver, matmech, regspec
 from pseudoharm.cli import (RunRecord, _emit_json, _parse_float_list,
                             _parse_n_range, main)
 from pseudoharm.unreg import PotentialSpec
@@ -45,19 +45,23 @@ class TestPlumbing:
         assert back["list"][1] == 2.5e-300
 
     @staticmethod
-    def _generic_item(v):
-        # the emitter without its row fast path: every float by _fmt_float
-        return cli._fmt_float(v) if type(v) is float else _emit_json(v)
+    def _no_table(rows, head, tail, sep):
+        # the emitters without the float-table format: every float by
+        # _fmt_float
+        return None
 
     def test_json_rows_match_the_generic_path(self, monkeypatch):
         special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                    1e308, -1e308, 2.5e-300, 1.0 / 3.0]
         rows = [[x, y] for x in special for y in special]
-        fast = _emit_json(rows)
-        monkeypatch.setattr(cli, "_emit_item", self._generic_item)
+        finite = [[x, y, 1.0] for x in FINITE for y in FINITE]
+        fast, fast_finite = _emit_json(rows), _emit_json(finite)
+        monkeypatch.setattr(cli, "_float_table", self._no_table)
         assert fast == _emit_json(rows)
+        assert fast_finite == _emit_json(finite)
         assert "[NaN,Infinity]" in fast and "[-0,4.9406564584124654e-324]" \
             in fast
+        assert "[-0,4.9406564584124654e-324,1]" in fast_finite
 
     def test_json_wavefunction_record_matches_the_generic_path(
             self, monkeypatch):
@@ -66,7 +70,7 @@ class TestPlumbing:
         args = cli._PARSER.parse_args(argv)
         record = args.fn(args)
         fast = record.to_json()
-        monkeypatch.setattr(cli, "_emit_item", self._generic_item)
+        monkeypatch.setattr(cli, "_float_table", self._no_table)
         assert fast == record.to_json()
         assert len(json.loads(fast)["rows"]) == 601
 
@@ -332,8 +336,8 @@ class TestOtherCommands:
                                         for d in deltas]):
             exact = regspec.solve_ground_even(
                 PotentialSpec(alpha, delta)).energy
-            sc = asymptotics.c0_self_consistent(alpha).c0
-            cf = asymptotics.c0_closed_form(alpha).c0
+            sc = asymptotics.c0_self_consistent(alpha)
+            cf = asymptotics.c0_closed_form(alpha)
             d2 = delta * delta
             assert row == [alpha, delta, exact, -2.0 * sc / d2,
                            -2.0 * cf / d2, sc, cf]
@@ -416,7 +420,8 @@ class TestOtherCommands:
         assert json.loads(r2.stdout)["experimental"] is True
 
     def test_matmech_oscillator(self):
-        r = run_cli(["matmech", "--alpha", "0", "--epsilon", "1e-3",
+        # delta = (pi/2) sqrt(rho/2) epsilon: epsilon 1e-3 at rho 50
+        r = run_cli(["matmech", "--alpha", "0", "--delta", "0.00785398",
                      "--rho", "50", "--nmax", "120", "--k", "2",
                      "--units", "hw"])
         assert r.returncode == 0
@@ -451,7 +456,7 @@ class TestInputValidation:
          "rho must be finite and positive"),
         (["matmech", "--alpha", "0.1", "--delta", "0.01", "--rho", "nan"],
          "rho must be finite and positive"),
-        (["matmech", "--alpha", "0.1", "--epsilon", "0.01", "--rho", "0"],
+        (["matmech", "--alpha", "0.1", "--delta", "0.01", "--rho", "inf"],
          "rho must be finite and positive"),
         (["table1", "--rho", "0"], "rho must be finite and positive"),
         (["table1", "--rho", "inf", "--units", "e1"],
@@ -537,7 +542,8 @@ class TestFlagsApplyOrAreRefused:
          "even"),
         (["--n", "0"], "closed", "both"),
         (["--n", "0", "--delta", "0.002", "--method", "asymptotic"],
-         "asymptotic", "both")])
+         "asymptotic", "both"),
+        (["--n", "0", "--delta", "0.002"], "transcendental", "both")])
     def test_spectrum_records_the_method_used(self, flags, method, parity,
                                               capsys):
         argv = ["spectrum", "--alpha=-0.1", "--format", "json"]
@@ -549,6 +555,59 @@ class TestFlagsApplyOrAreRefused:
         assert rec["parameters"]["parity"] == parity
         assert {row[6] for row in rec["rows"]} \
             == {"closed_form" if method == "closed" else method}
+
+    def test_spectrum_closed_refuses_a_cutoff(self, capsys):
+        assert main(["spectrum", "--alpha", "0.1", "--delta", "0.01", "--n",
+                     "0..2", "--method", "closed"]) == 1
+        assert "omit --delta" in \
+            json.loads(capsys.readouterr().out)["error"]["message"]
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--epsilon", "0.001"], ["--epsilon", "0.001", "--delta", "0.01"]])
+    def test_matmech_takes_the_cutoff_by_delta_only(self, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["matmech", "--alpha=-0.1", "--nmax", "60", "--k", "1"]
+                 + flags)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        if "--delta" in flags:
+            assert "unrecognized arguments: --epsilon" in err
+        else:
+            assert "required: --delta" in err
+
+    def test_n_is_radial_for_spectrum_and_display_for_wavefunction(
+            self, capsys):
+        # the even states at alpha < 0 display from 1: spectrum --n 0 is
+        # the state that wavefunction calls --n 1, and wavefunction has
+        # no --n 0 there
+        assert main(["spectrum", "--alpha=-0.1", "--parity", "even", "--n",
+                     "0", "--method", "closed"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.split(",")[header.split(",").index("n_display")] == "1"
+        argv = ["wavefunction", "--alpha=-0.1", "--parity", "even",
+                "--samples", "3", "--format", "json"]
+        assert main(argv + ["--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["n"] == 1
+        assert main(argv + ["--n", "0"]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError"
+        assert "display index 0" in err["message"]
+
+    @pytest.mark.parametrize("argv,settings", [
+        (["groundstate-scan", "--alpha-list=-0.1"],
+         {"kappa_rel_tol": regspec.GROUND_KAPPA_REL_TOL}),
+        (["spectrum", "--alpha=-0.1", "--delta", "0.002", "--ground"],
+         {"kappa_rel_tol": regspec.GROUND_KAPPA_REL_TOL}),
+        (["spectrum", "--alpha", "0.1", "--delta", "0.01", "--n", "0"],
+         {"kappa_abs_tol": regspec.KAPPA_ABS_TOL}),
+        (["matmech", "--alpha=-0.1", "--delta", "0.01", "--nmax", "60",
+          "--k", "1"],
+         {"eigensolver": "block-davidson+fft-toeplitz-hankel",
+          "residual_tol": eigensolver.RESIDUAL_TOL}),
+    ])
+    def test_settings_state_the_stops_used(self, argv, settings, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["settings"] == settings
 
     def test_wavefunction_ground_requires_delta(self, capsys):
         assert main(["wavefunction", "--alpha=-0.1", "--ground"]) == 1

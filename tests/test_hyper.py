@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hyperu_ref
+from conftest import bessel_k, hyperu_ref
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError, PseudoharmError)
-from pseudoharm.specfun import (bessel_k, bessel_k_pair, laguerre, lgamma,
+from pseudoharm.specfun import (bessel_k_pair, laguerre, lgamma,
                                 rgamma, sinpi, tricomi_u, u_pair_shift_a,
                                 u_ratio_z_evaluator)
 from pseudoharm.specfun.hyper import (A_CONNECTION_MIN, A_SWITCH,

@@ -296,6 +296,13 @@ class TestElements:
         with pytest.raises(DomainError, match="k must be >= 1"):
             matmech.eigensolve(model, k)
 
+    def test_energy_hw_takes_only_the_pairs_own_rho(self):
+        model = matmech.assemble(0.1, 25.0, 0.01, 40)
+        pair = matmech.eigensolve(model, 1, want_vectors=False)[0]
+        assert pair.energy_hw(25.0) == pair.energy / 25.0
+        with pytest.raises(DomainError, match="pair has rho=25.0, got 5"):
+            pair.energy_hw(5.0)
+
 
 class TestSpectra:
     def test_parity_blocks_match_full_matrix(self):
