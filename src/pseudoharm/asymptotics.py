@@ -9,6 +9,7 @@ E = -2 c0/delta^2 + O(delta^2): the expansion of kappa carries a constant
 identically, so no function returns it.
 """
 
+import functools
 import math
 
 from .errors import DomainError, NonConvergenceError
@@ -148,8 +149,10 @@ def _c0_rhs(alpha: float, nu: float, c: float, k_pair) -> float:
     return 0.25 * ((u * math.tan(u) + nu) * ratio) ** 2
 
 
+@functools.lru_cache(maxsize=64)
 def c0_self_consistent(alpha: float) -> float:
-    """c0 > 0 from the transcendental fixed-point condition.
+    """c0 > 0 from the transcendental fixed-point condition, solved once per
+    alpha (15 to 27 evaluations) and memoized.
 
     The bracket (0, |alpha|/4) is forced by realness of sqrt(|alpha|-4c0);
     Brent's method closes it to 1e-15 relative.  Against a 30-digit mpmath

@@ -198,9 +198,12 @@ def cmd_spectrum(args) -> RunRecord:
     else:
         if args.n is None:
             raise PseudoharmError("spectrum requires --n (or --ground)")
-        settings = {"kappa_abs_tol": regspec.KAPPA_ABS_TOL}
         method = args.method or ("closed" if args.delta is None
                                  else "transcendental")
+        # only the transcendental method solves a root: the closed form and
+        # the leading-order formula have no stop
+        settings = ({"kappa_abs_tol": regspec.KAPPA_ABS_TOL}
+                    if method == "transcendental" else {})
         tasks = [(p, n) for p in parities for n in args.n]
 
         def solve(task):
@@ -271,7 +274,7 @@ def cmd_wavefunction(args) -> RunRecord:
         raise PseudoharmError(f"wavefunction: --samples must be >= 0, "
                               f"got {args.samples}")
     xs = np.linspace(args.x_min, args.x_max, args.samples)
-    norm_report = {}
+    norm_report, settings = {}, {}
     if args.delta is None:
         spec = PotentialSpec(args.alpha)
         label = label_from_display(args.alpha, parity, n)
@@ -288,6 +291,8 @@ def cmd_wavefunction(args) -> RunRecord:
         wf = regspec.build_wavefunction(spec, sol)
         psi = wf(xs)
         norm_report = _norm_report(wf, spec)
+        settings = {"norm_interior_rel_tol": _NORM_INTERIOR_REL_TOL,
+                    "norm_exterior_rel_tol": _NORM_EXTERIOR_REL_TOL}
         method = "transcendental"
     rows = [[float(x), float(p)] for x, p in zip(xs, psi)]
     return RunRecord(
@@ -296,10 +301,15 @@ def cmd_wavefunction(args) -> RunRecord:
                     "parity": parity, "n": n, "ground": args.ground,
                     "x_min": args.x_min, "x_max": args.x_max,
                     "samples": args.samples},
-        settings={"norm_rel_tol": 1e-11},
+        settings=settings,
         units="oscillator-length",
         columns=["x_over_x0", "psi_sqrt_x0"], rows=rows,
         extras={"normalization": norm_report, "method": method})
+
+
+# _norm_report's quadrature stops, relative, on [0, delta] and [delta, inf)
+_NORM_INTERIOR_REL_TOL = 1e-12
+_NORM_EXTERIOR_REL_TOL = 1e-11
 
 
 def _norm_report(wf, spec):
@@ -307,12 +317,13 @@ def _norm_report(wf, spec):
     energy-slope normalization of regspec.build_wavefunction:
     exterior_rel_diff is this exterior integral over wf.outer_integral,
     minus 1."""
-    inner = integrate(lambda x: wf(x) ** 2, 0.0, spec.delta, rel_tol=1e-12)
+    inner = integrate(lambda x: wf(x) ** 2, 0.0, spec.delta,
+                      rel_tol=_NORM_INTERIOR_REL_TOL)
     # doubling panels from [delta, 2 delta]: each lies at least its own width
     # from x = 0, where the exterior formula has a branch point, so the
     # rounds need not bisect toward delta one level at a time
     outer = integrate_to_infinity(
-        lambda x: wf(x) ** 2, spec.delta, rel_tol=1e-11,
+        lambda x: wf(x) ** 2, spec.delta, rel_tol=_NORM_EXTERIOR_REL_TOL,
         first_width=spec.delta)
     return {"norm": 2.0 * (inner + outer), "inner_mass": 2.0 * inner,
             "exterior_rel_diff": outer / wf.outer_integral - 1.0}
@@ -364,15 +375,13 @@ def cmd_groundstate_scan(args) -> RunRecord:
         raise PseudoharmError("groundstate-scan: alphas must lie in [-0.25, 0)")
     deltas = args.delta_list or [0.002]
     tasks = [(a, d) for a in alphas for d in deltas]
-    # c0 depends on alpha only: one pair of solves per coupling
-    c0 = {alpha: (asymptotics.c0_self_consistent(alpha),
-                  asymptotics.c0_closed_form(alpha)) for alpha in alphas}
 
     def one(task):
         alpha, delta = task
         spec = PotentialSpec(alpha, delta)
         exact = regspec.solve_ground_even(spec).energy
-        sc, cf = c0[alpha]
+        sc = asymptotics.c0_self_consistent(alpha)
+        cf = asymptotics.c0_closed_form(alpha)
         d2 = delta * delta
         return [alpha, delta, exact, -2.0 * sc / d2, -2.0 * cf / d2, sc, cf]
 

@@ -86,14 +86,17 @@ def solve_excited(spec: PotentialSpec, parity: str, n: int) -> EigenSolution:
 
     Up to delta = _SEED_DELTA the seed is the small-delta correction
     kappa = 2n + nu + 2 eps_n, which lies within one 0.05 scan step of the
-    root in all but a few far cases.  The grid of the window seed +- 0.55
-    (then seed +- 1.4) is scanned outward from the seed for the nearest
-    sign change of the entire residual, and Brent's method closes that
-    bracket to 1e-12 absolute in kappa: about 6 residual evaluations a
-    solve.  An evaluation takes the U pair from one u_pair_shift_a
-    evaluator built for the solve: four Kummer series and 2 rgamma calls,
-    about 13 us on one desk core (about 21 us and 8 rgamma calls as two
-    tricomi_u calls).  Above _SEED_DELTA the seed can lie nearer another
+    root in all but a few far cases.  Brent's method first tries the
+    bracket seed +- 8 corr^2 of the seed's error law (_seed).  Where its
+    ends do not change sign, or no law applies, the grid of the window
+    seed +- 0.55 (then seed +- 1.4) is scanned outward from the seed for
+    the nearest sign change of the entire residual, and Brent closes that
+    cell.  Either way the stop is 1e-12 absolute in kappa.  On the tests'
+    160-solve grid 143 solves close the narrow bracket, and a solve takes
+    5.0 residual evaluations (5.6 by the scan alone).  An evaluation takes
+    the U pair from one u_pair_shift_a evaluator built for the solve: four
+    Kummer series and 2 rgamma calls, about 13 us on one desk core (about
+    21 us and 8 rgamma calls as two tricomi_u calls).  Above _SEED_DELTA the seed can lie nearer another
     state's root, and the root is continued in delta instead
     (_continue_in_delta).
     """
@@ -124,16 +127,49 @@ _MIN_LOG_STEP = 1e-3
 # a continued root may lie at most this far from its extrapolated seed: a
 # small part of the spacing 2 of the levels of one parity
 _MAX_SEED_MISS = 0.25
+# the scan's grid step in kappa
+_SCAN_STEP = 0.05
+# the seed's bracket is _SEED_LAW corr^2 wide on each side (see _seed)
+_SEED_LAW = 8.0
+
+
+def _seed(spec, parity, n, n_display):
+    """The seed 2n + nu + corr, corr = 2 eps_n clamped to +-0.45, and the
+    half-width of the bracket its error law allows (0.0 for none).
+
+    For alpha in [-0.2, 0.6], delta <= 0.01 and n <= 4 the seed misses the
+    root by at most 4.9 corr^2 (measured), and _SEED_LAW corr^2 plus a
+    rounding floor leaves margin.  No law is claimed where corr is 0 or
+    clamped, nor for a bracket as wide as half a scan step.  Elsewhere the
+    bracket may miss, and the scan takes over: near alpha = -1/4 (76 corr^2
+    at alpha -0.249, delta 0.01, even n 0), and for even states at alpha
+    >= 1 with delta >= 0.005 (up to 4.4 times the half-width at alpha 2).
+    """
+    corr = 0.0
+    if spec.alpha != 0.0 and spec.delta < 0.1:
+        corr = 2.0 * epsilon_n(spec, parity, n_display)
+    shift = max(-0.45, min(0.45, corr))  # distrust exploding corrections
+    seed = 2.0 * n + nu_of_alpha(spec.alpha) + shift
+    half_width = 0.0
+    if corr != 0.0 and shift == corr:
+        w = _SEED_LAW * corr * corr + 1e-9 * (1.0 + abs(seed))
+        if w < 0.5 * _SCAN_STEP:
+            half_width = w
+    return seed, half_width
 
 
 def _seeded_root(spec, parity, n, n_display):
-    shift = 0.0
-    if spec.alpha != 0.0 and spec.delta < 0.1:
-        shift = 2.0 * epsilon_n(spec, parity, n_display)
-        shift = max(-0.45, min(0.45, shift))  # distrust exploding corrections
-    seed = 2.0 * n + nu_of_alpha(spec.alpha) + shift
+    """Brent on seed +- the law's half-width when its ends change sign; the
+    outward scan of seed +- 0.55, then +- 1.4, otherwise."""
+    seed, half_width = _seed(spec, parity, n, n_display)
     g = _entire_residual(spec, parity)
-    return _scan_for_root(g, seed, windows=(0.55, 1.4), step=0.05,
+    if half_width:
+        try:
+            return brent(g, seed - half_width, seed + half_width,
+                         xtol=KAPPA_ABS_TOL)
+        except BracketError:  # the root lies outside the law's bracket
+            pass
+    return _scan_for_root(g, seed, windows=(0.55, 1.4), step=_SCAN_STEP,
                           context=dict(spec=spec, parity=parity, n=n))
 
 
@@ -160,7 +196,7 @@ def _continue_in_delta(spec, parity, n, n_display):
         context = dict(spec=spec, parity=parity, n=n, delta=nxt)
         try:
             root = _scan_for_root(g, seed, windows=(_MAX_SEED_MISS,),
-                                  step=0.05, context=context)
+                                  step=_SCAN_STEP, context=context)
         except BracketError:
             log_step *= 0.5
             if log_step < _MIN_LOG_STEP:

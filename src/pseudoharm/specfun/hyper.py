@@ -341,8 +341,9 @@ def u_pair_shift_a(b: float,
 
     Above A_SWITCH + 1 U may not be representable, and the pair is
     (1, U(a-1)/U(a)), the ratio's Gamma prefactors cancelled analytically
-    and K_(b-1), K_b from one bessel_k_pair built here; U > 0 for a > 0, so
-    a residual homogeneous of degree 1 in the pair keeps its signs and
+    and K_(b-1), K_b from one bessel_k_pair, built at the first such a (the
+    excited states' a <= 0.1 never need it); U > 0 for a > 0, so a
+    residual homogeneous of degree 1 in the pair keeps its signs and
     roots.  For a <= 0.1 with a and a - 1 in the connection formula's region
     and more than 1e-12 from the integers, the pair shares 1/Gamma(b),
     1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs 1/Gamma(1+a-b)
@@ -356,7 +357,7 @@ def u_pair_shift_a(b: float,
     """
     if not z > 0.0:
         raise DomainError(f"u_pair_shift_a: requires z > 0, got z={z}")
-    k_pair = bessel_k_pair(b - 1.0)
+    k_pair = None
     shared = (b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL
               and z <= Z_CONNECTION)
     if shared:
@@ -368,8 +369,11 @@ def u_pair_shift_a(b: float,
             shared = False
 
     def pair(a):
+        nonlocal k_pair
         a1 = a - 1.0
         if a > A_SWITCH + 1.0:
+            if k_pair is None:
+                k_pair = bessel_k_pair(b - 1.0)
             scale = a1 * math.exp(0.5 * (b - 1.0) * math.log1p(-1.0 / a))
             num = scale * _bessel_combo(a1, b, z, k_pair)
             den = _bessel_combo(a, b, z, k_pair)

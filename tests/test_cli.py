@@ -315,21 +315,23 @@ class TestOtherCommands:
         assert abs(float(row[2]) - float(row[3])) / abs(float(row[2])) < 2e-6
 
     def test_groundstate_scan_rows_match_single_solves(self, monkeypatch):
-        # c0 is solved once per coupling and shared by its deltas; every
-        # row still equals the values of its own task computed alone
+        # the memoized c0 fixed point is solved once per coupling and shared
+        # by its deltas; every row still equals the values of its own task
+        # computed alone
         alphas, deltas = [-0.25, -0.2, -0.05], [0.002, 0.01]
-        calls = []
-        for name in ("c0_self_consistent", "c0_closed_form"):
-            def counted(alpha, _f=getattr(asymptotics, name), _name=name):
-                calls.append((_name, alpha))
-                return _f(alpha)
-            monkeypatch.setattr(asymptotics, name, counted)
+        solves = [0]
+        root = asymptotics.brent
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return root(*args, **kwargs)
+
+        asymptotics.c0_self_consistent.cache_clear()
+        monkeypatch.setattr(asymptotics, "brent", counted)
         record = cli.cmd_groundstate_scan(argparse.Namespace(
             alpha_list=alphas, delta_list=deltas))
         monkeypatch.undo()
-        assert sorted(calls) == sorted(
-            (name, a) for a in alphas
-            for name in ("c0_self_consistent", "c0_closed_form"))
+        assert solves[0] == len(alphas)
         assert len(record.rows) == len(alphas) * len(deltas)
         for row, (alpha, delta) in zip(record.rows,
                                        [(a, d) for a in alphas
@@ -604,6 +606,17 @@ class TestFlagsApplyOrAreRefused:
           "--k", "1"],
          {"eigensolver": "block-davidson+fft-toeplitz-hankel",
           "residual_tol": eigensolver.RESIDUAL_TOL}),
+        # the closed form and the leading-order formula solve no root
+        (["spectrum", "--alpha", "0.1", "--n", "0"], {}),
+        (["spectrum", "--alpha", "0.1", "--delta", "0.01", "--n", "0",
+          "--method", "asymptotic"], {}),
+        # the quadrature of the norm check; the closed form has none
+        (["wavefunction", "--alpha", "0.1", "--delta", "0.01", "--n", "0",
+          "--samples", "3"],
+         {"norm_interior_rel_tol": cli._NORM_INTERIOR_REL_TOL,
+          "norm_exterior_rel_tol": cli._NORM_EXTERIOR_REL_TOL}),
+        (["wavefunction", "--alpha", "0.1", "--n", "0", "--samples", "3"],
+         {}),
     ])
     def test_settings_state_the_stops_used(self, argv, settings, capsys):
         assert main(argv + ["--format", "json"]) == 0

@@ -312,6 +312,19 @@ def _grid_solves():
             yield spec, ("even", "odd")[i // 4], i % 4, kappa
 
 
+def _count_scans(monkeypatch):
+    """A one-item list that counts the outward scans of regspec."""
+    scans = [0]
+    scan = regspec.scan_outward
+
+    def counted(*args):
+        scans[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(regspec, "scan_outward", counted)
+    return scans
+
+
 class TestTranscendentalGrid:
     def test_kappas_match_the_full_scan(self):
         worst = max(abs(regspec.solve_excited(spec, parity, n).kappa - want)
@@ -319,9 +332,9 @@ class TestTranscendentalGrid:
         assert worst < 1e-12
 
     def test_outward_scan_picks_the_full_scan_bracket(self, monkeypatch):
-        # the nearest of all brackets on the same grid, for every solve,
-        # far seeds (the root more than one step away) included
-        seen = []
+        # the nearest of all brackets on the same grid, for every scan the
+        # solves make; the grid holds 3 far seeds (the root more than one
+        # step away)
         scan = regspec.scan_outward
 
         def checked(g, seed, lo, hi, step):
@@ -330,16 +343,44 @@ class TestTranscendentalGrid:
             want = min(brackets, default=None,
                        key=lambda br: abs(0.5 * (br[0] + br[1]) - seed))
             assert (None if got is None else got[:2]) == want, (seed, got)
-            seen.append(seed)
             return got
 
         monkeypatch.setattr(regspec, "scan_outward", checked)
         far = 0
         for spec, parity, n, kappa in _grid_solves():
-            del seen[:]
             regspec.solve_excited(spec, parity, n)
-            far += abs(kappa - seen[0]) > 0.05
+            n_display = make_label(spec.alpha, parity, n).n_display
+            seed, _ = regspec._seed(spec, parity, n, n_display)
+            far += abs(kappa - seed) > 0.05
         assert far == 3
+
+    def test_the_seeds_bracket_serves_most_solves(self, monkeypatch):
+        # a solve that makes no scan closed the narrow bracket of _seed
+        scans = _count_scans(monkeypatch)
+        solves = list(_grid_solves())
+        unscanned = 0
+        for spec, parity, n, _ in solves:
+            before = scans[0]
+            regspec.solve_excited(spec, parity, n)
+            unscanned += scans[0] == before
+        assert unscanned >= 0.85 * len(solves)
+
+    @pytest.mark.parametrize("alpha,parity,scanned", [
+        (-0.249, "even", True),   # the seed misses by about 76 corr^2
+        (-0.25, "even", True),    # corr = 0: no bracket
+        (-0.25, "odd", True),
+        (0.75, "even", False),    # integer b; the law holds
+        (1.0, "even", True),      # the law fails at this delta
+    ])
+    def test_bracket_or_fallback_gives_the_scans_root(self, monkeypatch,
+                                                      alpha, parity, scanned):
+        spec = PotentialSpec(alpha, 0.01)
+        scans = _count_scans(monkeypatch)
+        kappa = regspec.solve_excited(spec, parity, 0).kappa
+        assert (scans[0] > 0) == scanned
+        monkeypatch.setattr(regspec, "_SEED_LAW", math.inf)  # scan only
+        want = regspec.solve_excited(spec, parity, 0).kappa
+        assert abs(kappa - want) < 1e-12
 
     def test_residual_evaluation_budget(self, monkeypatch):
         count = [0]
@@ -358,7 +399,7 @@ class TestTranscendentalGrid:
         for spec, parity, n, _ in solves:
             regspec.solve_excited(spec, parity, n)
         assert len(solves) == 160
-        assert count[0] / len(solves) <= 10.0
+        assert count[0] / len(solves) <= 5.5
 
     def test_gamma_work_per_residual_evaluation(self, monkeypatch):
         # the U pair of a residual evaluation shares 1/Gamma(b), 1/Gamma(2-b)
@@ -389,7 +430,7 @@ class TestTranscendentalGrid:
         monkeypatch.setattr(regspec, "_entire_residual", counted)
         for spec, parity, n, _ in _grid_solves():
             regspec.solve_excited(spec, parity, n)
-        assert len(per_evaluation) > 800
+        assert len(per_evaluation) > 700
         assert max(per_evaluation) <= 2
 
     def test_second_window(self):
