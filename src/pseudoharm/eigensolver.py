@@ -57,9 +57,25 @@ def _orthonormalize(basis, vectors):
     basis as one block, then makes them orthonormal among themselves by
     modified Gram-Schmidt, dropping columns that keep under _DROP of their
     norm.  Repeating the whole pass keeps a column that lost most of its
-    norm to the others orthogonal to the basis too.
+    norm to the others orthogonal to the basis too.  A single column is
+    normalized directly, with the bits the loop gives it, and an empty
+    basis projects nothing off.
     """
+    empty = np.empty((basis.shape[0], 0))
     norms = _column_norms(vectors)
+    if vectors.shape[1] == 1:
+        if not norms[0] > 0.0:
+            return empty
+        block = vectors / norms
+        for _ in range(2):
+            if basis.shape[1]:
+                block = block - basis @ (basis.T @ block)
+            column = block[:, 0]
+            norm = np.sqrt(column @ column)
+            if not norm > _DROP:
+                return empty
+            block = block / norm
+        return block
     nonzero = norms > 0.0
     block = vectors[:, nonzero] / norms[nonzero]
     for _ in range(2):
@@ -71,16 +87,16 @@ def _orthonormalize(basis, vectors):
             norm = np.sqrt(v @ v)
             if norm > _DROP:
                 kept.append(v / norm)
-        block = (np.array(kept).T if kept
-                 else np.empty((basis.shape[0], 0)))
+        block = np.array(kept).T if kept else empty
     return block
 
 
 def _shifted(diag, theta, floor):
-    """diag - theta for each theta, as columns, floored to |.| >= floor."""
+    """diag - theta for each theta, as columns, floored to |.| >= floor;
+    a zero difference gets +floor."""
     denom = diag[:, None] - theta
-    return np.where(np.abs(denom) < floor,
-                    np.where(denom < 0.0, -floor, floor), denom)
+    out = np.maximum(np.abs(denom), floor)
+    return np.negative(out, out=out, where=denom < 0.0)
 
 
 def _diagonal_correction(diag):

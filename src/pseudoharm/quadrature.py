@@ -15,8 +15,8 @@ budget.
 
 Semi-infinite integrals are handled by growing the upper limit in
 doubling panels until the integrand falls below a fixed fraction of its
-observed peak; refinement starts from those panels, the probes of a few
-doublings going to the integrand in one call.
+observed peak; refinement starts from those panels, the probes of every
+doubling going to the integrand in one call.
 """
 
 import math
@@ -60,8 +60,6 @@ _K_WEIGHTS = np.array((_WGK[7],) + _WGK[:7])
 _G_WEIGHTS = np.array((_WG[3],) + _WG[:3])
 
 
-# doublings of the tail search whose probes share one integrand call
-_PROBE_DOUBLINGS = 8
 # panel budget of a refinement
 _MAX_PANELS = 2000
 # a semi-infinite integral's upper limit stops growing where the integrand
@@ -165,37 +163,29 @@ def integrate_to_infinity(f, a: float, rel_tol: float = 1e-10,
     The upper limit grows in doubling panels [a + w, a + 2w] until the panel
     contribution falls below _TAIL_CUTOFF times the peak panel; refinement
     then starts from [a, a + first_width] and the doubling panels, all in
-    one integrand call.  The probes of _PROBE_DOUBLINGS doublings go to f
-    in one call.
+    one integrand call.  The probes of all max_doublings doublings go to f
+    in one call, and are walked in order to the first that meets the stop.
     """
     width = first_width
     upper = a + width
     edges = [a, upper]
     xs = [upper, a + 0.5 * width]
-    peak = 0.0
-    for start in range(0, max_doublings, _PROBE_DOUBLINGS):
-        # the next few doublings' probes in one call; the loop below walks
-        # them in order and stops where the scalar search would
-        count = min(_PROBE_DOUBLINGS, max_doublings - start)
-        u, w = upper, width
-        for _ in range(count):
-            new_upper = a + 2.0 * w
-            xs += [0.5 * (u + new_upper), new_upper]
-            u, w = new_upper, 2.0 * w
-        values = np.abs(f(np.array(xs))).tolist()
-        if start == 0:
-            peak = max(values[:2])
-            values = values[2:]
-        for i in range(count):
-            mid_val, end_val = values[2 * i], values[2 * i + 1]
-            peak = max(peak, mid_val, end_val)
-            upper = a + 2.0 * width
-            width *= 2.0
-            edges.append(upper)
-            if max(mid_val, end_val) <= _TAIL_CUTOFF * peak and peak > 0.0:
-                return _refine(f, edges, rel_tol,
-                               _TAIL_CUTOFF * peak * (upper - a), _MAX_PANELS)
-        xs = []
+    u, w = upper, width
+    for _ in range(max_doublings):
+        new_upper = a + 2.0 * w
+        xs += [0.5 * (u + new_upper), new_upper]
+        u, w = new_upper, 2.0 * w
+    values = np.abs(f(np.array(xs))).tolist()
+    peak = max(values[:2])
+    for i in range(max_doublings):
+        mid_val, end_val = values[2 * i + 2], values[2 * i + 3]
+        peak = max(peak, mid_val, end_val)
+        upper = a + 2.0 * width
+        width *= 2.0
+        edges.append(upper)
+        if max(mid_val, end_val) <= _TAIL_CUTOFF * peak and peak > 0.0:
+            return _refine(f, edges, rel_tol,
+                           _TAIL_CUTOFF * peak * (upper - a), _MAX_PANELS)
     raise NonConvergenceError(
         "integrate_to_infinity: integrand does not decay",
         upper=upper)

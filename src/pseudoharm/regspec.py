@@ -17,7 +17,10 @@ Every root solve, excited or runaway ground state, runs on one entire
 (pole-free) rescaling of the condition N/D = exterior: multiplied through by
 D and by U(a, b, delta^2), it has neither the trigonometric poles nor the
 U-denominator zeros that sit within O(delta^(2 nu - 1)) of every root,
-which a raw-residual scan cannot separate at small delta.
+which a raw-residual scan cannot separate at small delta.  Above a = 4,
+where U(a) > 0 has no zeros, the runaway ground state's residual is the
+same function divided by U(a), with the exterior term in a form that has
+no O(kappa) cancellation (_entire_residual).
 """
 
 import math
@@ -32,6 +35,7 @@ from .asymptotics import (_cos_family, _interior_log_derivative,
 from .errors import BracketError, DomainError, NonConvergenceError
 from .rootfind import brent, scan_outward
 from .specfun import u_pair_shift_a, u_ratio_slope_a, u_ratio_z_evaluator
+from .specfun.hyper import _LAPLACE_A, _laplace_inv_t
 from .unreg import (BranchLabel, EigenSolution, PotentialSpec, make_label,
                     nu_of_alpha)
 
@@ -63,18 +67,31 @@ def _entire_residual(spec: PotentialSpec, parity: str) -> Callable[[float], floa
 
     N u0 - D outer: the condition times D and u0 = U(a, b, delta^2) keeps
     exactly the eigenvalue zeros: no trig poles, and the U-zeros (which
-    shadow each root at distance ~delta^(2nu-1)) cancel.
-    The pair U(a), U(a-1) comes from one evaluator built per residual (b and
-    delta^2 stay fixed); for the runaway ground state it is divided by U(a).
+    shadow each root at distance ~delta^(2nu-1)) cancel.  Up to a =
+    _LAPLACE_A the pair U(a), U(a-1) comes from one evaluator built per
+    residual (b and delta^2 stay fixed).  Above it (runaway ground states
+    only) the residual is divided by U(a) > 0, which keeps its roots and
+    signs: under the Laplace weight of DLMF 13.4.4, U(a-1)/U(a) = (a-1)(1 +
+    E[1/t]), and the exterior term is
+
+        delta^2 + 1 - nu - (nu - kappa - 2) E[1/t],
+
+    whose O(kappa) parts cancel analytically, where the form delta^2 -
+    kappa - 1 - 2 U(a-1)/U(a) cancels two numbers of size |kappa|.
     """
     d2 = spec.delta * spec.delta
     nu = nu_of_alpha(spec.alpha)
-    u_pair = u_pair_shift_a(nu + 0.5, d2)
+    b = nu + 0.5
+    u_pair = u_pair_shift_a(b, d2)
 
     def g(kappa: float) -> float:
-        u0, u1 = u_pair(0.5 * (nu - kappa))
+        a = 0.5 * (nu - kappa)
         num, den = _interior_log_derivative(signed_q_squared(spec, kappa),
                                             parity)
+        if a > _LAPLACE_A:
+            inv_t = _laplace_inv_t(a, b, d2)
+            return num - den * (d2 + 1.0 - nu - (nu - kappa - 2.0) * inv_t)
+        u0, u1 = u_pair(a)
         outer = (d2 - kappa - 1.0) * u0 - 2.0 * u1
         return num * u0 - den * outer
 
@@ -225,16 +242,20 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     """The runaway even-parity ground state for -1/4 <= alpha < 0.
 
     Seeded by kappa = -2 c0/delta^2 - 1/2.  Brent's method roots the
-    excited states' entire residual on seed +- 0.5, the window doubling
-    until it brackets a sign change, and stops at GROUND_KAPPA_REL_TOL
-    max(1, |seed|): a stopping tolerance, not the accuracy.  The root
-    amplifies the relative error of the ratio U(a-1)/U(a) by 1e3 to 1e4.
-    Against a 40-digit mpmath solve of the condition, kappa agrees to
-    1.3e-11 relative at the Table 1 couplings (delta = 0.002).
-    On the 36-point grid alpha in {-1/4, -1/4 + 2.5e-11, -0.2499, -0.2,
-    -0.15, -0.1, -0.05, -0.01, -0.001}, delta in {1e-4, 2e-3, 1e-2, 5e-2}
-    it agrees to 1.6e-7, worst at alpha = -0.001, delta = 1e-4, where the
-    ratio errs by 8e-13 (a = 98.5).
+    entire residual on seed +- 0.5, the window doubling until it brackets a
+    sign change, and stops at GROUND_KAPPA_REL_TOL max(1, |seed|): a
+    stopping tolerance, not the accuracy.  Above a = 4 the residual's
+    exterior term is delta^2 + 1 - nu - (nu - kappa - 2) E[1/t], one
+    Laplace window of 32 to 64 nodes an evaluation (_entire_residual);
+    below it, the U pair.  On the 36-point grid alpha in {-1/4,
+    -1/4 + 2.5e-11, -0.2499, -0.2, -0.15, -0.1, -0.05, -0.01, -0.001},
+    delta in {1e-4, 2e-3, 1e-2, 5e-2} a solve takes 5.8 residual
+    evaluations on average, at most 7 where a > 4, and 0.16 ms on one
+    core of a shared VM (10.1, up to 18, and 0.28 ms on the former form
+    delta^2 - kappa - 1 - 2 U(a-1)/U(a)).  Against a 30-digit mpmath
+    solve of the condition, kappa agrees to 2.3e-13 relative or better at
+    the Table 1 couplings and alpha in {-1/4 + 2.5e-11, -0.2499, -0.01,
+    -0.001}, delta in {1e-4, 2e-3, 1e-2}, within Brent's stop.
 
     The returned state is checked to lie on the oscillatory tan branch
     below the first interior pole, with kappa < 0.
@@ -301,16 +322,22 @@ class PiecewiseWaveFunction:
     outer_integral: float
 
     def __call__(self, x):
-        """psi at x (scalar or array): the exterior points in one array
-        call, the interior points (|x| <= delta) one by one."""
+        """psi at x (scalar or array): each distinct |x| once, the exterior
+        points in one array call, the interior points (|x| <= delta) one
+        by one.  A point's value depends on that point alone, so sharing
+        it between x and -x, or repeats, keeps its bits."""
         xa = np.asarray(x, dtype=float)
         ax = np.abs(xa)
         outer = ax > self.matching_point
         psi = np.empty(xa.shape)
         if np.any(outer):
-            psi[outer] = self.outer_coeff * self.outer_rel(ax[outer])
-        psi[~outer] = [self.inner_coeff * self.inner_wave(v)
-                       for v in ax[~outer].tolist()]
+            values, where = np.unique(ax[outer], return_inverse=True)
+            psi[outer] = (self.outer_coeff * self.outer_rel(values))[where]
+        inner = ~outer
+        if np.any(inner):
+            values, where = np.unique(ax[inner], return_inverse=True)
+            psi[inner] = np.array([self.inner_coeff * self.inner_wave(v)
+                                   for v in values.tolist()])[where]
         if self.solution.label.parity == "odd":
             psi = np.sign(xa) * psi
         return float(psi) if xa.ndim == 0 else psi
@@ -357,13 +384,16 @@ def build_wavefunction(spec: PotentialSpec,
     def outer_rel(x):
         # region II relative to its value at the matching point; 1-d arrays
         # throughout, so a point's bits do not depend on the call's shape.
-        # Where the Gaussian factor underflows the value is 0.0, and U,
-        # which grows like x^(2n) there, is not evaluated.
+        # Where the Gaussian factor underflows the value is 0.0, and
+        # neither U, which grows like x^(2n) there, nor the power, which
+        # overflows at the far tail probes of a quadrature, is evaluated.
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y2 = x * x
-        rel = (x / delta) ** nu * np.exp(-0.5 * (y2 - delta * delta))
-        live = rel > 0.0
-        rel[live] = rel[live] * u_ratio(y2[live])
+        gauss = np.exp(-0.5 * (y2 - delta * delta))
+        live = gauss > 0.0
+        rel = np.zeros_like(x)
+        rel[live] = (x[live] / delta) ** nu * gauss[live] \
+            * u_ratio(y2[live])
         return rel
 
     match_val = inner_wave(delta)

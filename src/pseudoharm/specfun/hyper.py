@@ -4,9 +4,10 @@ tricomi_u takes one of three routes, each inside a stated, tested region
 (see its docstring): the Laguerre polynomial, the connection formula through
 two M series (DLMF 13.2.42) and the array evaluator below.  u_pair_shift_a
 serves a root solve in a at fixed (b, z): it shares the connection
-formula's factors across a for a <= 0.1, and above A_SWITCH + 1 returns
-U(a-1)/U(a) from the uniform large-a expansion in modified Bessel K
-functions, carried through three correction orders.
+formula's factors across a for a <= 0.1.  The uniform large-a expansion in
+modified Bessel K functions, carried through three correction orders, is
+no route: it is kept as the independent check of the connection formula
+(_u_large_a).
 
 u_ratio_z_evaluator gives U(a, b, z)/U(a, b, z_den) over an array of z by
 one algorithm, the array evaluator that tricomi_u's route 3 also takes:
@@ -47,6 +48,14 @@ parities, and to 3e-14 on the ground states of alpha in [-1/4, -0.001],
 delta in [1e-4, 5e-2] (see tests); where dR/da - 1 is a difference of two
 terms some 300 times larger, 1e-16 in a Laplace moment becomes 1e-13.
 
+The one-point calls of a root solve, u_ratio_slope_a and the runaway
+ground state's E[1/t] (_laplace_inv_t), take their window from
+_laplace_window_point: the formulas of _laplace_window written with the
+math module, as numpy's fixed cost on one-element arrays was most of a
+window's cost.  Its ends agree with the array window's to a few ulps, with
+the same node counts (see tests); the nodes and sums stay numpy.  Array
+calls, one-point ones included, keep the array window.
+
 The large-a expansion's coefficient polynomials were generated from its
 defining recurrences and verified against 40-digit reference values; they
 are tested constants (see tests).
@@ -64,8 +73,7 @@ from .gammafn import lgamma, rgamma, sinpi
 
 # Route regions.  Tested constants, not tuning knobs: the tests check each
 # route against mpmath on both sides of every one.
-A_SWITCH = 30.0          # connection formula up to this a; the pair's Bessel
-#                          ratio above A_SWITCH + 1
+A_SWITCH = 30.0          # connection formula up to this a
 A_CONNECTION_MIN = -52.0  # connection formula from this a: a - 1 of every
 #                           excited solve, n <= 50
 Z_CONNECTION = 1.0       # connection formula up to this z
@@ -336,16 +344,10 @@ def tricomi_u(a: float, b: float, z: float) -> float:
 
 def u_pair_shift_a(b: float,
                    z: float) -> Callable[[float], tuple[float, float]]:
-    """The function a -> (U(a, b, z), U(a-1, b, z)) at fixed (b, z), up to a
-    common positive factor: 1/U(a) for a > A_SWITCH + 1, else 1.
+    """The function a -> (U(a, b, z), U(a-1, b, z)) at fixed (b, z).
 
-    Above A_SWITCH + 1 U may not be representable, and the pair is
-    (1, U(a-1)/U(a)), the ratio's Gamma prefactors cancelled analytically
-    and K_(b-1), K_b from one bessel_k_pair, built at the first such a (the
-    excited states' a <= 0.1 never need it); U > 0 for a > 0, so a
-    residual homogeneous of degree 1 in the pair keeps its signs and
-    roots.  For a <= 0.1 with a and a - 1 in the connection formula's region
-    and more than 1e-12 from the integers, the pair shares 1/Gamma(b),
+    For a <= 0.1 with a and a - 1 in the connection formula's region and
+    more than 1e-12 from the integers, the pair shares 1/Gamma(b),
     1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs 1/Gamma(1+a-b)
     and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) = (x-1)/Gamma(x);
     this hot path takes only the pole-distance term of tricomi_u's
@@ -353,11 +355,13 @@ def u_pair_shift_a(b: float,
     a non-finite result leaves it.  Every other a is evaluated
     as tricomi_u evaluates it, except that where both a and a - 1 fall to
     the array evaluator one pass gives both, U(a - 1) one recurrence step
-    below U(a).
+    below U(a).  Where U leaves double range it raises
+    EvaluationOverflowError, as tricomi_u does; a root solve at large a
+    takes U(a-1)/U(a) from the Laplace moment E[1/t] instead (the runaway
+    ground state's residual in regspec).
     """
     if not z > 0.0:
         raise DomainError(f"u_pair_shift_a: requires z > 0, got z={z}")
-    k_pair = None
     shared = (b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL
               and z <= Z_CONNECTION)
     if shared:
@@ -369,20 +373,7 @@ def u_pair_shift_a(b: float,
             shared = False
 
     def pair(a):
-        nonlocal k_pair
         a1 = a - 1.0
-        if a > A_SWITCH + 1.0:
-            if k_pair is None:
-                k_pair = bessel_k_pair(b - 1.0)
-            scale = a1 * math.exp(0.5 * (b - 1.0) * math.log1p(-1.0 / a))
-            num = scale * _bessel_combo(a1, b, z, k_pair)
-            den = _bessel_combo(a, b, z, k_pair)
-            ratio = num / den if den > 0.0 else math.inf
-            if not math.isfinite(ratio):
-                raise EvaluationOverflowError(
-                    f"u_pair_shift_a: K_(b-1), K_b at 2 sqrt(a z) leave "
-                    f"double range (a={a}, b={b}, z={z})")
-            return 1.0, ratio
         # the shared formula serves a <= 0.1 with a and a - 1 more than
         # 1e-12 from the non-positive integers, where 1/Gamma(a) and
         # 1/Gamma(a - 1) are small and need the checked routes
@@ -585,13 +576,47 @@ def _log_abs_u(a, b, z, count=1):
     return out
 
 
+def _laplace_window_point(a, b, z, left_lift, left_extra=0.0):
+    """_laplace_window at one float z, by the same formulas with the math
+    module: (s_lo, s_hi, h, log-integrand at the peak) as floats.  A root
+    solve evaluates one point at a time, where numpy's fixed cost on
+    one-element arrays would be most of the window's."""
+    c = (b - 1.0) - z
+    disc = math.sqrt(c * c + (4.0 * a) * z)
+    den = disc + abs(c)
+    t_pk = den / (2.0 * z) if c > 0.0 else (2.0 * a) / den
+    s_pk = math.log(t_pk)
+    h = (2.0 * math.pi) / (math.sqrt(78.0 * disc / (1.0 + 1.0 / t_pk)) + 25.0)
+    phi_pk = (b - 1.0) * s_pk + (b - 1.0 - a) * math.log1p(1.0 / t_pk) \
+        - z * t_pk
+    log1p_pk = math.log1p(t_pk)
+    left_drop = _TAIL_DROP + left_extra + left_lift * log1p_pk
+    w1 = math.acosh(1.0 + _TAIL_DROP / (2.0 * z * t_pk))
+    ends = []
+    for s, drop in ((s_pk + w1, _TAIL_DROP), (s_pk - w1, left_drop)):
+        t = math.exp(s)
+        slope = (a + (b - 1.0 - z) * t - z * t * t) / (1.0 + t)
+        phi = (b - 1.0) * s + (b - 1.0 - a) * math.log1p(1.0 / t) - z * t
+        ends.append((s, slope, max(drop - phi_pk + phi, 0.0)))
+    (s_right, slope_right, gap_right), (s_left, slope_left, gap_left) = ends
+    s_hi = s_right - gap_right / slope_right
+    s_lo = s_left - gap_left / min(slope_left, a)
+    bound = math.log1p(1.0 / t_pk) + (left_drop + z * t_pk
+                                      - min(b - 1.0, 0.0) * log1p_pk) / a
+    try:
+        s_lo = max(s_lo, -math.log(math.expm1(bound)))
+    except OverflowError:  # the array code's bound is -inf there
+        pass
+    return s_lo, s_hi, h, phi_pk
+
+
 def _laplace_point(a, b, z, left_lift, left_extra=0.0):
     """(t, weight) at the nodes of one point's trapezoidal rule (as in
-    _laplace_rule), the weight relative to the integrand's peak."""
-    z1 = np.array([float(z)])
-    s_lo, s_hi, h, phi_pk = _laplace_window(a, b, z1, left_lift, left_extra)
-    count = _NODE_STEP * math.ceil(((s_hi[0] - s_lo[0]) / h[0] + 1.0)
-                                   / _NODE_STEP)
+    _laplace_rule), the weight relative to the integrand's peak; the window
+    from _laplace_window_point."""
+    s_lo, s_hi, h, phi_pk = _laplace_window_point(a, b, z, left_lift,
+                                                  left_extra)
+    count = _NODE_STEP * math.ceil(((s_hi - s_lo) / h + 1.0) / _NODE_STEP)
     if not count <= _MAX_NODES:
         raise NonConvergenceError(
             "Laplace rule: window needs more nodes than the bound",
@@ -599,6 +624,15 @@ def _laplace_point(a, b, z, left_lift, left_extra=0.0):
     s = s_lo + (s_hi - s_lo) / (count - 1) * np.arange(count, dtype=float)
     t = np.exp(s)
     return t, np.exp(_log_integrand(a, b, z, s, t) - phi_pk)
+
+
+def _laplace_inv_t(a, b, z):
+    """E[1/t] under the Laplace weight t^(a-1) (1+t)^(b-a-1) e^(-zt) at one
+    z > 0, for a > _LAPLACE_A: U(a-1, b, z)/U(a, b, z) = (a-1)(1 + E[1/t]).
+    The window of u_ratio_slope_a's a > _LAPLACE_A branch, whose E[1/t] has
+    the same bits."""
+    t, weight = _laplace_point(a, b, z, 0, _TAIL_DROP / (a - 1.0))
+    return float(weight @ (1.0 / t)) / float(weight.sum())
 
 
 def u_ratio_slope_a(a: float, b: float, z: float) -> tuple[float, float]:

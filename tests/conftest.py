@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pseudoharm import matmech  # noqa: E402
-from pseudoharm.specfun import bessel_k_pair, u_pair_shift_a  # noqa: E402
+from pseudoharm.specfun import bessel_k_pair, hyper  # noqa: E402
 from pseudoharm.unreg import nu_of_alpha  # noqa: E402
 
 
@@ -57,16 +57,22 @@ def scan_sign_changes(f, lo, hi, step):
     return brackets
 
 
+def exterior_ratio(a, b, z):
+    """U(a-1, b, z)/U(a, b, z) at 20 digits (hyperu_ref), as a float."""
+    return float(hyperu_ref(a - 1.0, b, z) / hyperu_ref(a, b, z))
+
+
 def eig_condition_residual(spec, parity, kappa):
     """The paper's matching condition in its raw form: the interior
     log-derivative u cot u (odd) or -u tan u (even), continued to
     v coth v and v tanh v in the evanescent regime, minus the exterior
-    delta^2 - kappa - 1 - 2 U(a-1, b, delta^2) / U(a, b, delta^2).
+    delta^2 - kappa - 1 - 2 U(a-1, b, delta^2) / U(a, b, delta^2), the
+    ratio at 20 digits.
     It has poles at the trigonometric poles and at the zeros of U(a); the
     program roots the entire rescaling regspec._entire_residual instead."""
     d2 = spec.delta * spec.delta
     nu = nu_of_alpha(spec.alpha)
-    u0, u1 = u_pair_shift_a(nu + 0.5, d2)(0.5 * (nu - kappa))
+    ratio = exterior_ratio(0.5 * (nu - kappa), nu + 0.5, d2)
     s2 = (2.0 * kappa + 1.0) * d2 - (d2 * d2 + spec.alpha)
     u = math.sqrt(abs(s2))
     if s2 > 0.0:
@@ -75,7 +81,27 @@ def eig_condition_residual(spec, parity, kappa):
         interior = u / math.tanh(u) if parity == "odd" else u * math.tanh(u)
     else:
         interior = 1.0 if parity == "odd" else 0.0
-    return interior - (d2 - kappa - 1.0 - 2.0 * u1 / u0)
+    return interior - (d2 - kappa - 1.0 - 2.0 * ratio)
+
+
+def scalar_window_check(a, b, z):
+    """The window u_ratio_slope_a takes at (a, b, z) (a at most 195 steps
+    below 4), by hyper._laplace_window_point and by the array code
+    hyper._laplace_window on a one-element z: returns the two node counts
+    and the largest difference of the window ends in ulps of the larger
+    end."""
+    m = hyper._recurrence_steps(a)
+    if m == 0:
+        args = (a, b, z, 0, hyper._TAIL_DROP / (a - 1.0))
+    else:
+        args = (a + m, b, z, max(1, math.ceil(b - 1.0)))
+    point = hyper._laplace_window_point(*args)
+    array = [float(v[0]) for v in
+             hyper._laplace_window(args[0], b, np.array([z]), *args[3:])]
+    counts = [math.ceil(((s_hi - s_lo) / h + 1.0) / hyper._NODE_STEP)
+              for s_lo, s_hi, h, _ in (point, array)]
+    ulp = math.ulp(max(abs(array[0]), abs(array[1])))
+    return counts, max(abs(p - q) for p, q in zip(point[:2], array[:2])) / ulp
 
 
 def one_sided_derivative(f, x0, h, side):

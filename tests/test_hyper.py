@@ -6,16 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bessel_k, hyperu_ref
+from conftest import bessel_k, hyperu_ref, scalar_window_check
 from pseudoharm.errors import (DomainError, EvaluationOverflowError,
                                NonConvergenceError, PseudoharmError)
-from pseudoharm.specfun import (bessel_k_pair, laguerre, lgamma,
-                                rgamma, sinpi, tricomi_u, u_pair_shift_a,
+from pseudoharm.specfun import (laguerre, lgamma, rgamma, sinpi, tricomi_u,
+                                u_pair_shift_a, u_ratio_slope_a,
                                 u_ratio_z_evaluator)
 from pseudoharm.specfun.hyper import (A_CONNECTION_MIN, A_SWITCH,
                                       B_INTEGER_TOL, Z_CONNECTION,
                                       _AMP_SWITCH,
                                       _bessel_combo, _is_laguerre,
+                                      _laplace_inv_t,
                                       _u_by_formula, _u_connection,
                                       _u_large_a, kummer_m)
 
@@ -340,39 +341,42 @@ def _shift_ratio(a, b, z):
     return u1 / u0
 
 
-def _ref_large_a_ratio(a, b, z):
-    """U(a-1)/U(a) on the Bessel branch, the Gamma prefactors cancelled,
-    written out in the order of the per-point scalar form."""
-    scale = (a - 1.0) * math.exp(0.5 * (b - 1.0) * math.log1p(-1.0 / a))
-    k_pair = bessel_k_pair(b - 1.0)
-    return scale * _bessel_combo(a - 1.0, b, z, k_pair) \
-        / _bessel_combo(a, b, z, k_pair)
+def _laplace_ratio(a, b, z):
+    """U(a-1)/U(a) = (a-1)(1 + E[1/t]) for a > 4, the runaway ground
+    state's residual form, from one Laplace window and no U value."""
+    return (a - 1.0) * (1.0 + _laplace_inv_t(a, b, z))
 
 
 class TestRatioHelpers:
     def test_shift_ratio_matches_reference(self):
-        # just above the branch switch the expansion floor is ~1e-9; it
-        # falls off as the fourth power of the parameter beyond that
-        for (a, b, z, tol) in [(414.2, 1.4472, 4e-6, 1e-12),
-                               (5650.0, 1.0, 4e-6, 5e-12),
-                               (31.5, 1.3, 1e-6, 1e-9),
-                               (12.0, 1.7, 0.3, 5e-12)]:
-            ref = float(mp.hyperu(a - 1, b, z) / mp.hyperu(a, b, z))
-            assert _shift_ratio(a, b, z) == pytest.approx(ref, rel=tol)
+        # the Laplace form erred by 1.7e-16 at most on these points; the
+        # pair, where U is representable, by 1.8e-13 (a = 12, z = 0.3)
+        for a, b, z in [(414.2, 1.4472, 4e-6), (5650.0, 1.0, 4e-6),
+                        (31.5, 1.3, 1e-6), (12.0, 1.7, 0.3),
+                        (_next(4.0, math.inf), 1.3, 1e-3)]:
+            ref = mp.hyperu(a - 1, b, z) / mp.hyperu(a, b, z)
+            assert abs(_laplace_ratio(a, b, z) / ref - 1) <= 1e-15, a
+            if a < 100.0:
+                assert _shift_ratio(a, b, z) == pytest.approx(float(ref),
+                                                              rel=1e-12)
 
     def test_huge_a_ratio_no_overflow(self):
-        # U itself is unrepresentable here; the ratio must still evaluate
-        val = _shift_ratio(5.36e5, 1.0601, 1e-8)
-        assert math.isfinite(val) and val > 0.0
+        # U itself is unrepresentable here, so the pair raises; the
+        # Laplace form needs no U value
+        a, b, z = 5.36e5, 1.0601, 1e-8
+        with pytest.raises(EvaluationOverflowError):
+            _shift_ratio(a, b, z)
+        ref = hyperu_ref(a - 1.0, b, z) / hyperu_ref(a, b, z)
+        assert abs(_laplace_ratio(a, b, z) / ref - 1) <= 1e-15
 
     @pytest.mark.parametrize("a,b,z", [
         (31.0 + 1e-12, 1.3, 1e-6), (31.5, 1.3, 1e-6), (414.2, 1.4472, 4e-6),
         (5650.0, 1.0, 4e-6), (5360.143152184891, 1.3872983346207417, 1e-6),
         (5.36e5, 1.0601, 1e-8), (40.0, 1.2, 25.0)])
-    def test_large_a_pair_is_the_scalar_ratio(self, a, b, z):
-        # above A_SWITCH + 1 the pair is (1, U(a-1)/U(a)) with the bits of
-        # the per-point form, its Bessel pair built once per evaluator
-        assert u_pair_shift_a(b, z)(a) == (1.0, _ref_large_a_ratio(a, b, z))
+    def test_large_a_ratio_is_the_slope_ratio(self, a, b, z):
+        # above a = 4 the ground residual's E[1/t] and u_ratio_slope_a share
+        # one window, so their U(a-1)/U(a) agree to the bit
+        assert _laplace_ratio(a, b, z) == u_ratio_slope_a(a, b, z)[0]
 
     def test_z_ratio_matches_reference(self):
         for (a, b, z1, z2) in [(414.2, 1.4472, 9e-6, 4e-6),
@@ -578,6 +582,18 @@ class TestExteriorEvaluator:
     ])
     def test_former_failures(self, a, b, z0, zs):
         _check_psi_scale(u_ratio_z_evaluator(a, b, z0), a, b, z0, zs)
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(a=st.floats(-30.0, 1e4), b=st.floats(1.0, 3.0),
+           z=st.floats(-8.0, math.log10(160.0)).map(lambda t: 10.0 ** t))
+    def test_scalar_window_matches_the_array_window(self, a, b, z):
+        # the math-module window of one point (root solves) against the
+        # array code on the domain above: the same node counts, the ends
+        # at most 6 ulps apart in 20 000 random draws
+        assume(a > 0.0 or abs(a - round(a)) > 1e-12)
+        counts, ulps = scalar_window_check(a, b, z)
+        assert counts[0] == counts[1] and ulps <= 8.0, (counts, ulps)
 
     def test_unrepresentable_ratio_raises(self):
         # U(-50.5, b, z) ~ z^50.5: past double range at z = 1e10

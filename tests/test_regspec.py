@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (eig_condition_residual, hyperu_ref,
-                      one_sided_derivative, scan_sign_changes)
+from conftest import (eig_condition_residual, exterior_ratio, hyperu_ref,
+                      one_sided_derivative, scalar_window_check,
+                      scan_sign_changes)
 from pseudoharm import asymptotics, regspec
-from pseudoharm.specfun import bessel, hyper, u_ratio_z_evaluator
+from pseudoharm.specfun import bessel, hyper, tricomi_u, u_ratio_z_evaluator
 from pseudoharm.errors import BracketError, DomainError, PseudoharmError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
 from pseudoharm.rootfind import brent
@@ -43,16 +44,16 @@ class TestResidual:
             * eig_condition_residual(spec, "odd", root + 1e-7) < 0.0
 
     def test_residual_vanishes_at_reference_ground_state(self):
-        # the runaway ground state's U pair comes scaled by 1/U(a): the
-        # residual is the raw condition times cos(u) > 0
+        # above a = 4 the residual is divided by U(a): the raw condition
+        # times cos(u) > 0
         spec = PotentialSpec(-0.05, 0.002)
         kappa = -828.4898894 - 0.5
         res = regspec._entire_residual(spec, "even")(kappa)
         d2 = spec.delta ** 2
         nu = nu_of_alpha(spec.alpha)
-        u0, u1 = hyper.u_pair_shift_a(nu + 0.5, d2)(0.5 * (nu - kappa))
+        ratio = exterior_ratio(0.5 * (nu - kappa), nu + 0.5, d2)
         s2 = regspec.signed_q_squared(spec, kappa)
-        rhs = asymptotics._cos_family(s2) * ((d2 - kappa - 1.0) * u0 - 2.0 * u1)
+        rhs = asymptotics._cos_family(s2) * (d2 - kappa - 1.0 - 2.0 * ratio)
         assert abs(res) < 1e-6 * abs(rhs)
 
     @pytest.mark.parametrize("alpha,delta,parity,kappa", [
@@ -62,12 +63,14 @@ class TestResidual:
         (-0.05, 0.002, "even", -829.2), (-0.2, 0.01, "even", -300.0)])
     def test_entire_residual_is_the_scaled_condition(self, alpha, delta,
                                                      parity, kappa):
-        # the raw condition times U(a) and the entire factor cos(u) (even)
-        # or sin(u)/u (odd), continued to the evanescent regime
+        # the raw condition times U(a) (1 above a = 4) and the entire
+        # factor cos(u) (even) or sin(u)/u (odd), continued to the
+        # evanescent regime
         spec = PotentialSpec(alpha, delta)
         nu = nu_of_alpha(alpha)
-        u0, _ = hyper.u_pair_shift_a(nu + 0.5, delta * delta)(
-            0.5 * (nu - kappa))
+        a = 0.5 * (nu - kappa)
+        u0 = 1.0 if a > hyper._LAPLACE_A \
+            else tricomi_u(a, nu + 0.5, delta * delta)
         s2 = regspec.signed_q_squared(spec, kappa)
         factor = asymptotics._cos_family(s2) if parity == "even" \
             else asymptotics._sinc_family(s2)
@@ -441,6 +444,35 @@ class TestTranscendentalGrid:
         assert kappa == pytest.approx(4.0, abs=1e-12)
 
 
+# solve_ground_even's grid: couplings from -1/4 to near 0, cutoffs from
+# 1e-4 to its bound 5e-2
+_GROUND_ALPHAS = [-0.25, -0.25 + 2.5e-11, -0.2499, -0.2, -0.15, -0.1, -0.05,
+                  -0.01, -0.001]
+_GROUND_DELTAS = [1e-4, 2e-3, 1e-2, 5e-2]
+
+
+def _error_against_30_digits(spec, kappa):
+    """|kappa - ref|/|ref| for ref the root of the same matching condition
+    by mpmath at 30 digits, the secant started within 1e-9 of kappa."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a_mp, d2 = mp.mpf(spec.alpha), mp.mpf(spec.delta) ** 2
+        nu = mp.mpf(0.5) + mp.sqrt(mp.mpf(0.25) + a_mp)
+        b = nu + mp.mpf(0.5)
+
+        def residual(k):
+            u = mp.sqrt((2 * k + 1) * d2 - (d2 * d2 + a_mp))
+            ratio = mp.hyperu((nu - k) / 2 - 1, b, d2) \
+                / mp.hyperu((nu - k) / 2, b, d2)
+            return -u * mp.tan(u) - (d2 - k - 1 - 2 * ratio)
+
+        ref = mp.findroot(residual, (mp.mpf(kappa) * (1 - 1e-9),
+                                     mp.mpf(kappa) * (1 + 1e-9)),
+                          solver="secant")
+        return float(abs((kappa - ref) / ref))
+
+
 class TestSolveGround:
     @pytest.mark.parametrize("alpha,ref", sorted(TABLE1_TRICOMI.items()))
     def test_reference_table(self, alpha, ref):
@@ -452,41 +484,45 @@ class TestSolveGround:
     def test_against_30_digit_solve(self, alpha):
         # the same matching condition solved by mpmath at 30 digits; the
         # root amplifies the exterior ratio's relative error by 1e3 to 1e4
-        import mpmath as mp
-
         spec = PotentialSpec(alpha, 0.002)
         kappa = regspec.solve_ground_even(spec).kappa
-        with mp.workdps(30):
-            a_mp, d2 = mp.mpf(alpha), mp.mpf(spec.delta) ** 2
-            nu = mp.mpf(0.5) + mp.sqrt(mp.mpf(0.25) + a_mp)
-            b = nu + mp.mpf(0.5)
+        assert _error_against_30_digits(spec, kappa) < 1.5e-11
 
-            def residual(k):
-                u = mp.sqrt((2 * k + 1) * d2 - (d2 * d2 + a_mp))
-                ratio = mp.hyperu((nu - k) / 2 - 1, b, d2) \
-                    / mp.hyperu((nu - k) / 2, b, d2)
-                return -u * mp.tan(u) - (d2 - k - 1 - 2 * ratio)
+    @pytest.mark.parametrize("alpha", sorted(TABLE1_TRICOMI))
+    @pytest.mark.parametrize("delta", [1e-4, 2e-3, 1e-2])
+    def test_table1_couplings_to_brents_stop(self, alpha, delta):
+        # on the E[1/t] form nothing of size |kappa| cancels, so kappa
+        # meets the condition within Brent's stop, 1e-12 relative, plus
+        # rounding: 2.3e-13 at worst (alpha -0.1, delta 2e-3)
+        spec = PotentialSpec(alpha, delta)
+        kappa = regspec.solve_ground_even(spec).kappa
+        assert _error_against_30_digits(spec, kappa) < 2e-12
 
-            ref = mp.findroot(residual, (mp.mpf(kappa) * (1 - 1e-9),
-                                         mp.mpf(kappa) * (1 + 1e-9)),
-                              solver="secant")
-            assert abs((kappa - ref) / ref) < 1.5e-11
+    def test_residual_evaluations_on_the_grid(self, monkeypatch):
+        # 5.8 evaluations a solve on average, 4 to 7 where a > 4 (10.1 and
+        # 6 to 18 on the former form, which cancelled two numbers of size
+        # |kappa|)
+        counts = []
+        entire = regspec._entire_residual
 
-    def test_one_bessel_k_pair_per_solve(self, monkeypatch):
-        # the Bessel orders of the large-a branch depend only on b, so the
-        # residual's pair evaluator builds K_(b-1), K_b once for the solve
-        built = [0]
-        k_pair = hyper.bessel_k_pair
+        def counting(spec, parity):
+            g = entire(spec, parity)
 
-        def counting(lam, *args, **kwargs):
-            built[0] += 1
-            return k_pair(lam, *args, **kwargs)
+            def h(kappa):
+                counts[-1] += 1
+                return g(kappa)
+            return h
 
-        monkeypatch.setattr(hyper, "bessel_k_pair", counting)
-        for alpha in sorted(TABLE1_TRICOMI):
-            built[0] = 0
-            regspec.solve_ground_even(PotentialSpec(alpha, 0.002))
-            assert built[0] == 1, alpha
+        monkeypatch.setattr(regspec, "_entire_residual", counting)
+        for alpha in _GROUND_ALPHAS:
+            for delta in _GROUND_DELTAS:
+                counts.append(0)
+                spec = PotentialSpec(alpha, delta)
+                kappa = regspec.solve_ground_even(spec).kappa
+                a = regspec._hyper_args(spec, kappa)[0]
+                assert a <= hyper._LAPLACE_A or counts[-1] <= 7, \
+                    (alpha, delta, counts[-1])
+        assert sum(counts) / len(counts) <= 6.5
 
     def test_oscillatory_tan_branch(self):
         spec = PotentialSpec(-0.1, 1e-3)
@@ -671,8 +707,8 @@ class TestWaveFunction:
             assert abs(p - wf.inner_coeff * want) <= 1e-14 * scale, x
 
     def test_gamma_work_is_per_state_not_per_point(self, monkeypatch):
-        # the 1/Gamma factors of the exterior (connection formula, Bessel
-        # order constants) are computed when the wave function is built;
+        # the Gamma factors of the exterior are computed when the wave
+        # function is built;
         # sampling it, or integrating its norm, costs no further rgamma call
         calls = []
 
@@ -684,7 +720,7 @@ class TestWaveFunction:
 
         states = [(PotentialSpec(0.1, 1e-3), "odd", 1),   # connection, 1/z
                   (PotentialSpec(0.75, 0.01), "even", 0),  # integer b
-                  (PotentialSpec(-0.1, 1e-3), "even", None)]  # Bessel branch
+                  (PotentialSpec(-0.1, 1e-3), "even", None)]  # ground state
         sols = [regspec.solve_ground_even(spec) if n is None
                 else regspec.solve_excited(spec, parity, n)
                 for spec, parity, n in states]
@@ -698,6 +734,28 @@ class TestWaveFunction:
                 wf(np.linspace(-6.0, 6.0, n_points))
                 counts.append(len(calls))
             assert counts[0] == counts[1] <= 8, (spec, counts)
+
+    def test_each_distinct_abs_x_evaluated_once(self):
+        # x and -x, and repeats, share one evaluation with the bits of
+        # the point evaluated alone
+        spec, sol, wf = self._build(-0.1, 0.01, "odd", 1)
+        sizes = []
+        outer_rel = wf.outer_rel
+        wf.outer_rel = lambda x: sizes.append(x.size) or outer_rel(x)
+        xs = [-2.0, 2.0, 2.0, 0.5, -0.005, 0.005, 0.005]
+        psi = wf(np.array(xs)).tolist()
+        assert sizes == [2]
+        assert psi == [wf(x) for x in xs]
+
+    def test_far_tail_probes_evaluate_nothing(self):
+        # integrate_to_infinity probes up to 2^60 first widths out, where
+        # (x/delta)^nu overflows for nu > 17; the Gaussian factor has
+        # underflowed there, and the exterior is 0.0 with no warning
+        spec = PotentialSpec(300.0, 0.01)
+        wf = regspec.build_wavefunction(
+            spec, regspec.solve_excited(spec, "even", 0))
+        x = spec.delta * (1.0 + 2.0 ** np.arange(40, 61))
+        assert wf.outer_rel(x).tolist() == [0.0] * x.size
 
     def test_odd_antisymmetric_even_symmetric(self):
         spec, sol, wf = self._build(-0.1, 0.01, "odd", 1)
@@ -879,6 +937,27 @@ class TestExteriorNormFromSlope:
         for delta in (1e-4, 2e-3, 1e-2, 5e-2):
             spec = PotentialSpec(alpha, delta)
             _check_slope(spec, regspec.solve_ground_even(spec), 6e-14)
+
+    def test_scalar_window_on_the_slope_grids(self):
+        # the math-module window of one point against the array code on
+        # the two grids above: the same node counts, the ends at most 1 ulp
+        # apart (0.25 on the ground states)
+        states = []
+        for alpha in _GROUND_ALPHAS:
+            for delta in _GROUND_DELTAS:
+                spec = PotentialSpec(alpha, delta)
+                states.append((spec, regspec.solve_ground_even(spec)))
+        for alpha in (-0.25, -0.2, -0.1, 0.1, 0.6, 3.5):
+            for delta in (1e-4, 1e-3, 1e-2):
+                spec = PotentialSpec(alpha, delta)
+                states += [(spec, regspec.solve_excited(spec, parity, n))
+                           for parity in ("even", "odd")
+                           for n in (0, 1, 12, 30)]
+        for spec, sol in states:
+            counts, ulps = scalar_window_check(
+                *regspec._hyper_args(spec, sol.kappa))
+            assert counts[0] == counts[1] and ulps <= 4.0, \
+                (spec, sol.label, counts, ulps)
 
     def test_build_calls_no_quadrature(self, monkeypatch):
         from pseudoharm import quadrature
