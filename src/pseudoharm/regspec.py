@@ -112,10 +112,10 @@ def solve_excited(spec: PotentialSpec, parity: str, n: int) -> EigenSolution:
     160-solve grid 143 solves close the narrow bracket, and a solve takes
     5.0 residual evaluations (5.6 by the scan alone).  An evaluation takes
     the U pair from one u_pair_shift_a evaluator built for the solve: four
-    Kummer series and 2 rgamma calls, about 13 us on one desk core (about
-    21 us and 8 rgamma calls as two tricomi_u calls).  Above _SEED_DELTA the seed can lie nearer another
-    state's root, and the root is continued in delta instead
-    (_continue_in_delta).
+    Kummer series and 2 rgamma calls, about 13 us on one desk core, or at
+    integer b one pass of the point evaluator.  Above _SEED_DELTA the seed
+    can lie nearer another state's root, and the root is continued in
+    delta instead (_continue_in_delta).
     """
     _require_regularized(spec, "solve_excited")
     if spec.alpha < -0.25:
@@ -252,10 +252,12 @@ def solve_ground_even(spec: PotentialSpec) -> EigenSolution:
     delta in {1e-4, 2e-3, 1e-2, 5e-2} a solve takes 5.8 residual
     evaluations on average, at most 7 where a > 4, and 0.16 ms on one
     core of a shared VM (10.1, up to 18, and 0.28 ms on the former form
-    delta^2 - kappa - 1 - 2 U(a-1)/U(a)).  Against a 30-digit mpmath
-    solve of the condition, kappa agrees to 2.3e-13 relative or better at
-    the Table 1 couplings and alpha in {-1/4 + 2.5e-11, -0.2499, -0.01,
-    -0.001}, delta in {1e-4, 2e-3, 1e-2}, within Brent's stop.
+    delta^2 - kappa - 1 - 2 U(a-1)/U(a)); its 7 points with 0.1 < a <= 4
+    take the point evaluator's U pair, about 20% more on the grid's mean
+    than the connection formula took.  Against a 30-digit mpmath solve of
+    the condition, kappa agrees to 2.9e-13 relative or better at the Table
+    1 couplings and alpha in {-1/4 + 2.5e-11, -0.2499, -0.01, -0.001},
+    delta in {1e-4, 2e-3, 1e-2}, within Brent's stop.
 
     The returned state is checked to lie on the oscillatory tan branch
     below the first interior pole, with kappa < 0.

@@ -1,33 +1,36 @@
 """Kummer M and Tricomi U confluent hypergeometric functions (real arguments).
 
-tricomi_u takes one of three routes, each inside a stated, tested region
-(see its docstring): the Laguerre polynomial, the connection formula through
-two M series (DLMF 13.2.42) and the array evaluator below.  u_pair_shift_a
-serves a root solve in a at fixed (b, z): it shares the connection
-formula's factors across a for a <= 0.1.  The uniform large-a expansion in
-modified Bessel K functions, carried through three correction orders, is
-no route: it is kept as the independent check of the connection formula
-(_u_large_a).
-
-u_ratio_z_evaluator gives U(a, b, z)/U(a, b, z_den) over an array of z by
-one algorithm, the array evaluator that tricomi_u's route 3 also takes:
+U has one algorithm:
   * for a > 4, the trapezoidal rule on the Laplace integral (DLMF 13.4.4)
-    in s = log t, in log form, which converges exponentially;
+    in s = log t, in log form, which converges exponentially (Trefethen &
+    Weideman, SIAM Review 56 (2014) 385);
   * for a <= 4, the downward recurrence in a (DLMF 13.3.7, 13.3.9, 13.3.10)
     from two Laplace moments at a_top in (4, 5], carried on U(., b - l, z),
     l = 0..ceil(b - 1), so that nothing cancels near the poles of
     Gamma(a) at small z.
-Each point's window ends where the integrand has fallen e^-40 below its
-peak, found from the tail decay rates (e^(a s) on the left, e^(-z t) on the
-right) by safe tangent steps, not from the Gaussian width, which is wrong
-on the plateau t^(b-1) that small z and b -> 1 give; its step follows the
-peak's curvature.  Node counts are rounded to multiples of 16 and bounded
-by 4096, points with equal counts are evaluated together in chunks of at
-most 8192 nodes (64 kB a temporary), and no point's value depends on the
-other points of the call.  Against 20 to 40 digits it keeps 1e-12 of the
-wave function's scale, max |U(z) z^(b/2-1/4) e^(-z/2)|, for a in
-[-30, 1e4], b in [1, 3], z from 1e-8 to 160 (2.2e-14 at worst in 840
-random draws).
+The array evaluator (_log_abs_u) runs it over the samples of
+u_ratio_z_evaluator, U(a, b, z)/U(a, b, z_den) over an array of z; the
+point evaluator (_log_abs_u_point) at every single point, in floats with
+the math module, as numpy's fixed cost on one-element arrays was most of a
+point's cost.  Each point's window ends where the integrand has fallen
+e^-40 below its peak, found from the tail decay rates (e^(a s) on the
+left, e^(-z t) on the right) by safe tangent steps, not from the Gaussian
+width, which is wrong on the plateau t^(b-1) that small z and b -> 1 give;
+its step follows the peak's curvature.  The two windows' ends agree to a
+few ulps, with the same node counts (see tests).  Node counts are rounded
+to multiples of 16 and bounded by 4096, points with equal counts are
+evaluated together in chunks of at most 8192 nodes (64 kB a temporary),
+and no point's value depends on the other points of the call.  Against 20
+to 40 digits u_ratio_z_evaluator keeps 1e-12 of the wave function's scale,
+max |U(z) z^(b/2-1/4) e^(-z/2)|, for a in [-30, 1e4], b in [1, 3], z from
+1e-8 to 160 (2.2e-14 at worst in 840 random draws).
+
+u_pair_shift_a serves a root solve in a at fixed (b, z): for a <= 0.1 it
+shares the factors of the connection formula (DLMF 13.2.42) across a.  The
+plain connection formula (_u_connection) and the uniform large-a expansion
+in modified Bessel K functions, carried through three correction orders
+(_u_large_a), are no route: they are kept as the independent checks of
+acceptance criterion 7.
 
 u_ratio_slope_a gives R = U(a-1, b, z)/U(a, b, z) and dR/da - 1 at one z
 from one pass of the same algorithm; a wave function's exterior norm is
@@ -48,14 +51,6 @@ parities, and to 3e-14 on the ground states of alpha in [-1/4, -0.001],
 delta in [1e-4, 5e-2] (see tests); where dR/da - 1 is a difference of two
 terms some 300 times larger, 1e-16 in a Laplace moment becomes 1e-13.
 
-The one-point calls of a root solve, u_ratio_slope_a and the runaway
-ground state's E[1/t] (_laplace_inv_t), take their window from
-_laplace_window_point: the formulas of _laplace_window written with the
-math module, as numpy's fixed cost on one-element arrays was most of a
-window's cost.  Its ends agree with the array window's to a few ulps, with
-the same node counts (see tests); the nodes and sums stay numpy.  Array
-calls, one-point ones included, keep the array window.
-
 The large-a expansion's coefficient polynomials were generated from its
 defining recurrences and verified against 40-digit reference values; they
 are tested constants (see tests).
@@ -67,18 +62,17 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, EvaluationOverflowError, NonConvergenceError
-from .laguerre import laguerre
 from .bessel import bessel_k_pair
 from .gammafn import lgamma, rgamma, sinpi
 
-# Route regions.  Tested constants, not tuning knobs: the tests check each
-# route against mpmath on both sides of every one.
-A_SWITCH = 30.0          # connection formula up to this a
+# The region of u_pair_shift_a's shared connection formula.  Tested
+# constants, not tuning knobs: the tests check the pair against mpmath on
+# both sides of every one.
 A_CONNECTION_MIN = -52.0  # connection formula from this a: a - 1 of every
 #                           excited solve, n <= 50
 Z_CONNECTION = 1.0       # connection formula up to this z
 B_INTEGER_TOL = 1e-6     # connection formula is singular at integer b
-# rounding amplification in the connection formula above which the array
+# rounding amplification in the connection formula above which the point
 # evaluator takes over
 _AMP_SWITCH = 3e3
 
@@ -229,117 +223,62 @@ def _bessel_combo(a, b, z, k_pair):
     return k_lo * P + math.sqrt(z / a) * k_hi * Q
 
 
-def _connection_terms(a, b, z):
-    """pi/sin(pi b), t1 and t2 of the connection formula, DLMF 13.2.42:
-
-        U = pi/sin(pi b) * (t1 - t2),
-        t1 = M(a, b, z) / (Gamma(1+a-b) Gamma(b)),
-        t2 = z^(1-b) M(1+a-b, 2-b, z) / (Gamma(a) Gamma(2-b)).
-    """
-    t1 = kummer_m(a, b, z) * rgamma(1.0 + a - b) * rgamma(b)
-    t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) \
-        * rgamma(a) * rgamma(2.0 - b)
-    return math.pi / sinpi(b), t1, t2
-
-
 def _u_connection(a, b, z):
-    """U(a, b, z) by the connection formula alone, without the cancellation
-    check; b must lie at least B_INTEGER_TOL from the integers."""
+    """U(a, b, z) = pi/sin(pi b) (M(a, b, z)/(Gamma(1+a-b) Gamma(b)) -
+    z^(1-b) M(1+a-b, 2-b, z)/(Gamma(a) Gamma(2-b))) (DLMF 13.2.42), with no
+    cancellation check, for b at least B_INTEGER_TOL from the integers; no
+    route, kept for the checks of acceptance criterion 7."""
     if abs(b - round(b)) < B_INTEGER_TOL:
         raise DomainError(f"connection formula: b={b} is within "
                           f"{B_INTEGER_TOL} of an integer")
-    pi_over_s, t1, t2 = _connection_terms(a, b, z)
-    return pi_over_s * (t1 - t2)
+    t1 = kummer_m(a, b, z) * rgamma(1.0 + a - b) * rgamma(b)
+    t2 = z ** (1.0 - b) * kummer_m(1.0 + a - b, 2.0 - b, z) \
+        * rgamma(a) * rgamma(2.0 - b)
+    return math.pi / sinpi(b) * (t1 - t2)
 
 
 def _u_large_a(a, b, z):
-    """U(a, b, z) by the uniform large-a Bessel expansion; no route of
-    tricomi_u, kept as the independent check of the connection formula at
-    a in [30, 100], z <= 1e-4 (acceptance criterion 7)."""
+    """U(a, b, z) by the uniform large-a Bessel expansion; no route, kept to
+    check _u_connection at a in [30, 100], z <= 1e-4 (criterion 7)."""
     combo = _bessel_combo(a, b, z, bessel_k_pair(b - 1.0))
     return math.exp(_LN2 + 0.5 * (1.0 - b) * (math.log(z) - math.log(a))
                     + 0.5 * z - lgamma(a) + math.log(combo))
 
 
-def _is_laguerre(a):
-    # n! stays finite up to n = 170
-    return -170.0 <= a <= 0.0 and a == round(a)
-
-
-def _u_by_formula(a, b, z):
-    """U(a, b, z) by the Laguerre polynomial or the checked connection
-    formula inside their regions, else None (tricomi_u's routes 1 and 2)."""
-    if _is_laguerre(a) and b >= 0.5:
-        # U(-n, b, z) = (-1)^n n! L_n^(b-1)(z), exact truncation; the degree
-        # recurrence is the stable evaluation of the polynomial case
-        n = int(-a)
-        u = (-1.0 if n % 2 else 1.0) * math.factorial(n) \
-            * laguerre(n, b - 1.0, z)
-        return u if math.isfinite(u) else None
-    if not (A_CONNECTION_MIN <= a <= A_SWITCH and z <= Z_CONNECTION
-            and b >= 0.5 and abs(b - round(b)) >= B_INTEGER_TOL):
-        return None
-    try:
-        pi_over_s, t1, t2 = _connection_terms(a, b, z)
-    except OverflowError:  # z^(1-b) beyond double range
-        return None
-    diff = t1 - t2
-    # Rounding errors of t1 and t2 reach t1 - t2 amplified by (|t1| +
-    # |t2|)/|t1 - t2|.  Near a pole of 1/Gamma, t1 also carries the rounding
-    # of x = 1 + a - b, up to (1 + |a| + |b|) ulps, over the distance from
-    # x to the pole.  A non-finite term fails the test too.
-    x = 1.0 + a - b
-    gap = abs(x - round(x)) if x < 0.5 else math.inf
-    if diff == 0.0 or gap == 0.0:
-        return None
-    noise = abs(t1) * (1.0 + (1.0 + abs(a) + abs(b)) / gap) + abs(t2)
-    u = pi_over_s * diff
-    return u if noise / abs(diff) <= _AMP_SWITCH and math.isfinite(u) \
-        else None
-
-
-def _u_evaluated(a, b, z, count=1):
-    """(U(a, b, z), ..., U(a - count + 1, b, z)) for a scalar z > 0 by the
-    array evaluator (_log_abs_u), from one pass (tricomi_u's route 3)."""
+def _u_point(a, b, z, count=1):
+    """(U(a, b, z), ..., U(a - count + 1, b, z)) at one float z > 0 from
+    one pass of the point evaluator (_log_abs_u_point)."""
     log_c = lgamma(a + _recurrence_steps(a))
     out = []
-    for log_u, sign in _log_abs_u(a, b, np.array([float(z)]), count):
-        logu = float(log_u[0]) - log_c
+    for log_u, sign in _log_abs_u_point(a, b, z, count):
+        logu = log_u - log_c
         if not -745.13 <= logu <= 709.78:
             bound = -745.13 if logu < 0.0 else 709.78
             raise EvaluationOverflowError(
                 f"tricomi_u: U({a}, {b}, {z}) leaves double range "
                 f"(log={logu:.1f}, threshold {bound})", threshold=bound)
-        out.append(float(sign[0]) * math.exp(logu))
+        out.append(sign * math.exp(logu))
     return tuple(out)
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi function U(a, b, z) for z > 0, by one of three routes:
+    """Tricomi function U(a, b, z) for z > 0 by the point evaluator
+    (_log_abs_u_point), for every a >= -195 (DomainError below).
 
-    1. the Laguerre polynomial, for a an integer in [-170, 0] and b >= 1/2;
-    2. the connection formula, for a in [A_CONNECTION_MIN, A_SWITCH],
-       z <= Z_CONNECTION and b >= 1/2 at least B_INTEGER_TOL from the
-       integers, where the observed amplification of its rounding
-       (_u_by_formula) is at most _AMP_SWITCH;
-    3. the array evaluator (Laplace rule and downward recurrence in a)
-       everywhere else, down to a = -195 (DomainError below).
-
-    Against 30 digits over a in [-60, 100], b in [1/2, 9/2] (integer b
-    and both sides of B_INTEGER_TOL included) and z in [1e-8, 160] it errs
-    by at most 1e-12 S on routes 1 and 3 and 5e-12 S on route 2, with
-    S = |U(a)| + |(2a + 2 - b + z) U(a+1)| + |(a+1)(a+2-b) U(a+2)| the
-    terms of the recurrence DLMF 13.3.7 that give U(a) (measured at worst
-    over about 4 500 draws: 6e-14 on route 1, 1.9e-12 on route 2 and
-    2.8e-13 on route 3).  For b in [-1/2, 1/2), always route 3, add
-    2e-13 |U|/(|b| + z): near b = 0 at small z, U(a <= 0) is itself
-    O(|b| + z), and the recurrence keeps only that much of it.  A value
-    beyond double range raises EvaluationOverflowError.
+    Stated region: a in [-60, 100], b in [1/2, 9/2] (integer b and its
+    neighbourhood included), z in [1e-8, 160].  There it errs against 30
+    digits by at most 1e-12 S, with S = |U(a)| + |(2a + 2 - b + z) U(a+1)|
+    + |(a+1)(a+2-b) U(a+2)| the terms of the recurrence DLMF 13.3.7 that
+    give U(a) (measured at worst over 1 800 random draws: 2.7e-13), and by
+    at most 7e-14 S for a in [-52, 30], z <= 1 (3.5e-14 over 2 400 draws).
+    For b in [-1/2, 1/2) add 2e-13 |U|/(|b| + z): near b = 0 at small z,
+    U(a <= 0) is itself O(|b| + z), and the recurrence keeps only that
+    much of it.  A value beyond double range raises
+    EvaluationOverflowError.
     """
     if not z > 0.0:
         raise DomainError(f"tricomi_u: requires z > 0, got z={z}")
-    u = _u_by_formula(a, b, z)
-    return _u_evaluated(a, b, z)[0] if u is None else u
+    return _u_point(a, b, z)[0]
 
 
 def u_pair_shift_a(b: float,
@@ -349,16 +288,16 @@ def u_pair_shift_a(b: float,
     For a <= 0.1 with a and a - 1 in the connection formula's region and
     more than 1e-12 from the integers, the pair shares 1/Gamma(b),
     1/Gamma(2-b), pi/sin(pi b) and z^(1-b), and per a costs 1/Gamma(1+a-b)
-    and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) = (x-1)/Gamma(x);
-    this hot path takes only the pole-distance term of tricomi_u's
-    cancellation check, at a and a - 1, and a point that fails it or gives
-    a non-finite result leaves it.  Every other a is evaluated
-    as tricomi_u evaluates it, except that where both a and a - 1 fall to
-    the array evaluator one pass gives both, U(a - 1) one recurrence step
-    below U(a).  Where U leaves double range it raises
-    EvaluationOverflowError, as tricomi_u does; a root solve at large a
-    takes U(a-1)/U(a) from the Laplace moment E[1/t] instead (the runaway
-    ground state's residual in regspec).
+    and 1/Gamma(a), the shifted factors by 1/Gamma(x-1) = (x-1)/Gamma(x).
+    A point leaves this hot path where a value is not finite or where
+    1/Gamma(1+a-b) lies so near a pole that the rounding of 1+a-b could be
+    amplified past _AMP_SWITCH ulps at a or a - 1.  Every other a takes
+    both values from one pass of the point evaluator, U(a - 1) one step
+    below U(a); for a <= 4 that is tricomi_u's pass at a and at a - 1.0,
+    so where a - 1.0 is exact the pair has tricomi_u's bits.  Where U
+    leaves double range it raises EvaluationOverflowError; a root solve at
+    large a takes U(a-1)/U(a) from the Laplace moment E[1/t] instead (the
+    runaway ground state's residual in regspec).
     """
     if not z > 0.0:
         raise DomainError(f"u_pair_shift_a: requires z > 0, got z={z}")
@@ -376,7 +315,7 @@ def u_pair_shift_a(b: float,
         a1 = a - 1.0
         # the shared formula serves a <= 0.1 with a and a - 1 more than
         # 1e-12 from the non-positive integers, where 1/Gamma(a) and
-        # 1/Gamma(a - 1) are small and need the checked routes
+        # 1/Gamma(a - 1) are small and need the point evaluator
         if (shared and A_CONNECTION_MIN <= a1 and a <= 0.1
                 and abs(a1 - round(a1)) >= 1e-12
                 and (a > 0.0 or abs(a - round(a)) >= 1e-12)):
@@ -388,25 +327,20 @@ def u_pair_shift_a(b: float,
             s1 = kummer_m(a1, b, z) * (x1 * r_x) * r_b
             s2 = z_1mb * kummer_m(x1, 2.0 - b, z) * (a1 * r_a) * r_2mb
             u, u1 = pi_over_s * (t1 - t2), pi_over_s * (s1 - s2)
-            # the pole-distance term of _u_by_formula's check, at a and
-            # a - 1: near a pole of 1/Gamma, r_x carries the rounding of x,
-            # up to (1 + |a| + |b|) ulps, over the distance from x to the pole
+            # near a pole of 1/Gamma, r_x carries the rounding of x, up to
+            # (1 + |a| + |b|) ulps, over the distance from x to the pole
             ulps = 1.0 + abs(a) + abs(b)
             limit = _AMP_SWITCH * abs(x - round(x))
             if (abs(t1) * ulps < limit * abs(t1 - t2)
                     and abs(s1) * ulps < limit * abs(s1 - s2)
                     and math.isfinite(u) and math.isfinite(u1)):
                 return u, u1
-        u, u1 = _u_by_formula(a, b, z), _u_by_formula(a1, b, z)
-        if u is None and u1 is None:
-            return _u_evaluated(a, b, z, 2)
-        return (_u_evaluated(a, b, z)[0] if u is None else u,
-                _u_evaluated(a1, b, z)[0] if u1 is None else u1)
+        return _u_point(a, b, z, 2)
 
     return pair
 
 
-# --- the exterior evaluator: Laplace rule above _LAPLACE_A, recurrence below -
+# --- the evaluators: Laplace rule above _LAPLACE_A, recurrence below --------
 
 _LAPLACE_A = 4.0     # the rule serves a > this; smaller a recur down from
 #                      a_top = a + m in (_LAPLACE_A, _LAPLACE_A + 1]
@@ -524,16 +458,14 @@ def _recurrence_steps(a):
     return max(0, math.floor(_LAPLACE_A + 1.0 - a))
 
 
-def _log_abs_u(a, b, z, count=1):
-    """[(log|U(a - i, b, z)| + C, sign of U(a - i, b, z)) for i < count]
-    over a 1-d array z > 0, from one pass; the constant C = log
-    Gamma(a_top) depends on (a, b) only.
+def _log_abs_u(a, b, z):
+    """(log|U(a, b, z)| + C, sign of U(a, b, z)) over a 1-d array z > 0;
+    the constant C = log Gamma(a_top) depends on (a, b) only.
 
-    For a single value at a > _LAPLACE_A, a_top = a and the Laplace rule
-    gives log Gamma(a) U.  Otherwise U comes down from a_top = a + m,
-    m = _recurrence_steps(a), in m + count - 1 steps in a, carried on
-    W_l = U(., b - l, z), l = 0..L with L = max(1, ceil(b - 1)), so that
-    b - L <= 1:
+    For a > _LAPLACE_A, a_top = a and the Laplace rule gives log Gamma(a)
+    U.  Otherwise U comes down from a_top = a + m, m = _recurrence_steps(a),
+    in m steps in a, carried on W_l = U(., b - l, z), l = 0..L with
+    L = max(1, ceil(b - 1)), so that b - L <= 1:
 
         W_L(a-1) = z W_(L-1)(a) + (a - b + L) W_L(a)    (DLMF 13.3.10)
         W_l(a-1) = (a-1) W_l(a) + W_(l+1)(a-1), l < L   (DLMF 13.3.9)
@@ -550,37 +482,31 @@ def _log_abs_u(a, b, z, count=1):
     so U near a zero of 1/Gamma(a) sees a itself, not a_top - m.
     """
     m = _recurrence_steps(a)
-    if m == 0 and count == 1:
+    if m == 0:
         log_gu, _ = _laplace_rule(a, b, z, 0)
-        return [(log_gu, np.ones_like(z))]
-    if m + count - 1 > _MAX_STEPS:
+        return log_gu, np.ones_like(z)
+    if m > _MAX_STEPS:
         raise DomainError(
-            f"array evaluator of U: a={a} needs {m + count - 1} recurrence "
-            f"steps, more than {_MAX_STEPS}")
+            f"array evaluator of U: a={a} needs {m} recurrence steps, more "
+            f"than {_MAX_STEPS}")
     levels = max(1, math.ceil(b - 1.0))
     log_gu, moments = _laplace_rule(a + m, b, z, levels)
     w = [np.ones_like(z)] + list(moments)
-    out = [(log_gu, w[0])] if m == 0 else []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(m, 1 - count, -1):
-            a_j = a + j
-            w[levels] = z * w[levels - 1] + (a_j - (b - levels)) * w[levels]
+        for j in range(m, 0, -1):
+            w[levels] = z * w[levels - 1] + (a + j - (b - levels)) * w[levels]
             for lev in range(levels - 1, -1, -1):
                 w[lev] = (a + (j - 1)) * w[lev] + w[lev + 1]
             if j % _RESCALE_STEPS == 0:
                 scale = np.abs(w[0]) + np.abs(w[levels])
                 log_gu = log_gu + np.log(scale)
                 w = [v / scale for v in w]
-            if j <= 1:
-                out.append((log_gu + np.log(np.abs(w[0])), np.sign(w[0])))
-    return out
+        return log_gu + np.log(np.abs(w[0])), np.sign(w[0])
 
 
 def _laplace_window_point(a, b, z, left_lift, left_extra=0.0):
     """_laplace_window at one float z, by the same formulas with the math
-    module: (s_lo, s_hi, h, log-integrand at the peak) as floats.  A root
-    solve evaluates one point at a time, where numpy's fixed cost on
-    one-element arrays would be most of the window's."""
+    module: (s_lo, s_hi, h, log-integrand at the peak) as floats."""
     c = (b - 1.0) - z
     disc = math.sqrt(c * c + (4.0 * a) * z)
     den = disc + abs(c)
@@ -611,9 +537,10 @@ def _laplace_window_point(a, b, z, left_lift, left_extra=0.0):
 
 
 def _laplace_point(a, b, z, left_lift, left_extra=0.0):
-    """(t, weight) at the nodes of one point's trapezoidal rule (as in
-    _laplace_rule), the weight relative to the integrand's peak; the window
-    from _laplace_window_point."""
+    """(t, weight, sum of the weights, log(Gamma(a) U(a, b, z))) at the
+    nodes of one point's trapezoidal rule (as in _laplace_rule), the weight
+    relative to the integrand's peak; the window from
+    _laplace_window_point."""
     s_lo, s_hi, h, phi_pk = _laplace_window_point(a, b, z, left_lift,
                                                   left_extra)
     count = _NODE_STEP * math.ceil(((s_hi - s_lo) / h + 1.0) / _NODE_STEP)
@@ -621,9 +548,12 @@ def _laplace_point(a, b, z, left_lift, left_extra=0.0):
         raise NonConvergenceError(
             "Laplace rule: window needs more nodes than the bound",
             a=a, b=b, nodes=count, bound=_MAX_NODES)
-    s = s_lo + (s_hi - s_lo) / (count - 1) * np.arange(count, dtype=float)
+    step = (s_hi - s_lo) / (count - 1)
+    s = s_lo + step * np.arange(count, dtype=float)
     t = np.exp(s)
-    return t, np.exp(_log_integrand(a, b, z, s, t) - phi_pk)
+    weight = np.exp(_log_integrand(a, b, z, s, t) - phi_pk)
+    total = float(weight.sum())
+    return t, weight, total, phi_pk + math.log(step * total)
 
 
 def _laplace_inv_t(a, b, z):
@@ -631,13 +561,82 @@ def _laplace_inv_t(a, b, z):
     z > 0, for a > _LAPLACE_A: U(a-1, b, z)/U(a, b, z) = (a-1)(1 + E[1/t]).
     The window of u_ratio_slope_a's a > _LAPLACE_A branch, whose E[1/t] has
     the same bits."""
-    t, weight = _laplace_point(a, b, z, 0, _TAIL_DROP / (a - 1.0))
-    return float(weight @ (1.0 / t)) / float(weight.sum())
+    t, weight, total, _ = _laplace_point(a, b, z, 0, _TAIL_DROP / (a - 1.0))
+    return float(weight @ (1.0 / t)) / total
+
+
+def _log_abs_u_point(a, b, z, count=1, slopes=False):
+    """The point evaluator: _log_abs_u's algorithm at one float z > 0,
+    [(log|U(a - i, b, z)| + log Gamma(a_top), sign) for i < count] from one
+    pass of m + count - 1 steps, m = _recurrence_steps(a) (one value at a >
+    _LAPLACE_A is the Laplace rule alone).  The values are rescaled every
+    _RESCALE_STEPS steps counted from a_top, so each has the bits of a
+    one-value pass at a - i where that is exact.  The math module's domain
+    and range errors, met far outside the stated region, raise
+    EvaluationOverflowError.
+
+    With slopes (count 2, m >= 1) it returns (R, dR/da - 1), R =
+    U(a-1)/U(a), for u_ratio_slope_a: the a-derivatives go forward-mode
+    next to the values from dW_l = Cov((1+t)^-l, log(t/(1+t))) at a_top,
+    rescaled every _RESCALE_STEPS steps counted from a - 1; Gamma(a_top),
+    its a-derivative and the rescaling factors cancel in R.
+    """
+    m = _recurrence_steps(a)
+    if m + count - 1 > _MAX_STEPS:
+        raise DomainError(
+            f"point evaluator of U: a={a} needs {m + count - 1} recurrence "
+            f"steps, more than {_MAX_STEPS}")
+    levels = max(1, math.ceil(b - 1.0)) if m + count > 1 else 0
+    try:
+        t, weight, total, log_gu = _laplace_point(a + m, b, z, levels)
+        damp = 1.0 / (1.0 + t)
+        w, dw = [1.0], [0.0]
+        if slopes:
+            lam = -np.log1p(1.0 / t)
+            lam_c = lam - float(weight @ lam) / total
+        for _ in range(levels):
+            weight = weight * damp
+            w.append(float(weight.sum()) / total)
+            if slopes:
+                dw.append(float(weight @ lam_c) / total)
+        out = [(log_gu, 1.0)] if m == 0 else []
+        phase = 0 if slopes else m + 1
+        for j in range(m, 1 - count, -1):
+            # w, dw hold W_l(a + j) and its a-derivative; step to a + j - 1
+            c = a + j - (b - levels)
+            if slopes:
+                dw[levels] = z * dw[levels - 1] + w[levels] + c * dw[levels]
+            w[levels] = z * w[levels - 1] + c * w[levels]
+            c = a + (j - 1)
+            for lev in range(levels - 1, -1, -1):
+                if slopes:
+                    dw[lev] = w[lev] + c * dw[lev] + dw[lev + 1]
+                w[lev] = c * w[lev] + w[lev + 1]
+            if j == 1:
+                u0, du0 = w[0], dw[0]
+            if (j - phase) % _RESCALE_STEPS == 0:
+                scale = abs(w[0]) + abs(w[levels])
+                log_gu += math.log(scale)
+                w = [v / scale for v in w]
+                dw = [v / scale for v in dw]
+                if j == 0:
+                    u0, du0 = u0 / scale, du0 / scale
+            if j <= 1 and not slopes:
+                out.append((log_gu + math.log(abs(w[0])),
+                            math.copysign(1.0, w[0])))
+        if slopes:
+            ratio = w[0] / u0
+            return ratio, (dw[0] - ratio * du0) / u0 - 1.0
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise EvaluationOverflowError(
+            f"point evaluator of U: U({a}, {b}, {z}) leaves double range "
+            f"({exc})") from exc
+    return out
 
 
 def u_ratio_slope_a(a: float, b: float, z: float) -> tuple[float, float]:
     """(R, dR/da - 1) for R = U(a-1, b, z)/U(a, b, z) at one z > 0, from
-    one pass of the array evaluator's algorithm.
+    one pass of the point evaluator's algorithm.
 
     Under the Laplace weight t^(a-1) (1+t)^(b-a-1) e^(-zt) (DLMF 13.4.4),
     d/da of an expectation is its covariance with lam = log(t/(1+t)).
@@ -646,62 +645,23 @@ def u_ratio_slope_a(a: float, b: float, z: float) -> tuple[float, float]:
         For the ground state's large a, dR/da is 1 + O(sqrt(z/a)); the
         difference is formed without that cancellation.  The window's left
         end lies _TAIL_DROP/(a-1) further down for the weight 1/t.
-      * a <= _LAPLACE_A: the downward recurrence of _log_abs_u, carried
-        forward-mode in a: it starts from W_l = E[(1+t)^-l] and
-        dW_l = Cov((1+t)^-l, lam) at a_top, and differentiates each step
-        next to its value.  Gamma(a_top), its derivative E[lam] and the
-        rescaling factors multiply every W_l alike and cancel in R, so they
-        are held constant.
+      * a <= _LAPLACE_A: the downward recurrence, carried forward-mode in
+        a (_log_abs_u_point with slopes).
 
     Stated region: the excited and ground states of the module docstring,
     dR/da - 1 within 1.2e-13 relative of 40 digits.
     """
     if not z > 0.0:
         raise DomainError(f"u_ratio_slope_a: requires z > 0, got z={z}")
-    m = _recurrence_steps(a)
-    if m == 0:
-        t, weight = _laplace_point(a, b, z, 0, _TAIL_DROP / (a - 1.0))
-        total = weight.sum()
-        inv_t = 1.0 / t
-        lam = -np.log1p(inv_t)
-        e_inv = float(weight @ inv_t) / total
-        lam_c = lam - float(weight @ lam) / total
-        cov = float(weight @ ((inv_t - e_inv) * lam_c)) / total
-        return (a - 1.0) * (1.0 + e_inv), e_inv + (a - 1.0) * cov
-    if m + 1 > _MAX_STEPS:
-        raise DomainError(
-            f"u_ratio_slope_a: a={a} needs {m + 1} recurrence steps, more "
-            f"than {_MAX_STEPS}")
-    levels = max(1, math.ceil(b - 1.0))
-    t, weight = _laplace_point(a + m, b, z, levels)
-    total = weight.sum()
-    lam = -np.log1p(1.0 / t)
+    if _recurrence_steps(a) > 0:
+        return _log_abs_u_point(a, b, z, 2, slopes=True)
+    t, weight, total, _ = _laplace_point(a, b, z, 0, _TAIL_DROP / (a - 1.0))
+    inv_t = 1.0 / t
+    lam = -np.log1p(inv_t)
+    e_inv = float(weight @ inv_t) / total
     lam_c = lam - float(weight @ lam) / total
-    damp = 1.0 / (1.0 + t)
-    w, dw = [1.0], [0.0]
-    for _ in range(levels):
-        weight = weight * damp
-        w.append(float(weight.sum()) / total)
-        dw.append(float(weight @ lam_c) / total)
-    for j in range(m, -1, -1):
-        # w, dw hold W_l(a + j) and its a-derivative; step to a + j - 1
-        c = a + j - (b - levels)
-        dw[levels] = z * dw[levels - 1] + w[levels] + c * dw[levels]
-        w[levels] = z * w[levels - 1] + c * w[levels]
-        c = a + (j - 1)
-        for lev in range(levels - 1, -1, -1):
-            dw[lev] = w[lev] + c * dw[lev] + dw[lev + 1]
-            w[lev] = c * w[lev] + w[lev + 1]
-        if j == 1:
-            u0, du0 = w[0], dw[0]
-        if j % _RESCALE_STEPS == 0:
-            scale = abs(w[0]) + abs(w[levels])
-            w = [v / scale for v in w]
-            dw = [v / scale for v in dw]
-            if j == 0:
-                u0, du0 = u0 / scale, du0 / scale
-    ratio = w[0] / u0
-    return ratio, (dw[0] - ratio * du0) / u0 - 1.0
+    cov = float(weight @ ((inv_t - e_inv) * lam_c)) / total
+    return (a - 1.0) * (1.0 + e_inv), e_inv + (a - 1.0) * cov
 
 
 def u_ratio_z_evaluator(a: float, b: float, z_den: float):
@@ -709,10 +669,10 @@ def u_ratio_z_evaluator(a: float, b: float, z_den: float):
     (a float for a 0-d z), built once per (a, b, z_den), e.g. once per
     exterior wave function.
 
-    One algorithm for every a: the Laplace rule, and below _LAPLACE_A the
-    downward recurrence from it (_log_abs_u).  The ratio is formed in log
-    form, so a far tail where U underflows gives 0.0.  Each point's value
-    depends on that point alone, not on the others of the call.
+    The samples take the array evaluator (_log_abs_u), the denominator the
+    point evaluator.  The ratio is formed in log form, so a far tail where
+    U underflows gives 0.0.  Each point's value depends on that point
+    alone, not on the others of the call.
 
     Tested region: against 20 to 40 digits the ratio keeps 1e-12 of the
     wave function's scale max |U(z) z^(b/2-1/4) e^(-z/2)| for a in
@@ -726,16 +686,16 @@ def u_ratio_z_evaluator(a: float, b: float, z_den: float):
     """
     if not z_den > 0.0:
         raise DomainError("u_ratio_z_evaluator: requires z_den > 0")
-    [(log_den, sign_den)] = _log_abs_u(a, b, np.array([float(z_den)]))
+    [(log_den, sign_den)] = _log_abs_u_point(a, b, float(z_den))
 
     def ratio(z):
         za = np.asarray(z, dtype=float)
         flat = za.reshape(-1)
         if not np.all(flat > 0.0):
             raise DomainError("u_ratio_z_evaluator: requires z > 0")
-        [(log_u, sign)] = _log_abs_u(a, b, flat)
+        log_u, sign = _log_abs_u(a, b, flat)
         with np.errstate(over="ignore"):
-            out = (sign * sign_den[0]) * np.exp(log_u - log_den[0])
+            out = (sign * sign_den) * np.exp(log_u - log_den)
         if not np.all(np.isfinite(out)):
             raise EvaluationOverflowError(
                 f"u_ratio_z_evaluator: U({a}, {b}, z)/U(z_den) exceeds double "

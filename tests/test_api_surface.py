@@ -13,7 +13,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 ALLOWED = {
     "sine_integral": "acceptance criterion 7 checks Si(pi) through it",
-    "tricomi_u": "the route tests check U against mpmath through it",
+    "tricomi_u": "the tests check the point evaluator of U through it",
     "reconstruct_wavefunction": "the excited-matrix benchmark samples it",
 }
 

@@ -12,13 +12,10 @@ from pseudoharm.errors import (DomainError, EvaluationOverflowError,
 from pseudoharm.specfun import (laguerre, lgamma, rgamma, sinpi, tricomi_u,
                                 u_pair_shift_a, u_ratio_slope_a,
                                 u_ratio_z_evaluator)
-from pseudoharm.specfun.hyper import (A_CONNECTION_MIN, A_SWITCH,
-                                      B_INTEGER_TOL, Z_CONNECTION,
-                                      _AMP_SWITCH,
-                                      _bessel_combo, _is_laguerre,
-                                      _laplace_inv_t,
-                                      _u_by_formula, _u_connection,
-                                      _u_large_a, kummer_m)
+from pseudoharm.specfun.hyper import (A_CONNECTION_MIN, B_INTEGER_TOL,
+                                      Z_CONNECTION, _AMP_SWITCH,
+                                      _bessel_combo, _laplace_inv_t,
+                                      _u_connection, _u_large_a, kummer_m)
 
 mp.mp.dps = 50
 
@@ -86,11 +83,10 @@ class TestTricomiValues:
 
     def test_integer_b_takes_the_evaluator(self):
         # the connection formula is singular at integer b and refuses it;
-        # tricomi_u takes the array evaluator there, within its stated bound
+        # tricomi_u's evaluator meets its stated bound there
         for (a, b, z) in [(-1.3, 2.0, 0.5), (-0.4, 1.0, 2.0e-3)]:
             with pytest.raises(DomainError):
                 _u_connection(a, b, z)
-            assert _route(a, b, z) == "evaluator"
             _check_u(a, b, z, tricomi_u(a, b, z))
 
     def test_unrepresentable_value_reports_threshold(self):
@@ -191,28 +187,22 @@ class TestTricomiProperties:
 
 
 # --- tricomi_u against 30 digits over its stated region --------------------
-# The bounds of tricomi_u's docstring, per route, relative to the recurrence
-# scale S: the terms of DLMF 13.3.7 that give U(a).  Measured worst over
-# about 4 500 random draws: 6e-14 (Laguerre), 1.9e-12 (connection), 2.8e-13
-# (evaluator).
-_ROUTE_TOL = {"laguerre": 1e-12, "connection": 5e-12, "evaluator": 1e-12}
-
-
-def _route(a, b, z):
-    if _is_laguerre(a) and b >= 0.5:
-        return "laguerre"
-    return "evaluator" if _u_by_formula(a, b, z) is None else "connection"
+# The bound of tricomi_u's docstring relative to the recurrence scale S: the
+# terms of DLMF 13.3.7 that give U(a).
+_U_TOL = 1e-12
+# its bound over the former connection-formula region: a in [-52, 30], b in
+# [1/2, 9/2], z in [1e-8, 1]
+_FORMER_CONNECTION_TOL = 7e-14
 
 
 def _u_mp(a, b, z):
     return mp.hyperu(mp.mpf(a), mp.mpf(b), mp.mpf(z), maxprec=3000)
 
 
-def _check_u(a, b, z, got, tol=None):
-    """got against U(a, b, z) at 30 digits, to tol (the route's bound) of
-    the recurrence scale S; below b = 1/2 the bound adds 2e-13 |U|/(|b| +
-    z), what the recurrence keeps where U(a <= 0) is O(|b| + z)."""
-    tol = _ROUTE_TOL[_route(float(a), b, z)] if tol is None else tol
+def _check_u(a, b, z, got, tol=_U_TOL):
+    """got against U(a, b, z) at 30 digits, to tol of the recurrence scale
+    S; below b = 1/2 the bound adds 2e-13 |U|/(|b| + z), what the
+    recurrence keeps where U(a <= 0) is O(|b| + z)."""
     with mp.workdps(30):
         a_mp = mp.mpf(a)
         u = _u_mp(a_mp, b, z)
@@ -229,8 +219,7 @@ def _next(x, toward):
     return float(np.nextafter(x, toward))
 
 
-_SEAM_A = [A_SWITCH, _next(A_SWITCH, math.inf),
-           A_CONNECTION_MIN, _next(A_CONNECTION_MIN, -math.inf),
+_SEAM_A = [A_CONNECTION_MIN, _next(A_CONNECTION_MIN, -math.inf),
            0.0, -1.0, -7.0, -1e-13, -7.0 + 1e-12, 0.1,
            4.0, _next(4.0, math.inf), 5.0, _next(5.0, -math.inf)]
 _SEAM_Z = [Z_CONNECTION, _next(Z_CONNECTION, math.inf), 1e-8, 160.0]
@@ -240,7 +229,8 @@ _B_OFFSETS = [0.0, 1e-7, -1e-7, B_INTEGER_TOL * (1.0 + 1e-9),
 
 
 class TestTricomiRoutes:
-    """tricomi_u's three routes against 30 digits at their stated bounds."""
+    """tricomi_u's point evaluator against 30 digits at its stated bounds,
+    over the regions the routes it replaced served too."""
 
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
@@ -265,28 +255,19 @@ class TestTricomiRoutes:
                        st.sampled_from([1e-7, -1e-7, 2e-6, -2e-6])),
            z=st.floats(-8.0, math.log10(160.0)).map(lambda t: 10.0 ** t))
     def test_below_half_against_reference(self, a, b, z):
-        # every b < 1/2 takes the evaluator, which the recurrence checks of
-        # criterion 7 reach through U(a, b - 1, z)
-        assert _route(a, b, z) == "evaluator"
+        # the recurrence checks of criterion 7 reach b < 1/2 through
+        # U(a, b - 1, z)
         _check_u(a, b, z, tricomi_u(a, b, z))
 
-    @pytest.mark.parametrize("a,b", [(-0.3, 1.6), (-2.6, 2.3), (-5.5, 1.45)])
-    def test_cancellation_seam(self, a, b):
-        # the two neighbouring doubles where the connection formula's
-        # cancellation check switches, past a zero of U in (0, 1)
-        with mp.workdps(30):
-            z0 = float(mp.findroot(lambda z: _u_mp(a, b, z), 0.4))
-        lo, hi = z0, min(2.0 * z0, Z_CONNECTION)
-        assert _route(a, b, lo) == "evaluator"
-        assert _route(a, b, hi) == "connection"
-        while _next(lo, math.inf) < hi:
-            mid = 0.5 * (lo + hi)
-            if _route(a, b, mid) == "evaluator":
-                lo = mid
-            else:
-                hi = mid
-        for z in (lo, hi):
-            _check_u(a, b, z, tricomi_u(a, b, z))
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(a=st.floats(A_CONNECTION_MIN, 30.0), b=st.floats(0.5, 4.5),
+           z=st.floats(-8.0, 0.0).map(lambda t: 10.0 ** t))
+    def test_former_connection_region(self, a, b, z):
+        # where the checked connection formula served until the point
+        # evaluator replaced it, erring by up to 1.9e-12 S; the evaluator
+        # errs by at most 3.5e-14 S here in 2 400 random draws
+        _check_u(a, b, z, tricomi_u(a, b, z), tol=_FORMER_CONNECTION_TOL)
 
     @pytest.mark.parametrize("a,b,z", [(44.0, 1.387, 36.0),
                                        (127.0, 1.5, 42.0),
@@ -296,19 +277,10 @@ class TestTricomiRoutes:
     def test_former_silent_errors(self, a, b, z):
         # where the Bessel branch (1.4e-2, 6.0e-4, 2.1e-9), the unchecked
         # connection formula (3.2e-5) and the 1/z expansion (5.6e-10) erred
-        assert _route(a, b, z) == "evaluator"
         _check_u(a, b, z, tricomi_u(a, b, z))
         with mp.workdps(30):
             ref = _u_mp(a, b, z)
             assert abs(tricomi_u(a, b, z) - ref) <= 1e-13 * abs(ref)
-
-    def test_laguerre_band_is_the_integers(self):
-        # 1e-13 from -1 the polynomial U(-1) would miss the z^(1-b) part,
-        # of relative size about 1e-13 z^(1-b): 3.5e-2 here
-        a, b, z = -1.0 + 1e-13, 2.5, 1e-8
-        assert _route(a, b, z) == "connection"
-        _check_u(a, b, z, tricomi_u(a, b, z))
-        assert abs(tricomi_u(a, b, z) / tricomi_u(-1.0, b, z) - 1.0) > 0.03
 
     @settings(derandomize=True, database=None, max_examples=300,
               deadline=None)
@@ -398,17 +370,9 @@ class TestRatioHelpers:
             assert u_ratio_z_evaluator(a, b, z0)(z1) == 0.0
 
 
-# --- per-point references for the exterior evaluator ----------------------
-# Each writes one formula route of U out term by term, in the order of the
-# per-point scalar code (M*r1*r2, pi/sin(pi b) * (t1 - t2), ...), so a
-# change of a rounding shows as a bit; None where tricomi_u takes the array
-# evaluator, which is checked against 30 digits at its stated bound instead.
-
-def _ref_laguerre(a, b, z):
-    n = int(round(-a))
-    return (-1.0 if n % 2 else 1.0) * math.factorial(n) \
-        * laguerre(n, b - 1.0, z)
-
+# --- the connection formula written out term by term ------------------------
+# in the order of u_pair_shift_a's shared path (M*r1*r2, pi/sin(pi b) *
+# (t1 - t2)), so a change of a rounding shows as a bit.
 
 def _ref_terms(a, b, z):
     t1 = kummer_m(a, b, z) * rgamma(1.0 + a - b) * rgamma(b)
@@ -420,22 +384,6 @@ def _ref_terms(a, b, z):
 def _ref_connection(a, b, z):
     t1, t2 = _ref_terms(a, b, z)
     return math.pi / sinpi(b) * (t1 - t2)
-
-
-def _ref_evaluator(a, b, z):
-    return None
-
-
-def _ref_checked_connection(a, b, z):
-    if _route(a, b, z) == "evaluator":
-        return None
-    return _ref_connection(a, b, z)
-
-
-def _ref_small_a(a, b, z):
-    if z > Z_CONNECTION:
-        return None
-    return _ref_connection(a, b, z)
 
 
 def _check_psi_scale(ratio, a, b, z0, zs, tol=1e-12):
@@ -461,44 +409,33 @@ def _check_psi_scale(ratio, a, b, z0, zs, tol=1e-12):
 
 
 class TestRatioEvaluator:
-    # (route, a, b, z0, sample arguments, per-point reference for U); the
-    # ids name the routes these points took before tricomi_u had three
+    # (route, a, b, z0, sample arguments); the ids name the routes
+    # tricomi_u took at these points before it had one algorithm
     ROUTES = [
-        ("laguerre", -3.0, 1.4472, 1e-6, (1e-6, 0.3, 4.0, 25.0),
-         _ref_laguerre),
-        ("connection", -1.3, 1.4472, 1e-6, (3e-6, 0.3, 4.0, 19.9),
-         _ref_small_a),
-        ("connection, a > 0.1", 1.7, 1.4472, 1e-4, (2e-4, 0.3, 5.0),
-         _ref_checked_connection),
-        ("near-integer b", -0.7, 2.0000005, 1e-4, (3e-4, 0.5, 6.0),
-         _ref_evaluator),
-        ("integer b", -0.4, 1.0, 2e-3, (4e-3, 1.5), _ref_evaluator),
-        ("1/z", -1.3, 1.4472, 1e-6, (20.5, 27.0, 38.0), _ref_small_a),
-        ("1/z, near-integer b", -0.7, 1.9999995, 0.5, (24.0, 36.0),
-         _ref_evaluator),
-        ("laplace fallback", 0.5, 1.3, 0.5, (10.0, 15.0),
-         _ref_checked_connection),
-        ("laplace, integer b", 1.7, 2.0, 1e-3, (0.3, 4.0), _ref_evaluator),
+        ("laguerre", -3.0, 1.4472, 1e-6, (1e-6, 0.3, 4.0, 25.0)),
+        ("connection", -1.3, 1.4472, 1e-6, (3e-6, 0.3, 4.0, 19.9)),
+        ("connection, a > 0.1", 1.7, 1.4472, 1e-4, (2e-4, 0.3, 5.0)),
+        ("near-integer b", -0.7, 2.0000005, 1e-4, (3e-4, 0.5, 6.0)),
+        ("integer b", -0.4, 1.0, 2e-3, (4e-3, 1.5)),
+        ("1/z", -1.3, 1.4472, 1e-6, (20.5, 27.0, 38.0)),
+        ("1/z, near-integer b", -0.7, 1.9999995, 0.5, (24.0, 36.0)),
+        ("laplace fallback", 0.5, 1.3, 0.5, (10.0, 15.0)),
+        ("laplace, integer b", 1.7, 2.0, 1e-3, (0.3, 4.0)),
     ]
 
-    @pytest.mark.parametrize("route,a,b,z0,zs,ref", ROUTES,
+    @pytest.mark.parametrize("route,a,b,z0,zs", ROUTES,
                              ids=[r[0] for r in ROUTES])
-    def test_equals_per_point_ratio(self, route, a, b, z0, zs, ref):
-        # tricomi_u keeps each formula route's per-point bits and meets the
-        # evaluator's stated bound elsewhere; the exterior evaluator, one
-        # algorithm for all of them, matches 20 digits at 1e-12 of the psi
-        # scale on the same points
+    def test_equals_per_point_ratio(self, route, a, b, z0, zs):
+        # tricomi_u meets its stated bound on every point; the exterior
+        # evaluator matches 20 digits at 1e-12 of the psi scale on the
+        # same points
         for z in (z0,) + zs:
-            want = ref(a, b, z)
-            if want is None:
-                assert _route(a, b, z) == "evaluator", (route, z)
-                _check_u(a, b, z, tricomi_u(a, b, z))
-            else:
-                assert tricomi_u(a, b, z) == want, (route, z)
+            _check_u(a, b, z, tricomi_u(a, b, z))
         _check_psi_scale(u_ratio_z_evaluator(a, b, z0), a, b, z0, zs)
 
     def test_laplace_fallback_is_taken(self):
-        # the "laplace fallback" points above really leave the formula
+        # the "laplace fallback" points above lie where the connection
+        # formula loses more than 3e3 ulps to cancellation
         for z in (10.0, 15.0):
             t1, t2 = _ref_terms(0.5, 1.3, z)
             assert (abs(t1) + abs(t2)) / abs(t1 - t2) > 3e3
@@ -526,7 +463,7 @@ class TestRatioEvaluator:
 
     def test_large_a_tricomi_equals_per_point_form(self):
         # the Bessel expansion keeps its per-point form for criterion 7;
-        # tricomi_u takes the array evaluator above A_SWITCH
+        # tricomi_u takes the point evaluator there
         a, b = 45.0, 1.7
         for z in (1e-4, 1e-3, 0.2):
             combo = _bessel_combo(a, b, z, lambda w: (bessel_k(b - 1.0, w),
@@ -641,22 +578,17 @@ def _shares_factors(a, b, z):
 def _check_pair(a, b, z):
     u, u1 = u_pair_shift_a(b, z)(a)
     if not _shares_factors(a, b, z):
-        # each value as tricomi_u takes it: the formula routes' bits at a
-        # and a - 1.0, and where both fall to the array evaluator one pass,
-        # at its bound, which steps from a to the exact a - 1
-        both = _route(a, b, z) == _route(a - 1.0, b, z) == "evaluator"
-        for x, x_exact, got in ((a, a, u), (a - 1.0, mp.mpf(a) - 1, u1)):
-            if _route(x, b, z) == "evaluator":
-                _check_u(x_exact if both else x, b, z, got)
-            else:
-                assert got == tricomi_u(x, b, z), (x, b, z)
+        # one pass of the point evaluator, at tricomi_u's bound, which
+        # steps from a to the exact a - 1; where a - 1.0 is exact, from
+        # tricomi_u's a_top at both, so with tricomi_u's bits
+        _check_u(a, b, z, u)
+        _check_u(mp.mpf(a) - 1, b, z, u1)
+        if a - 1.0 + 1.0 == a and a <= 4.0:
+            assert (u, u1) == (tricomi_u(a, b, z), tricomi_u(a - 1.0, b, z)), \
+                (a, b, z)
         return
-    # U(a) takes the plain formula's operations in its order: tricomi_u's
-    # wherever its cancellation check passes (the hot path takes only its
-    # pole-distance term)
+    # U(a) takes the plain formula's operations in its order
     assert u == _ref_connection(a, b, z), (a, b, z)
-    if _route(a, b, z) == "connection":
-        assert u == tricomi_u(a, b, z), (a, b, z)
     # U(a - 1) against the formula at a - 1.0, or where that float rounds
     # (U at another argument) against 30 digits at the exact a - 1
     if a - 1.0 + 1.0 == a:
@@ -695,7 +627,7 @@ class TestPairShiftA:
 
     @pytest.mark.parametrize("a", [
         0.1 - 1e-9, 0.1, 0.1 + 1e-9,                  # the a <= 0.1 switch
-        0.0, -1.0, -3.0, -50.0,                       # Laguerre route
+        0.0, -1.0, -3.0, -50.0,                       # the integers
         1e-13, -1e-13, -1.0 + 1e-13, -3.0 - 1e-13,    # 1e-13 from them
         2.0 ** -39, -3.0 + 2e-12, -0.5, 1.2])
     @pytest.mark.parametrize("b", [1.4472, 1.0, 1.0 + 5e-7, 2.0 - 5e-7,
@@ -711,7 +643,7 @@ class TestPairShiftA:
         # where the shared formula, unchecked, erred by 4.0e-11, 4.1e-11
         # and 2.5e-10 of |U|: 1/Gamma(1 + a - b) 2e-6 from its pole at -2
         # and -1 sees the rounding of 1 + a - b, and near b = 1 t1 - t2
-        # cancels.  The pole-distance test sends them to the checked routes
+        # cancels.  The pole-distance test sends them to the point evaluator
         assert not _shares_factors(a, b, z)
         _check_pair(a, b, z)
         with mp.workdps(30):
@@ -736,13 +668,13 @@ class TestPairShiftA:
         assert not _shares_factors(0.1 - 1e-9, 2.0 + 2e-6, 1e-2)
 
     def test_large_argument_is_tricomi_u(self):
-        # above Z_CONNECTION one evaluator pass serves a and a - 1: U(a)
-        # with tricomi_u's bits (the same recurrence from the same a_top),
-        # U(a - 1) one step further, at the evaluator's bound
+        # above Z_CONNECTION one evaluator pass serves a and a - 1, with
+        # tricomi_u's bits at both (the same recurrence from the same a_top)
         pair = u_pair_shift_a(1.4472, 25.0)
         for a in (-1.3, 0.05):
             u, u1 = pair(a)
             assert u == tricomi_u(a, 1.4472, 25.0)
+            assert u1 == tricomi_u(a - 1.0, 1.4472, 25.0)
             _check_u(a - 1.0, 1.4472, 25.0, u1)
 
     def test_rejects_nonpositive_argument(self):

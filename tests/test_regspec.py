@@ -10,7 +10,8 @@ from conftest import (eig_condition_residual, exterior_ratio, hyperu_ref,
                       one_sided_derivative, scalar_window_check,
                       scan_sign_changes)
 from pseudoharm import asymptotics, regspec
-from pseudoharm.specfun import bessel, hyper, tricomi_u, u_ratio_z_evaluator
+from pseudoharm.specfun import (bessel, hyper, tricomi_u, u_pair_shift_a,
+                                u_ratio_z_evaluator)
 from pseudoharm.errors import BracketError, DomainError, PseudoharmError
 from pseudoharm.quadrature import integrate, integrate_to_infinity
 from pseudoharm.rootfind import brent
@@ -175,7 +176,7 @@ class TestSolveExcited:
     @pytest.mark.parametrize("alpha", [-0.25, 0.75])  # b = 1 and b = 2
     @pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2])
     def test_integer_b_against_40_digit_solve(self, alpha, delta):
-        # the U pair at integer b comes from the array evaluator (the
+        # the U pair at integer b comes from the point evaluator (the
         # straddled connection formula before left 6.3e-11 at alpha -1/4);
         # the reference roots the entire condition with mpmath's hyperu
         import mpmath as mp
@@ -734,6 +735,35 @@ class TestWaveFunction:
                 wf(np.linspace(-6.0, 6.0, n_points))
                 counts.append(len(calls))
             assert counts[0] == counts[1] <= 8, (spec, counts)
+
+    def test_single_points_of_u_take_the_point_evaluator(self, monkeypatch):
+        # the array evaluator serves sample arrays only: no call reaches it
+        # from tricomi_u, from the pair's fallback at integer b, from an
+        # excited solve at integer b or from building a wave function, and
+        # the first sampling of the wave function makes the first call
+        sizes = []
+        array_path = hyper._log_abs_u
+
+        def counted(a, b, z):
+            sizes.append(z.size)
+            return array_path(a, b, z)
+
+        monkeypatch.setattr(hyper, "_log_abs_u", counted)
+        for a, b, z in [(-1.3, 2.0, 0.5), (0.3, 1.7, 25.0), (45.0, 1.7, 1e-3),
+                        (-30.5, 1.45, 1e-6)]:
+            tricomi_u(a, b, z)
+        for b in (1.0, 2.0):
+            for a in (-0.3, -2.7, -20.2, 0.5, 3.5):
+                u_pair_shift_a(b, 1e-4)(a)
+        wfs = []
+        for alpha in (-0.25, 0.75):
+            spec = PotentialSpec(alpha, 0.01)
+            for parity in ("even", "odd"):
+                sol = regspec.solve_excited(spec, parity, 1)
+                wfs.append(regspec.build_wavefunction(spec, sol))
+        assert sizes == []
+        wfs[0](np.array([0.5, 1.0, 2.0]))
+        assert sizes == [3]
 
     def test_each_distinct_abs_x_evaluated_once(self):
         # x and -x, and repeats, share one evaluation with the bits of
